@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidArgumentError
@@ -135,12 +137,14 @@ class Histogram:
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise InvalidArgumentError("histogram needs at least one bucket bound")
-        if any(b <= 0 and not math.isfinite(b) for b in bounds):
+        if not all(math.isfinite(b) for b in bounds):
             raise InvalidArgumentError("bucket bounds must be finite")
         if len(set(bounds)) != len(bounds):
             raise InvalidArgumentError("bucket bounds must be distinct")
         self.buckets = bounds
-        self._counts = [0] * len(bounds)
+        # observations per bucket (not cumulative); the extra last slot
+        # takes what exceeds every bound, i.e. lands only in +Inf
+        self._counts = [0] * (len(bounds) + 1)
         self._count = 0
         self._sum = 0.0
         self._min: Optional[float] = None
@@ -156,9 +160,8 @@ class Histogram:
                 self._min = value
             if self._max is None or value > self._max:
                 self._max = value
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[i] += 1
+            if value == value:  # NaN moves count and sum but no bucket
+                self._counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def count(self) -> int:
@@ -178,7 +181,7 @@ class Histogram:
     def bucket_counts(self) -> "List[Tuple[float, int]]":
         """Cumulative ``(le, count)`` pairs, ending with ``(inf, count)``."""
         with self._lock:
-            pairs = list(zip(self.buckets, self._counts))
+            pairs = list(zip(self.buckets, accumulate(self._counts)))
             pairs.append((math.inf, self._count))
             return pairs
 
@@ -194,7 +197,7 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            self._counts = [0] * len(self.buckets)
+            self._counts = [0] * len(self._counts)
             self._count = 0
             self._sum = 0.0
             self._min = None
@@ -226,6 +229,8 @@ class MetricFamily:
         self.labelnames = tuple(labelnames)
         self._buckets = tuple(buckets) if buckets is not None else None
         self._children: Dict[Tuple[str, ...], Any] = {}
+        #: exact kwargs of an earlier ``labels()`` call -> its child
+        self._memo: Dict[Tuple[Tuple[str, str], ...], Any] = {}
         self._lock = threading.Lock()
 
     def _make_child(self) -> Any:
@@ -235,6 +240,11 @@ class MetricFamily:
 
     def labels(self, **labels: str) -> Any:
         """The child instrument for one label-value combination."""
+        memo_key = tuple(labels.items())
+        try:
+            return self._memo[memo_key]
+        except (KeyError, TypeError):  # first sight, or an unhashable value
+            pass
         if set(labels) != set(self.labelnames):
             raise InvalidArgumentError(
                 f"metric {self.name!r} takes labels {list(self.labelnames)}, "
@@ -246,7 +256,11 @@ class MetricFamily:
             if child is None:
                 child = self._make_child()
                 self._children[key] = child
-            return child
+        # only all-``str`` sets are remembered: 1, 1.0 and True are equal
+        # as dict keys but stringify to three different children
+        if all(type(v) is str for v in labels.values()):
+            self._memo[memo_key] = child
+        return child
 
     def _unlabelled(self) -> Any:
         if self.labelnames:

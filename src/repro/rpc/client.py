@@ -89,7 +89,7 @@ class _PendingCall:
         "started",
         "cond",
         "outcome",
-        "raw",
+        "reply",
         "reason",
         "span",
     )
@@ -112,17 +112,21 @@ class _PendingCall:
         self.cond = threading.Condition()
         #: None while in flight; then "reply" | "lost" | "closed" | "desync"
         self.outcome: "Optional[str]" = None
-        self.raw: "Optional[bytes]" = None
+        #: packed, as an inline server returned it; or already decoded by
+        #: the thread that delivered it (a pooled reply is decoded once)
+        self.reply: "bytes | RPCMessage | None" = None
         self.reason: "Optional[str]" = None
         #: detached rpc.call span (tracing enabled only)
         self.span: "Optional[Span]" = None
 
-    def resolve(self, outcome: str, raw: "Optional[bytes]" = None, reason: "Optional[str]" = None) -> None:
+    def resolve(
+        self, outcome: str, reply: "bytes | RPCMessage | None" = None, reason: "Optional[str]" = None
+    ) -> None:
         with self.cond:
             if self.outcome is not None:
                 return  # first resolution wins
             self.outcome = outcome
-            self.raw = raw
+            self.reply = reply
             self.reason = reason
             self.cond.notify_all()
 
@@ -429,7 +433,7 @@ class RPCClient:
                 self._forget(entry)
                 if raw is None:
                     self._desynchronize(f"no reply to {entry.procedure}")
-                entry.resolve("reply", raw=raw)
+                entry.resolve("reply", reply=raw)
             # "pending" resolves via _on_reply_frame; "lost" was already
             # resolved through the reply-lost handler
         results: "list[Any]" = []
@@ -617,7 +621,7 @@ class RPCClient:
             self._forget(entry)
             if inline is None:
                 self._desynchronize(f"no reply to {procedure}")
-            entry.resolve("reply", raw=inline)
+            entry.resolve("reply", reply=inline)
         return entry
 
     def _finish_call(self, entry: _PendingCall) -> Any:
@@ -655,11 +659,12 @@ class RPCClient:
             )
         if entry.outcome == "desync":
             raise RPCError(entry.reason or "reply stream desynchronized")
-        raw_reply = entry.raw
-        try:
-            reply = RPCMessage.unpack(raw_reply)
-        except RPCError as exc:
-            self._desynchronize(f"unparsable reply to {entry.procedure}: {exc}")
+        reply = entry.reply
+        if not isinstance(reply, RPCMessage):
+            try:
+                reply = RPCMessage.unpack(reply)
+            except RPCError as exc:
+                self._desynchronize(f"unparsable reply to {entry.procedure}: {exc}")
         if reply.mtype != MessageType.REPLY:
             self._desynchronize(f"expected REPLY, got {reply.mtype.name}")
         if reply.serial != entry.serial:
@@ -743,7 +748,7 @@ class RPCClient:
             return
         if out_of_order and self.metrics is not None:
             self._m_ooo.inc()
-        entry.resolve("reply", raw=data)
+        entry.resolve("reply", reply=message)
 
     def _on_reply_lost(self, token: Any, reason: str) -> None:
         """Channel notification that a pending reply can never arrive."""

@@ -27,6 +27,7 @@ format, and decoders that predate the field never looked past the body
 from __future__ import annotations
 
 import enum
+import struct
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import RPCError
@@ -40,7 +41,10 @@ PROTOCOL_VERSION = 1
 
 KNOWN_PROGRAMS = frozenset({PROGRAM_REMOTE, PROGRAM_KEEPALIVE})
 
-HEADER_BYTES = 7 * 4
+#: the fixed header, packed and parsed in one step
+_HEADER = struct.Struct(">7I")
+_WORD = struct.Struct(">I")
+HEADER_BYTES = _HEADER.size
 MAX_MESSAGE = 16 * 1024 * 1024
 
 #: keepalive procedures (``virKeepAliveMessage``)
@@ -62,6 +66,12 @@ class ReplyStatus(enum.IntEnum):
     ERROR = 1
     #: stream frame carrying data or flow-control (``VIR_NET_CONTINUE``)
     CONTINUE = 2
+
+
+# wire number -> member (members hash as their numbers, so either form
+# finds the member): a dict lookup where ``Enum.__call__`` cost ~20x
+_MESSAGE_TYPES = {int(member): member for member in MessageType}
+_REPLY_STATUSES = {int(member): member for member in ReplyStatus}
 
 
 #: stable procedure numbers — append-only, never renumber
@@ -226,9 +236,9 @@ class RPCMessage:
         trace: "Optional[Dict[str, int]]" = None,
     ) -> None:
         self.procedure = procedure
-        self.mtype = MessageType(mtype)
+        self.mtype = _MESSAGE_TYPES[mtype] if mtype in _MESSAGE_TYPES else MessageType(mtype)
         self.serial = serial
-        self.status = ReplyStatus(status)
+        self.status = _REPLY_STATUSES[status] if status in _REPLY_STATUSES else ReplyStatus(status)
         self.body = body
         self.program = program
         self.version = version
@@ -237,53 +247,53 @@ class RPCMessage:
 
     def pack(self) -> bytes:
         """Serialize to the framed wire form."""
-        body = encode_value(self.body)
+        payload = XdrEncoder()
+        encode_value(self.body, payload)
         if self.trace is not None:
-            body += encode_value(dict(self.trace))
-        enc = XdrEncoder()
-        enc.pack_uint(HEADER_BYTES + len(body))
-        enc.pack_uint(self.program)
-        enc.pack_uint(self.version)
-        enc.pack_uint(self.procedure)
-        enc.pack_uint(int(self.mtype))
-        enc.pack_uint(self.serial)
-        enc.pack_uint(int(self.status))
-        data = enc.data() + body
-        if len(data) > MAX_MESSAGE:
-            raise RPCError(f"message too large: {len(data)} bytes")
-        return data
+            encode_value(self.trace, payload)
+        # sized before it is materialised; the join in ``data`` is the
+        # only time a (possibly 256 KiB) body is copied
+        length = HEADER_BYTES + len(payload)
+        if length > MAX_MESSAGE:
+            raise RPCError(f"message too large: {length} bytes")
+        try:
+            header = _HEADER.pack(
+                length, self.program, self.version, self.procedure,
+                self.mtype, self.serial, self.status,
+            )
+        except struct.error:
+            fields = (self.program, self.version, self.procedure, self.mtype, self.serial, self.status)
+            bad = next(f for f in fields if not (isinstance(f, int) and 0 <= f < 2**32))
+            raise RPCError(f"uint32 out of range: {bad}") from None
+        return payload.data(header)
 
     @staticmethod
-    def unpack(data: bytes) -> "RPCMessage":
-        """Parse one framed message; the buffer must hold exactly one."""
+    def unpack(data: "bytes | memoryview") -> "RPCMessage":
+        """Parse one framed message; the buffer must hold exactly one.
+
+        Body and trace context are decoded where they lie in ``data`` —
+        over a ``memoryview`` an opaque body is a sub-view of it.
+        """
         if len(data) < HEADER_BYTES:
             raise RPCError(f"short message: {len(data)} bytes")
-        dec = XdrDecoder(data)
-        length = dec.unpack_uint()
+        length, program, version, procedure, mtype, serial, status = _HEADER.unpack_from(data)
         if length != len(data):
             raise RPCError(f"frame length {length} != buffer length {len(data)}")
-        program = dec.unpack_uint()
         if program not in KNOWN_PROGRAMS:
             raise RPCError(f"unknown program 0x{program:x}")
-        version = dec.unpack_uint()
         if version != PROTOCOL_VERSION:
             raise RPCError(f"unsupported protocol version {version}")
-        procedure = dec.unpack_uint()
-        try:
-            mtype = MessageType(dec.unpack_uint())
-        except ValueError as exc:
-            raise RPCError(f"bad message type: {exc}") from exc
-        serial = dec.unpack_uint()
-        try:
-            status = ReplyStatus(dec.unpack_uint())
-        except ValueError as exc:
-            raise RPCError(f"bad reply status: {exc}") from exc
-        payload = XdrDecoder(data[HEADER_BYTES:])
+        if mtype not in _MESSAGE_TYPES:
+            raise RPCError(f"bad message type: {mtype} is not a valid MessageType")
+        if status not in _REPLY_STATUSES:
+            raise RPCError(f"bad reply status: {status} is not a valid ReplyStatus")
+        payload = XdrDecoder(data, HEADER_BYTES)
         body = decode_value(payload)
         trace = None
         if payload.remaining():
-            # optional trailing trace-context value; anything malformed
-            # degrades to "no context" rather than failing the frame
+            # optional trailing trace-context value: undecodable or
+            # surplus bytes fail the frame like any other corruption; a
+            # well-formed value of the wrong shape is just "no context"
             extra = decode_value(payload)
             payload.done()
             if isinstance(extra, dict):
@@ -329,10 +339,7 @@ def peek_message_type(data: "bytes | memoryview") -> "Optional[MessageType]":
     """
     if len(data) < HEADER_BYTES:
         return None
-    try:
-        return MessageType(int.from_bytes(bytes(data[16:20]), "big"))
-    except ValueError:
-        return None
+    return _MESSAGE_TYPES.get(_WORD.unpack_from(data, 16)[0])
 
 
 def split_frames(buffer: bytes) -> "Tuple[list, bytes]":

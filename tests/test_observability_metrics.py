@@ -133,6 +133,39 @@ class TestHistogram:
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bounds_rejected(self, bound):
+        """+Inf is implicit; accepting it as a bound exported the +Inf
+        line twice (only -inf used to be caught)."""
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Histogram(buckets=(0.5, bound))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Histogram(buckets=(bound,))
+
+    def test_value_on_a_bound_lands_in_that_bucket(self):
+        h = Histogram(buckets=(0.1, 1.0, 10.0))
+        for v in (0.1, 1.0, 10.0, -5.0, 10.000001):
+            h.observe(v)
+        assert h.bucket_counts() == [(0.1, 2), (1.0, 3), (10.0, 4), (math.inf, 5)]
+
+    def test_buckets_match_the_linear_scan_they_replaced(self):
+        bounds = (0.001, 0.01, 0.25, 1.0, 7.5)
+        values = [0.0, 0.001, 0.0011, 0.2, 0.25, 0.9999, 1.0, 3.0, 7.5, 8.0, -1.0, math.inf, -math.inf, 1e300]
+        h = Histogram(buckets=bounds)
+        for v in values:
+            h.observe(v)
+        reference = [(b, sum(1 for v in values if v <= b)) for b in bounds] + [(math.inf, len(values))]
+        assert h.bucket_counts() == reference
+
+    def test_nan_observation_moves_count_and_sum_but_no_bucket(self):
+        h = Histogram(buckets=(0.1, 1.0))
+        h.observe(0.5)
+        h.observe(math.nan)
+        assert h.count == 2
+        assert math.isnan(h.sum)
+        assert h.bucket_counts() == [(0.1, 0), (1.0, 1), (math.inf, 2)]
+        assert h.summary()["min"] == h.summary()["max"] == 0.5
+
 
 class TestMetricFamily:
     def test_labelled_children_are_distinct(self):
@@ -147,6 +180,56 @@ class TestMetricFamily:
         fam = MetricFamily("x", COUNTER, "", ("a",))
         with pytest.raises(InvalidArgumentError, match="takes labels"):
             fam.labels(b="1")
+
+    def test_repeat_lookups_return_the_same_child_and_still_validate(self):
+        fam = MetricFamily("x", COUNTER, "", ("a", "b"))
+        child = fam.labels(a="1", b="2")
+        assert fam.labels(a="1", b="2") is child
+        assert fam.labels(b="2", a="1") is child  # kwargs order is not identity
+        for wrong in ({"a": "1"}, {"a": "1", "b": "2", "c": "3"}, {"a": "1", "c": "2"}, {}):
+            for _ in range(2):  # first sight and repeat: a bad set is never remembered
+                with pytest.raises(InvalidArgumentError, match="takes labels"):
+                    fam.labels(**wrong)
+        assert len(fam.children()) == 1
+
+    def test_non_str_values_stringify_to_the_same_child_every_time(self):
+        fam = MetricFamily("x", COUNTER, "", ("code",))
+        text = fam.labels(code="1")
+        for _ in range(2):
+            assert fam.labels(code=1) is text
+            # equal as dict keys, different as label values
+            assert fam.labels(code=True) is fam.labels(code="True")
+            assert fam.labels(code=1.0) is fam.labels(code="1.0")
+            assert fam.labels(code=None) is fam.labels(code="None")
+            assert fam.labels(code=["unhashable"]) is fam.labels(code="['unhashable']")
+        assert [key for key, _ in fam.children()] == [
+            ("1",), ("1.0",), ("None",), ("True",), ("['unhashable']",)
+        ]
+
+    def test_children_survive_reset_and_stay_memoised(self):
+        fam = MetricFamily("x", COUNTER, "", ("a",))
+        child = fam.labels(a="1")
+        child.inc(3)
+        fam.reset()
+        assert fam.labels(a="1") is child and child.value == 0
+
+    def test_concurrent_first_lookups_agree_on_one_child(self):
+        fam = MetricFamily("x", COUNTER, "", ("a",))
+        start = threading.Barrier(8)
+
+        def hammer():
+            start.wait(timeout=10)
+            for i in range(2000):
+                fam.labels(a=str(i % 50)).inc()
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(fam.children()) == 50
+        assert sum(child.value for _, child in fam.children()) == 8 * 2000
 
     def test_unlabelled_convenience_on_labelled_family_rejected(self):
         fam = MetricFamily("x", COUNTER, "", ("a",))

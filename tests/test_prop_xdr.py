@@ -1,12 +1,23 @@
 """Property-based tests: XDR serialization invariants (hypothesis)."""
 
+import struct
+import tracemalloc
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.errors import RPCError
-from repro.rpc.protocol import MessageType, ReplyStatus, RPCMessage, split_frames
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value
+from repro.rpc.protocol import (
+    HEADER_BYTES,
+    MAX_MESSAGE,
+    MessageType,
+    ReplyStatus,
+    RPCMessage,
+    peek_message_type,
+    split_frames,
+)
+from repro.rpc.xdr import MAX_OPAQUE, XdrDecoder, XdrEncoder, decode_value, encode_value
 from repro.util.typedparams import ParamType, TypedParameter, TypedParamList
 
 # -- strategies ---------------------------------------------------------------
@@ -217,3 +228,214 @@ class TestMessageFraming:
         assert len(frames) == len(bodies)
         for i, frame in enumerate(frames):
             assert RPCMessage.unpack(frame).body == bodies[i]
+
+
+# -- decoder robustness ---------------------------------------------------------
+
+
+def survives(data):
+    """Feed ``data`` to every decoder entry point, as bytes and as a view.
+
+    Each may accept it or raise ``RPCError``; anything else (``struct.error``,
+    ``IndexError``, ``ValueError``, ``UnicodeDecodeError``, ``OverflowError``,
+    ``RecursionError`` ...) propagates and fails the test.
+    """
+    for buffer in (data, memoryview(data)):
+        for decode in (decode_value, RPCMessage.unpack):
+            try:
+                decode(buffer)
+            except RPCError:
+                pass
+        assert peek_message_type(buffer) in (None, *MessageType)
+    try:
+        frames, rest = split_frames(data)
+    except RPCError:
+        return
+    assert b"".join(frames) + rest == data
+
+
+#: words a corrupt length/count/tag/type field is likely to hold
+NASTY_WORDS = st.sampled_from(
+    [0, 1, 2, 3, 9, 10, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, MAX_OPAQUE, MAX_OPAQUE + 1, MAX_MESSAGE + 1]
+)
+
+frame_bodies = st.one_of(
+    json_values,
+    st.lists(typed_param_strategy(), max_size=4).map(TypedParamList),
+    st.fixed_dictionaries(
+        {"name": st.text(max_size=12), "params": st.lists(typed_param_strategy(), min_size=1, max_size=3)}
+    ),
+)
+
+
+@st.composite
+def damaged_frames(draw):
+    """A valid frame with one region mutated, truncated or extended."""
+    trace = draw(st.one_of(st.none(), st.just({"trace_id": 7, "span_id": 9}), json_values))
+    frame = RPCMessage(
+        draw(st.integers(0, 200)),
+        draw(st.sampled_from(list(MessageType))),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(list(ReplyStatus))),
+        draw(frame_bodies),
+        trace=trace,
+    ).pack()
+    at = draw(st.integers(0, len(frame)))
+    how = draw(st.sampled_from(["flip", "word", "cut", "insert", "grow"]))
+    if how == "flip" and at < len(frame):
+        return frame[:at] + bytes([frame[at] ^ draw(st.integers(1, 255))]) + frame[at + 1 :]
+    if how == "word":
+        at -= at % 4
+        return frame[:at] + struct.pack(">I", draw(NASTY_WORDS)) + frame[at + 4 :]
+    if how == "cut":
+        return frame[:at]
+    if how == "insert":
+        return frame[:at] + draw(st.binary(min_size=1, max_size=8)) + frame[at:]
+    return frame + draw(st.binary(min_size=1, max_size=8))
+
+
+class TestDecoderRobustness:
+    @given(st.binary(max_size=256))
+    @settings(max_examples=400)
+    def test_arbitrary_bytes_raise_only_rpc_error(self, data):
+        survives(data)
+
+    @given(st.lists(NASTY_WORDS, max_size=12))
+    @settings(max_examples=300)
+    def test_arbitrary_nasty_words_raise_only_rpc_error(self, words):
+        survives(struct.pack(f">{len(words)}I", *words))
+
+    @given(damaged_frames())
+    @settings(max_examples=600)
+    def test_damaged_frames_raise_only_rpc_error(self, data):
+        survives(data)
+
+    @given(damaged_frames())
+    @settings(max_examples=200)
+    def test_a_frame_that_still_decodes_has_a_sane_shape(self, data):
+        try:
+            message = RPCMessage.unpack(data)
+        except RPCError:
+            return
+        assert isinstance(message.mtype, MessageType) and isinstance(message.status, ReplyStatus)
+        assert message.trace is None or set(message.trace) == {"trace_id", "span_id"}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (struct.pack(">II", 5, MAX_OPAQUE + 1), "opaque length .* exceeds limit"),
+            (struct.pack(">II", 6, 0xFFFFFFFF), "opaque length .* exceeds limit"),
+            (struct.pack(">II", 5, MAX_OPAQUE) + b"abcd", "XDR underrun"),
+            (struct.pack(">II", 7, 0xFFFFFFFF), "XDR underrun"),
+            (struct.pack(">III", 8, 0xFFFFFFFF, MAX_OPAQUE), "XDR underrun"),
+            (struct.pack(">II", 9, 0xFFFFFFFF), "XDR underrun"),
+        ],
+    )
+    def test_length_words_are_checked_before_anything_is_sized_by_them(self, data, message):
+        """A corrupt length or count never becomes an allocation."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(RPCError, match=message):
+                decode_value(data)
+            with pytest.raises(RPCError, match=message):
+                decode_value(memoryview(data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_split_frames_checks_the_length_word_before_slicing(self):
+        for length in (0, HEADER_BYTES - 1, MAX_MESSAGE + 1, 0xFFFFFFFF):
+            with pytest.raises(RPCError, match="insane frame length"):
+                split_frames(struct.pack(">I", length) + b"\x00" * 64)
+
+    def test_deep_nesting_is_an_rpc_error_not_a_recursion_error(self):
+        bomb = struct.pack(">II", 7, 1) * 50_000 + struct.pack(">I", 0)
+        with pytest.raises(RPCError, match="nested too deeply"):
+            decode_value(bomb)
+        frame = struct.pack(">7I", HEADER_BYTES + len(bomb), 0x20008086, 1, 1, 0, 1, 0) + bomb
+        with pytest.raises(RPCError, match="nested too deeply"):
+            RPCMessage.unpack(frame)
+
+    def test_typed_params_from_the_wire_are_validated(self):
+        good = encode_value([TypedParameter("weight", ParamType.UINT, 5)])
+        assert decode_value(good)[0].value == 5
+        unknown_type = good[:-8] + struct.pack(">II", 99, 5)
+        with pytest.raises(RPCError, match="bad typed parameter"):
+            decode_value(unknown_type)
+        no_field = struct.pack(">IIIII", 9, 1, 0, 2, 5)
+        with pytest.raises(RPCError, match="bad typed parameter"):
+            decode_value(no_field)
+        not_a_bool = struct.pack(">II", 9, 1) + good[8:-8] + struct.pack(">II", 6, 2)
+        with pytest.raises(RPCError, match="bool must be 0 or 1"):
+            decode_value(not_a_bool)
+
+    def test_decoder_messages_are_the_documented_ones(self):
+        text = encode_value("abcde")
+        with pytest.raises(RPCError, match="XDR underrun"):
+            decode_value(text[:-4])
+        with pytest.raises(RPCError, match="XDR underrun"):
+            decode_value(encode_value(7)[:-1])
+        with pytest.raises(RPCError, match="4 trailing bytes after XDR decode"):
+            decode_value(text + b"\x00" * 4)
+        with pytest.raises(RPCError, match="non-zero XDR padding"):
+            decode_value(text[:-1] + b"\x01")
+        with pytest.raises(RPCError, match="invalid UTF-8"):
+            decode_value(struct.pack(">II", 5, 2) + b"\xff\xfe\x00\x00")
+        with pytest.raises(RPCError, match="unknown XDR value tag 10"):
+            decode_value(struct.pack(">I", 10))
+
+    def test_cursor_decode_reads_in_place_and_advances(self):
+        data = b"\xaa" * 8 + encode_value({"a": 1}) + encode_value("tail")
+        cursor = XdrDecoder(memoryview(data), 8)
+        assert decode_value(cursor) == {"a": 1}
+        assert decode_value(cursor) == "tail"
+        cursor.done()
+        with pytest.raises(RPCError, match="XDR underrun"):
+            decode_value(cursor)
+
+
+class TestEncoderRangeErrors:
+    """Out-of-range values are refused with the messages callers know."""
+
+    @pytest.mark.parametrize("field", ["procedure", "serial", "program", "version"])
+    @pytest.mark.parametrize("value", [-1, 2**32, 2**40])
+    def test_header_words(self, field, value):
+        fields = {"procedure": 1, "mtype": MessageType.CALL, "serial": 1, field: value}
+        with pytest.raises(RPCError, match=f"uint32 out of range: {value}"):
+            RPCMessage(**fields).pack()
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**200])
+    def test_int64_body(self, value):
+        with pytest.raises(RPCError, match=f"int64 out of range: {value}"):
+            encode_value({"n": [value]})
+        with pytest.raises(RPCError, match=f"int64 out of range: {value}"):
+            RPCMessage(1, MessageType.CALL, 1, body=value).pack()
+        with pytest.raises(RPCError, match=f"int64 out of range: {value}"):
+            XdrEncoder().pack_hyper(value)
+
+    def test_primitive_ranges(self):
+        for pack, value, name in [
+            (XdrEncoder.pack_int, 2**31, "int32"),
+            (XdrEncoder.pack_int, -(2**31) - 1, "int32"),
+            (XdrEncoder.pack_uint, -1, "uint32"),
+            (XdrEncoder.pack_uint, 2**32, "uint32"),
+            (XdrEncoder.pack_uhyper, -1, "uint64"),
+            (XdrEncoder.pack_uhyper, 2**64, "uint64"),
+        ]:
+            with pytest.raises(RPCError, match=f"{name} out of range: {value}"):
+                pack(XdrEncoder(), value)
+
+    def test_boundaries_are_accepted(self):
+        for value in (2**63 - 1, -(2**63)):
+            assert decode_value(encode_value(value)) == value
+        frame = RPCMessage(2**32 - 1, MessageType.CALL, 2**32 - 1).pack()
+        assert RPCMessage.unpack(frame).serial == 2**32 - 1
+
+    def test_encoder_argument_appends_and_materialises_nothing(self):
+        enc = XdrEncoder().pack_uint(0xDEADBEEF)
+        assert encode_value({"a": 1}, enc) is None
+        assert encode_value("tail", enc) is None
+        assert enc.data() == struct.pack(">I", 0xDEADBEEF) + encode_value({"a": 1}) + encode_value("tail")
+        assert len(enc) == len(enc.data())
+        assert enc.data(b"hdr") == b"hdr" + enc.data()

@@ -17,6 +17,13 @@ from repro.errors import (
 from repro.faults.plan import FaultPlan
 from repro.observability.metrics import MetricsRegistry
 from repro.rpc.client import RPCClient
+from repro.rpc.protocol import (
+    MessageType,
+    ReplyStatus,
+    RPCMessage,
+    peek_message_type,
+    procedure_number,
+)
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import Listener
 from repro.util.clock import ScaledWallClock, VirtualClock
@@ -298,6 +305,100 @@ class TestFaultsOnAsyncPath:
             with pytest.raises(OperationTimeoutError):
                 pending.result()
             assert channel.frames_lost >= 1
+
+
+class TestDecodeOnce:
+    """A pooled reply is decoded by the thread that delivers it (it has
+    to be, to find the serial) and the decoded message — not the bytes —
+    travels to the waiter."""
+
+    @pytest.fixture()
+    def reply_unpacks(self, monkeypatch):
+        """Counts ``RPCMessage.unpack`` calls on REPLY frames: only the
+        client decodes those (the server's share is the CALL frames)."""
+        seen = []
+        real = RPCMessage.unpack
+
+        def counting(data):
+            if peek_message_type(data) == MessageType.REPLY:
+                seen.append(bytes(data))
+            return real(data)
+
+        monkeypatch.setattr(RPCMessage, "unpack", staticmethod(counting))
+        return seen
+
+    def test_one_unpack_per_pooled_reply(self, clock, reply_unpacks):
+        handlers = {
+            "connect.ping": lambda c, b: b,
+            "domain.get_info": lambda c, b: {"state": 1, "vcpus": 2},
+        }
+        with WorkerPool(min_workers=2, max_workers=4) as pool:
+            client, _, _ = make_pair(clock, pool, handlers=handlers)
+            for i in range(10):
+                assert client.call("connect.ping", i) == i
+            pending = [client.call_async("domain.get_info", {"name": "a"}) for _ in range(5)]
+            assert [p.result() for p in pending] == [{"state": 1, "vcpus": 2}] * 5
+            assert [p.result() for p in pending] == [{"state": 1, "vcpus": 2}] * 5  # idempotent
+            failing = client.call_async("domain.save")  # unregistered: an ERROR reply
+            with pytest.raises(RPCError, match="not registered"):
+                failing.result()
+        assert client.calls_made == 16
+        assert len(reply_unpacks) == 16
+
+    def test_inline_reply_is_still_decoded_by_the_caller(self, clock, reply_unpacks):
+        client, _, _ = make_pair(clock, None, handlers={"connect.ping": lambda c, b: b})
+        assert client.call("connect.ping", "x") == "x"
+        assert len(reply_unpacks) == 1
+
+    def test_corrupt_pooled_reply_fails_every_pending_call(self, clock, reply_unpacks):
+        gate = threading.Event()
+
+        def slow(conn, body):
+            gate.wait(timeout=30.0)
+            return body
+
+        with WorkerPool(min_workers=2, max_workers=4) as pool:
+            client, _, channel = make_pair(clock, pool, handlers={"domain.save": slow})
+            held = [client.call_async("domain.save", i) for i in range(2)]
+            good = RPCMessage(
+                procedure_number("domain.save"), MessageType.REPLY, held[0].serial, ReplyStatus.OK, 0
+            ).pack()
+            # delivered as the channel would deliver it, one body byte short
+            client._on_reply_frame(good[:-1])
+            gate.set()
+            for pending in held:
+                with pytest.raises(RPCError, match=r"unparsable reply: .*desynchronized"):
+                    pending.result()
+            assert channel.closed
+            assert client.calls_in_flight == 0
+            with pytest.raises(ConnectionClosedError):
+                client.call("connect.ping")
+        assert len(reply_unpacks) == 1  # the corrupt frame, tried once
+
+    def test_duplicate_delivery_resolves_first_wins(self, clock, reply_unpacks):
+        """The same serial delivered twice: the first reply answers the
+        call; the second matches no outstanding call, which is a desync."""
+        gate = threading.Event()
+
+        def slow(conn, body):
+            gate.wait(timeout=30.0)
+            return body
+
+        with WorkerPool(min_workers=2, max_workers=4) as pool:
+            client, _, channel = make_pair(clock, pool, handlers={"domain.save": slow})
+            pending = client.call_async("domain.save", "real")
+            other = client.call_async("domain.save", "other")
+            first = RPCMessage(
+                procedure_number("domain.save"), MessageType.REPLY, pending.serial, ReplyStatus.OK, "first"
+            ).pack()
+            client._on_reply_frame(first)
+            assert pending.result() == "first"
+            client._on_reply_frame(first)  # duplicate: serial no longer outstanding
+            gate.set()
+            assert pending.result() == "first"  # the resolution did not change
+            with pytest.raises(RPCError, match="matches no outstanding call"):
+                other.result()
+            assert channel.closed
 
 
 class TestDaemonSurface:

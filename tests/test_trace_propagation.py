@@ -14,13 +14,14 @@ import repro
 from repro.admin import admin_open
 from repro.cli.virt_admin import main as admin_main
 from repro.daemon.libvirtd import Libvirtd
-from repro.errors import InvalidArgumentError, VirtError
+from repro.errors import InvalidArgumentError, RPCError, VirtError
 from repro.observability.export import render_trace_tree
 from repro.observability.tracing import SpanContext, Tracer
 from repro.rpc.client import RPCClient
 from repro.rpc.protocol import MessageType, RPCMessage
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import Listener
+from repro.rpc.xdr import encode_value
 from repro.util.clock import VirtualClock
 from repro.util.threadpool import WorkerPool
 from repro.xmlconfig.domain import DomainConfig
@@ -82,6 +83,35 @@ class TestWireFormat:
         odd = RPCMessage(61, MessageType.CALL, 2)
         odd.trace = {"trace_id": 5}  # span_id missing
         assert RPCMessage.unpack(odd.pack()).trace is None
+
+    @pytest.mark.parametrize(
+        "extra", [None, 7, "41:42", [41, 42], {"trace_id": "41", "span_id": 42}, {"trace_id": 41}]
+    )
+    def test_well_formed_value_of_the_wrong_shape_is_no_context(self, extra):
+        """docs/PROTOCOL.md, "Trace context": served as if untraced."""
+        frame = bytearray(RPCMessage(61, MessageType.CALL, 3, body={"name": "d"}).pack())
+        frame += encode_value(extra)
+        frame[:4] = len(frame).to_bytes(4, "big")
+        decoded = RPCMessage.unpack(bytes(frame))
+        assert decoded.trace is None
+        assert decoded.body == {"name": "d"} and decoded.serial == 3
+
+    @pytest.mark.parametrize(
+        "tail, why",
+        [
+            (b"\x00\x00\x00\x63", "unknown XDR value tag 99"),
+            (encode_value({"trace_id": 41, "span_id": 42})[:-4], "XDR underrun"),
+            (b"\x00\x00", "XDR underrun"),
+            (encode_value({"trace_id": 41, "span_id": 42}) + b"\x00" * 4, "trailing bytes"),
+        ],
+    )
+    def test_undecodable_trailing_bytes_fail_the_frame(self, tail, why):
+        """...whereas damage the length word covers is damage: strict."""
+        frame = bytearray(RPCMessage(61, MessageType.CALL, 3, body={"name": "d"}).pack())
+        frame += tail
+        frame[:4] = len(frame).to_bytes(4, "big")
+        with pytest.raises(RPCError, match=why):
+            RPCMessage.unpack(bytes(frame))
 
     def test_from_wire_validation(self):
         assert SpanContext.from_wire({"trace_id": 3, "span_id": 4}) == SpanContext(3, 4)
