@@ -30,6 +30,7 @@ from repro.observability.export import log_metrics, render_prometheus
 from repro.observability.flightrec import FlightRecorder, interrupted_dispatches
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
+from repro.rpc.procedures import REMOTE_PROCEDURES, Procedure
 from repro.rpc.protocol import (
     EVENT_BUS_RECORD,
     EVENT_DAEMON_SHUTDOWN,
@@ -40,6 +41,74 @@ from repro.rpc.transport import Listener, ServerConnection
 from repro.util.clock import Clock, VirtualClock
 from repro.util.threadpool import WorkerPool
 from repro.util.virtlog import LOG_ERROR, LOG_INFO, Logger
+
+
+def _not_a_map(procedure: str, body: Any) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"{procedure} requires a map body, got {type(body).__name__}"
+    )
+
+
+def _bad_arguments(row: Procedure, body: Any) -> InvalidArgumentError:
+    """Why ``body`` does not carry ``row.args``.  A CALL body is outside
+    input: a missing key, or a body that is no map at all, is the
+    caller's error and is typed as one."""
+    if body is None:
+        body = {}
+    if not isinstance(body, dict):
+        return _not_a_map(row.name, body)
+    missing = next(arg for arg in row.args if arg not in body)
+    return InvalidArgumentError(f"{row.name} requires argument {missing!r}")
+
+
+def _unpack(row: Procedure, body: Any) -> List[Any]:
+    """``row.args`` out of a CALL body, in order."""
+    try:
+        return [body[arg] for arg in row.args]
+    except (KeyError, TypeError):
+        raise _bad_arguments(row, body) from None
+
+
+def _passthrough(row: Procedure) -> Callable[[Any, Any], Any]:
+    """The handler body of a row that forwards to one driver method.
+
+    Compiled from a template, so the path taken by a well-formed CALL is
+    what a hand-written ``lambda d, b: d.method(b["name"])`` runs; the
+    ``try`` covers the body look-ups only, never the driver call.
+    """
+    names = [f"a{i}" for i in range(len(row.args))]
+    lines = ["def fn(driver, body):"]
+    if names:
+        lines.append("    try:")
+        lines += [f"        {name} = body[{arg!r}]" for name, arg in zip(names, row.args)]
+        lines.append("    except (KeyError, TypeError):")
+        lines.append("        raise bad_arguments(row, body) from None")
+    lines.append(f"    return driver.{row.method}({', '.join(names)})")
+    namespace = {"row": row, "bad_arguments": _bad_arguments}
+    exec(compile("\n".join(lines), f"<handler {row.name}>", "exec"), namespace)
+    return namespace["fn"]
+
+
+#: compiled once per process, not once per daemon
+_PASSTHROUGH = {
+    row.name: _passthrough(row) for row in REMOTE_PROCEDURES if row.method is not None
+}
+
+
+def _cursor(data: Any) -> Callable[[int], Any]:
+    """A stream source that reads ``data`` front to back without copying."""
+    view = memoryview(data)
+    pos = 0
+
+    def read(max_bytes: int) -> Any:
+        nonlocal pos
+        if pos >= len(view):
+            return None
+        chunk = view[pos : pos + max_bytes]
+        pos += len(chunk)
+        return chunk
+
+    return read
 
 
 class Libvirtd:
@@ -854,14 +923,17 @@ class Libvirtd:
             raise ConnectionError_("connection not opened (call connect.open first)")
         return record.driver
 
-    def _wrap(self, fn: Callable[[Any, Any], Any]) -> Callable[[ServerConnection, Any], Any]:
+    def _wrap(
+        self, fn: Callable[[Any, Any], Any], procedure: str
+    ) -> Callable[[ServerConnection, Any], Any]:
+        """``fn(driver, body)`` as the handler of ``procedure``: client
+        bookkeeping, kill points, the ``driver.op`` span and metric."""
+
         def handler(conn: ServerConnection, body: Any) -> Any:
             record = self._record_of(conn)
             record.calls += 1
             record.last_activity = self.clock.now()
             driver = self._driver_of(conn)
-            # ``procedure`` is stamped onto the handler at registration
-            procedure = getattr(handler, "procedure", "unknown")
             # kill point 1: the call arrived but nothing has happened yet
             self._maybe_crash(CrashPoint.MID_DISPATCH, procedure)
             label = getattr(driver, "name", type(driver).__name__)
@@ -904,7 +976,7 @@ class Libvirtd:
         record = self._record_of(conn)
         record.calls += 1
         record.last_activity = self.clock.now()
-        uri_text = (body or {}).get("uri")
+        uri_text = body.get("uri") if isinstance(body, dict) else None
         if not uri_text:
             raise InvalidArgumentError("connect.open requires a uri")
         uri = ConnectionURI.parse(uri_text)
@@ -961,6 +1033,8 @@ class Libvirtd:
         driver = self._driver_of(conn)
         if record.bus_subscription_id is not None:
             return record.bus_subscription_id
+        if body and not isinstance(body, dict):
+            raise _not_a_map("connect.event_subscribe", body)
         kinds = (body or {}).get("kinds") or None
 
         def forward(bus_record: Dict[str, Any]) -> None:
@@ -986,13 +1060,22 @@ class Libvirtd:
             record.bus_subscription_id = None
         return None
 
-    def _h_backup_begin(self) -> Callable[[ServerConnection, Any], Any]:
-        base = self._wrap(
-            lambda d, b: d.backup_begin(b["name"], b.get("options") or {})
-        )
-        # the outer bookkeeping wrapper gets the registration stamp, so
-        # label the inner driver-op handler by hand
-        base.procedure = "domain.backup_begin"
+    def _h_supports_feature(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
+        def supports(d: Any, b: Any) -> Any:
+            if not isinstance(b, dict):
+                raise _not_a_map(row.name, b)
+            # without a feature to test, the reply is the whole list
+            feature = b.get("feature")
+            return d.features() if feature is None else d.supports_feature(feature)
+
+        return self._wrap(supports, row.name)
+
+    def _h_backup_begin(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
+        def begin(d: Any, b: Any) -> Any:
+            (name,) = _unpack(row, b)
+            return d.backup_begin(name, b.get("options") or {})
+
+        base = self._wrap(begin, row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
             result = base(conn, body)
@@ -1000,7 +1083,7 @@ class Libvirtd:
             # this client fails it rather than leaving it to run with
             # nobody able to observe or cancel it
             record = self._record_of(conn)
-            record.owned_jobs.add((body or {})["name"])
+            record.owned_jobs.add(body["name"])
             return result
 
         return handler
@@ -1008,44 +1091,28 @@ class Libvirtd:
     # -- stream-backed procedures -------------------------------------------
     #
     # Each opening CALL validates its arguments through a ``_wrap``-ed
-    # driver call (so crash points, spans and the driver-op metric apply),
-    # then attaches a ``ServerStream`` to move the bulk payload outside
-    # the procedure-call path.  Uploads stage chunks and commit through
-    # the driver in ONE journaled call at finish time: a crash or abort
-    # mid-stream therefore leaves the volume untouched.
+    # driver call on the argument tuple (so crash points, spans and the
+    # driver-op metric apply), then attaches a ``ServerStream`` to move
+    # the bulk payload outside the procedure-call path.  Uploads stage
+    # chunks and commit through the driver in ONE journaled call at
+    # finish time: a crash or abort mid-stream therefore leaves the
+    # volume untouched.
 
-    def _h_vol_upload(self) -> Callable[[ServerConnection, Any], Any]:
-        validate = self._wrap(
-            lambda d, b: d.storage_vol_get_info(b["pool"], b["volume"])
-        )
-        validate.procedure = "storage.vol_upload"
-        commit = self._wrap(
-            lambda d, b: d.storage_vol_upload(
-                b["pool"], b["volume"], b["data"], b["offset"]
-            )
-        )
-        commit.procedure = "storage.vol_upload"
+    def _h_vol_upload(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
+        validate = self._wrap(lambda d, b: d.storage_vol_get_info(*b), row.name)
+        commit = self._wrap(lambda d, b: d.storage_vol_upload(*b), row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
-            body = body or {}
-            pool, volume = body["pool"], body["volume"]
+            pool, volume = _unpack(row, body)
             offset = int(body.get("offset") or 0)
-            info = validate(conn, {"pool": pool, "volume": volume})
+            info = validate(conn, (pool, volume))
             stream = self.rpc.open_stream()
             staging = bytearray()
 
             def on_finish() -> Any:
                 # single journaled mutation: MID_JOURNAL crash here tears
                 # the journal record and recovery discards the upload
-                return commit(
-                    conn,
-                    {
-                        "pool": pool,
-                        "volume": volume,
-                        "data": bytes(staging),
-                        "offset": offset,
-                    },
-                )
+                return commit(conn, (pool, volume, bytes(staging), offset))
 
             stream.set_sink(staging.extend, on_finish=on_finish)
             return {
@@ -1057,47 +1124,25 @@ class Libvirtd:
 
         return handler
 
-    def _h_vol_download(self) -> Callable[[ServerConnection, Any], Any]:
-        fetch = self._wrap(
-            lambda d, b: d.storage_vol_download(
-                b["pool"], b["volume"], b["offset"], b["length"]
-            )
-        )
-        fetch.procedure = "storage.vol_download"
+    def _h_vol_download(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
+        fetch = self._wrap(lambda d, b: d.storage_vol_download(*b), row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
-            body = body or {}
-            pool, volume = body["pool"], body["volume"]
+            pool, volume = _unpack(row, body)
             offset = int(body.get("offset") or 0)
-            length = body.get("length")
-            data = fetch(
-                conn,
-                {"pool": pool, "volume": volume, "offset": offset, "length": length},
-            )
+            data = fetch(conn, (pool, volume, offset, body.get("length")))
             stream = self.rpc.open_stream()
-            view = memoryview(data)
-            cursor = [0]
-
-            def read(max_bytes: int) -> Any:
-                if cursor[0] >= len(view):
-                    return None
-                chunk = view[cursor[0] : cursor[0] + max_bytes]
-                cursor[0] += len(chunk)
-                return chunk
-
-            stream.set_source(read, result={"length": len(data)})
+            stream.set_source(_cursor(data), result={"length": len(data)})
             return {"pool": pool, "volume": volume, "length": len(data)}
 
         return handler
 
-    def _h_open_console(self) -> Callable[[ServerConnection, Any], Any]:
-        attach = self._wrap(lambda d, b: d.domain_open_console(b["name"]))
-        attach.procedure = "domain.open_console"
+    def _h_open_console(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
+        attach = self._wrap(lambda d, b: d.domain_open_console(*b), row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
-            body = body or {}
-            name = body["name"]
-            console = attach(conn, {"name": name})
+            (name,) = _unpack(row, body)
+            console = attach(conn, (name,))
             stream = self.rpc.open_stream()
 
             def flush_output() -> None:
@@ -1125,133 +1170,52 @@ class Libvirtd:
 
         return handler
 
-    def _h_backup_begin_pull(self) -> Callable[[ServerConnection, Any], Any]:
-        begin = self._wrap(
-            lambda d, b: d.backup_begin_pull(b["name"], b.get("options") or {})
-        )
-        begin.procedure = "domain.backup_begin_pull"
+    def _h_backup_begin_pull(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
+        def begin(d: Any, b: Any) -> Any:
+            (name,) = _unpack(row, b)
+            return d.backup_begin_pull(name, b.get("options") or {})
+
+        base = self._wrap(begin, row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
-            body = body or {}
-            result = begin(conn, body)
+            result = base(conn, body)
             # the block payload travels on the stream; the manifest
             # (disks -> dirty block lists) is the opening reply
             data = bytes(result.pop("data", b"") or b"")
             stream = self.rpc.open_stream()
-            view = memoryview(data)
-            cursor = [0]
-
-            def read(max_bytes: int) -> Any:
-                if cursor[0] >= len(view):
-                    return None
-                chunk = view[cursor[0] : cursor[0] + max_bytes]
-                cursor[0] += len(chunk)
-                return chunk
-
-            stream.set_source(read, result={"total_bytes": len(data)})
+            stream.set_source(_cursor(data), result={"total_bytes": len(data)})
             return result
 
         return handler
 
     def _register_handlers(self) -> None:
-        def r(name: str, handler: Any, priority: bool = False) -> None:
-            # stamp wrapped handlers with their procedure name so the
-            # driver-op metric can label observations (bound methods
-            # reject attribute assignment and are instrumented elsewhere)
-            try:
-                handler.procedure = name
-            except AttributeError:
-                pass
-            self.rpc.register(name, handler, priority=priority)
-
-        w = self._wrap
-        r("connect.open", self._h_open, priority=True)
-        r("connect.close", self._h_close, priority=True)
-        r("connect.ping", self._h_ping, priority=True)
-        r("connect.domain_event_register", self._h_event_register, priority=True)
-        r("connect.domain_event_deregister", self._h_event_deregister, priority=True)
-        r("connect.event_subscribe", self._h_event_subscribe, priority=True)
-        r("connect.event_unsubscribe", self._h_event_unsubscribe, priority=True)
-        r("connect.get_hostname", w(lambda d, b: d.get_hostname()), priority=True)
-        r("connect.get_capabilities", w(lambda d, b: d.get_capabilities()), priority=True)
-        r("connect.get_node_info", w(lambda d, b: d.get_node_info()), priority=True)
-        r("connect.get_version", w(lambda d, b: list(d.get_version())), priority=True)
-        r("connect.supports_feature", w(lambda d, b: d.features() if b.get("feature") is None else d.supports_feature(b["feature"])), priority=True)
-        r("connect.list_domains", w(lambda d, b: d.list_domains()), priority=True)
-        r("connect.list_defined_domains", w(lambda d, b: d.list_defined_domains()), priority=True)
-        r("connect.num_of_domains", w(lambda d, b: d.num_of_domains()), priority=True)
-        r("domain.lookup_by_name", w(lambda d, b: d.domain_lookup_by_name(b["name"])), priority=True)
-        r("domain.lookup_by_uuid", w(lambda d, b: d.domain_lookup_by_uuid(b["uuid"])), priority=True)
-        r("domain.lookup_by_id", w(lambda d, b: d.domain_lookup_by_id(b["id"])), priority=True)
-        r("domain.define_xml", w(lambda d, b: d.domain_define_xml(b["xml"])))
-        r("domain.undefine", w(lambda d, b: d.domain_undefine(b["name"])))
-        r("domain.create", w(lambda d, b: d.domain_create(b["name"])))
-        r("domain.create_xml", w(lambda d, b: d.domain_create_xml(b["xml"])))
-        r("domain.shutdown", w(lambda d, b: d.domain_shutdown(b["name"])))
-        # destroy is the canonical guaranteed-finish operation
-        r("domain.destroy", w(lambda d, b: d.domain_destroy(b["name"])), priority=True)
-        r("domain.suspend", w(lambda d, b: d.domain_suspend(b["name"])))
-        r("domain.resume", w(lambda d, b: d.domain_resume(b["name"])))
-        r("domain.reboot", w(lambda d, b: d.domain_reboot(b["name"])))
-        r("domain.get_info", w(lambda d, b: d.domain_get_info(b["name"])), priority=True)
-        r("domain.get_state", w(lambda d, b: d.domain_get_state(b["name"])), priority=True)
-        r("domain.get_xml_desc", w(lambda d, b: d.domain_get_xml_desc(b["name"])), priority=True)
-        r("domain.get_stats", w(lambda d, b: d.domain_get_stats(b["name"])), priority=True)
-        r("domain.get_scheduler_params", w(lambda d, b: d.domain_get_scheduler_params(b["name"])), priority=True)
-        r("domain.set_scheduler_params", w(lambda d, b: d.domain_set_scheduler_params(b["name"], b["params"])))
-        r("domain.get_job_info", w(lambda d, b: d.domain_get_job_info(b["name"])), priority=True)
-        # abort must get through even when the normal lanes are saturated
-        # by the very job being cancelled
-        r("domain.abort_job", w(lambda d, b: d.domain_abort_job(b["name"])), priority=True)
-        r("domain.migrate_p2p", w(lambda d, b: d.migrate_p2p(b["name"], b["dest_uri"], b["params"])))
-        r("domain.set_memory", w(lambda d, b: d.domain_set_memory(b["name"], b["memory_kib"])))
-        r("domain.set_vcpus", w(lambda d, b: d.domain_set_vcpus(b["name"], b["vcpus"])))
-        r("domain.save", w(lambda d, b: d.domain_save(b["name"], b["path"])))
-        r("domain.restore", w(lambda d, b: d.domain_restore(b["path"])))
-        r("domain.get_autostart", w(lambda d, b: d.domain_get_autostart(b["name"])), priority=True)
-        r("domain.set_autostart", w(lambda d, b: d.domain_set_autostart(b["name"], b["autostart"])))
-        r("domain.attach_device", w(lambda d, b: d.domain_attach_device(b["name"], b["xml"])))
-        r("domain.detach_device", w(lambda d, b: d.domain_detach_device(b["name"], b["xml"])))
-        r("domain.snapshot_create", w(lambda d, b: d.snapshot_create(b["name"], b["snapshot"])))
-        r("domain.snapshot_list", w(lambda d, b: d.snapshot_list(b["name"])), priority=True)
-        r("domain.snapshot_revert", w(lambda d, b: d.snapshot_revert(b["name"], b["snapshot"])))
-        r("domain.snapshot_delete", w(lambda d, b: d.snapshot_delete(b["name"], b["snapshot"])))
-        r("domain.checkpoint_create", w(lambda d, b: d.checkpoint_create(b["name"], b["checkpoint"])))
-        r("domain.checkpoint_list", w(lambda d, b: d.checkpoint_list(b["name"])), priority=True)
-        r("domain.checkpoint_delete", w(lambda d, b: d.checkpoint_delete(b["name"], b["checkpoint"])))
-        r("domain.checkpoint_get_xml_desc", w(lambda d, b: d.checkpoint_get_xml_desc(b["name"], b["checkpoint"])), priority=True)
-        r("domain.backup_begin", self._h_backup_begin())
-        r("domain.managed_save", w(lambda d, b: d.domain_managed_save(b["name"])))
-        r("domain.managed_save_remove", w(lambda d, b: d.domain_managed_save_remove(b["name"])))
-        r("domain.has_managed_save", w(lambda d, b: d.domain_has_managed_save(b["name"])), priority=True)
-        r("domain.migrate_begin", w(lambda d, b: d.migrate_begin(b["name"])))
-        r("domain.migrate_prepare", w(lambda d, b: d.migrate_prepare(b["description"])))
-        r("domain.migrate_perform", w(lambda d, b: d.migrate_perform(b["name"], b["cookie"], b["params"])))
-        r("domain.migrate_finish", w(lambda d, b: d.migrate_finish(b["cookie"], b["stats"])))
-        r("domain.migrate_confirm", w(lambda d, b: d.migrate_confirm(b["name"], b["cancelled"])))
-        r("network.lookup_by_name", w(lambda d, b: d.network_lookup_by_name(b["name"])), priority=True)
-        r("network.define_xml", w(lambda d, b: d.network_define_xml(b["xml"])))
-        r("network.undefine", w(lambda d, b: d.network_undefine(b["name"])))
-        r("network.create", w(lambda d, b: d.network_create(b["name"])))
-        r("network.destroy", w(lambda d, b: d.network_destroy(b["name"])))
-        r("network.list", w(lambda d, b: d.network_list()), priority=True)
-        r("network.get_xml_desc", w(lambda d, b: d.network_get_xml_desc(b["name"])), priority=True)
-        r("network.dhcp_leases", w(lambda d, b: d.network_dhcp_leases(b["name"])), priority=True)
-        r("storage.pool_lookup_by_name", w(lambda d, b: d.storage_pool_lookup_by_name(b["name"])), priority=True)
-        r("storage.pool_define_xml", w(lambda d, b: d.storage_pool_define_xml(b["xml"])))
-        r("storage.pool_undefine", w(lambda d, b: d.storage_pool_undefine(b["name"])))
-        r("storage.pool_create", w(lambda d, b: d.storage_pool_create(b["name"])))
-        r("storage.pool_destroy", w(lambda d, b: d.storage_pool_destroy(b["name"])))
-        r("storage.pool_list", w(lambda d, b: d.storage_pool_list()), priority=True)
-        r("storage.pool_get_info", w(lambda d, b: d.storage_pool_get_info(b["name"])), priority=True)
-        r("storage.pool_get_xml_desc", w(lambda d, b: d.storage_pool_get_xml_desc(b["name"])), priority=True)
-        r("storage.vol_create_xml", w(lambda d, b: d.storage_vol_create_xml(b["pool"], b["xml"])))
-        r("storage.vol_delete", w(lambda d, b: d.storage_vol_delete(b["pool"], b["volume"])))
-        r("storage.vol_list", w(lambda d, b: d.storage_vol_list(b["pool"])), priority=True)
-        r("storage.vol_get_info", w(lambda d, b: d.storage_vol_get_info(b["pool"], b["volume"])), priority=True)
-        # stream-backed bulk-data procedures (never retried, never pooled
-        # past the opening CALL: STREAM frames dispatch inline)
-        r("storage.vol_upload", self._h_vol_upload())
-        r("storage.vol_download", self._h_vol_download())
-        r("domain.open_console", self._h_open_console())
-        r("domain.backup_begin_pull", self._h_backup_begin_pull())
+        """One handler per row of the procedure table, on the row's lane."""
+        #: connection-level procedures, outside the driver-op wrapper
+        handlers = {
+            "connect.open": self._h_open,
+            "connect.close": self._h_close,
+            "connect.ping": self._h_ping,
+            "connect.domain_event_register": self._h_event_register,
+            "connect.domain_event_deregister": self._h_event_deregister,
+            "connect.event_subscribe": self._h_event_subscribe,
+            "connect.event_unsubscribe": self._h_event_unsubscribe,
+        }
+        #: driver procedures that do more than forward their arguments
+        builders = {
+            "connect.supports_feature": self._h_supports_feature,
+            "domain.backup_begin": self._h_backup_begin,
+            # stream-backed bulk data (never retried, never pooled past
+            # the opening CALL: STREAM frames dispatch inline)
+            "storage.vol_upload": self._h_vol_upload,
+            "storage.vol_download": self._h_vol_download,
+            "domain.open_console": self._h_open_console,
+            "domain.backup_begin_pull": self._h_backup_begin_pull,
+        }
+        for row in REMOTE_PROCEDURES:
+            if row.name in _PASSTHROUGH:
+                handler = self._wrap(_PASSTHROUGH[row.name], row.name)
+            elif row.name in builders:
+                handler = builders[row.name](row)
+            else:
+                handler = handlers[row.name]
+            self.rpc.register(row.name, handler, priority=row.priority)

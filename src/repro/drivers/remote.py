@@ -11,6 +11,7 @@ indistinguishable to applications.
 
 from __future__ import annotations
 
+import inspect
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.cache import InvalidationCache
@@ -28,6 +29,7 @@ from repro.errors import (
     VirtError,
 )
 from repro.rpc.client import PendingReply, RPCClient
+from repro.rpc.procedures import REMOTE_PROCEDURES, Procedure
 from repro.rpc.protocol import (
     EVENT_BUS_RECORD,
     EVENT_DAEMON_SHUTDOWN,
@@ -132,7 +134,13 @@ class ResilienceConfig:
 
 
 class RemoteDriver(Driver):
-    """Client-side stub forwarding every call to a daemon."""
+    """Client-side stub forwarding every call to a daemon.
+
+    The class body holds the resilience stack and the stubs that do more
+    than forward (coerce an argument, memoise, open a stream, arm event
+    push); every other ``Driver`` method is generated below the class,
+    one per row of :mod:`repro.rpc.procedures`.
+    """
 
     name = "remote"
     stateless = False
@@ -395,15 +403,6 @@ class RemoteDriver(Driver):
         finally:
             self.client.close()
 
-    def get_hostname(self) -> str:
-        return self._call("connect.get_hostname")
-
-    def get_capabilities(self) -> str:
-        return self._call("connect.get_capabilities")
-
-    def get_node_info(self) -> Dict[str, int]:
-        return self._call("connect.get_node_info")
-
     def get_version(self) -> Tuple[int, int, int]:
         return tuple(self._call("connect.get_version"))  # type: ignore[return-value]
 
@@ -415,8 +414,6 @@ class RemoteDriver(Driver):
     def ping(self) -> str:
         """Round-trip health probe (used by the transport benchmarks)."""
         return self._call("connect.ping")
-
-    # -- enumeration --------------------------------------------------------------
 
     def _cached_call(self, scope: str, key: str, name: str, body: Any, cached: bool) -> Any:
         """Serve from the invalidation cache, falling through to the wire.
@@ -432,166 +429,12 @@ class RemoteDriver(Driver):
             self.cache.put(scope, key, value)
         return value
 
-    def list_domains(self, cached: bool = True) -> List[str]:
-        return self._cached_call(
-            "list", "active", "connect.list_domains", None, cached
-        )
-
-    def list_defined_domains(self, cached: bool = True) -> List[str]:
-        return self._cached_call(
-            "list", "inactive", "connect.list_defined_domains", None, cached
-        )
-
-    def num_of_domains(self, cached: bool = True) -> int:
-        return self._cached_call(
-            "list", "count", "connect.num_of_domains", None, cached
-        )
-
-    # -- domain lookup/lifecycle -----------------------------------------------------
-
-    def domain_lookup_by_name(self, name: str) -> Dict[str, Any]:
-        return self._call("domain.lookup_by_name", {"name": name})
-
-    def domain_lookup_by_uuid(self, uuid: str) -> Dict[str, Any]:
-        return self._call("domain.lookup_by_uuid", {"uuid": uuid})
-
-    def domain_lookup_by_id(self, domain_id: int) -> Dict[str, Any]:
-        return self._call("domain.lookup_by_id", {"id": domain_id})
-
-    def domain_define_xml(self, xml: str) -> Dict[str, Any]:
-        return self._call("domain.define_xml", {"xml": xml})
-
-    def domain_undefine(self, name: str) -> None:
-        self._call("domain.undefine", {"name": name})
-
-    def domain_create(self, name: str) -> None:
-        self._call("domain.create", {"name": name})
-
-    def domain_create_xml(self, xml: str) -> Dict[str, Any]:
-        return self._call("domain.create_xml", {"xml": xml})
-
-    def domain_shutdown(self, name: str) -> None:
-        self._call("domain.shutdown", {"name": name})
-
-    def domain_destroy(self, name: str) -> None:
-        self._call("domain.destroy", {"name": name})
-
-    def domain_suspend(self, name: str) -> None:
-        self._call("domain.suspend", {"name": name})
-
-    def domain_resume(self, name: str) -> None:
-        self._call("domain.resume", {"name": name})
-
-    def domain_reboot(self, name: str) -> None:
-        self._call("domain.reboot", {"name": name})
-
-    # -- introspection / tuning ---------------------------------------------------------
-
-    def domain_get_info(self, name: str) -> Dict[str, Any]:
-        return self._call("domain.get_info", {"name": name})
-
-    def domain_get_state(self, name: str, cached: bool = True) -> int:
-        return self._cached_call(
-            "state", name, "domain.get_state", {"name": name}, cached
-        )
-
-    def domain_get_xml_desc(self, name: str, cached: bool = True) -> str:
-        return self._cached_call(
-            "xml", name, "domain.get_xml_desc", {"name": name}, cached
-        )
-
-    def domain_get_stats(self, name: str) -> Dict[str, Any]:
-        return self._call("domain.get_stats", {"name": name})
-
-    def domain_get_scheduler_params(self, name: str) -> List[Any]:
-        return self._call("domain.get_scheduler_params", {"name": name})
-
-    def domain_set_scheduler_params(self, name: str, params: List[Any]) -> None:
-        self._call(
-            "domain.set_scheduler_params", {"name": name, "params": params}
-        )
-
-    def domain_get_job_info(self, name: str) -> Dict[str, Any]:
-        return self._call("domain.get_job_info", {"name": name})
-
-    def domain_set_memory(self, name: str, memory_kib: int) -> None:
-        self._call("domain.set_memory", {"name": name, "memory_kib": memory_kib})
-
-    def domain_set_vcpus(self, name: str, vcpus: int) -> None:
-        self._call("domain.set_vcpus", {"name": name, "vcpus": vcpus})
-
-    def domain_save(self, name: str, path: str) -> None:
-        self._call("domain.save", {"name": name, "path": path})
-
-    def domain_restore(self, path: str) -> Dict[str, Any]:
-        return self._call("domain.restore", {"path": path})
-
-    def domain_managed_save(self, name: str) -> None:
-        self._call("domain.managed_save", {"name": name})
-
-    def domain_managed_save_remove(self, name: str) -> None:
-        self._call("domain.managed_save_remove", {"name": name})
-
-    def domain_has_managed_save(self, name: str) -> bool:
-        return bool(self._call("domain.has_managed_save", {"name": name}))
-
-    def domain_abort_job(self, name: str) -> Dict[str, Any]:
-        return self._call("domain.abort_job", {"name": name})
-
-    def domain_get_autostart(self, name: str) -> bool:
-        return self._call("domain.get_autostart", {"name": name})
-
     def domain_set_autostart(self, name: str, autostart: bool) -> None:
         self._call(
             "domain.set_autostart", {"name": name, "autostart": bool(autostart)}
         )
 
-    def domain_attach_device(self, name: str, device_xml: str) -> None:
-        self._call("domain.attach_device", {"name": name, "xml": device_xml})
-
-    def domain_detach_device(self, name: str, device_xml: str) -> None:
-        self._call("domain.detach_device", {"name": name, "xml": device_xml})
-
-    # -- snapshots ------------------------------------------------------------------------
-
-    def snapshot_create(self, name: str, snapshot_name: str) -> Dict[str, Any]:
-        return self._call(
-            "domain.snapshot_create", {"name": name, "snapshot": snapshot_name}
-        )
-
-    def snapshot_list(self, name: str) -> List[str]:
-        return self._call("domain.snapshot_list", {"name": name})
-
-    def snapshot_revert(self, name: str, snapshot_name: str) -> None:
-        self._call(
-            "domain.snapshot_revert", {"name": name, "snapshot": snapshot_name}
-        )
-
-    def snapshot_delete(self, name: str, snapshot_name: str) -> None:
-        self._call(
-            "domain.snapshot_delete", {"name": name, "snapshot": snapshot_name}
-        )
-
-    # -- checkpoints & backup ---------------------------------------------------------------
-
-    def checkpoint_create(self, name: str, checkpoint_name: str) -> Dict[str, Any]:
-        return self._call(
-            "domain.checkpoint_create", {"name": name, "checkpoint": checkpoint_name}
-        )
-
-    def checkpoint_list(self, name: str) -> List[str]:
-        return self._call("domain.checkpoint_list", {"name": name})
-
-    def checkpoint_delete(self, name: str, checkpoint_name: str) -> None:
-        self._call(
-            "domain.checkpoint_delete", {"name": name, "checkpoint": checkpoint_name}
-        )
-
-    def checkpoint_get_xml_desc(self, name: str, checkpoint_name: str) -> str:
-        return self._call(
-            "domain.checkpoint_get_xml_desc",
-            {"name": name, "checkpoint": checkpoint_name},
-        )
+    # -- backup & streams ---------------------------------------------------------------------
 
     def backup_begin(self, name: str, options: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         return self._call(
@@ -612,36 +455,6 @@ class RemoteDriver(Driver):
     def domain_open_console(self, name: str) -> Any:
         stream = self.client.open_stream("domain.open_console", {"name": name})
         return StreamConsole(stream)
-
-    # -- migration -------------------------------------------------------------------------
-
-    def migrate_begin(self, name: str) -> Dict[str, Any]:
-        return self._call("domain.migrate_begin", {"name": name})
-
-    def migrate_prepare(self, description: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call("domain.migrate_prepare", {"description": description})
-
-    def migrate_perform(self, name: str, cookie: Dict[str, Any], params: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call(
-            "domain.migrate_perform",
-            {"name": name, "cookie": cookie, "params": params},
-        )
-
-    def migrate_finish(self, cookie: Dict[str, Any], stats: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call(
-            "domain.migrate_finish", {"cookie": cookie, "stats": stats}
-        )
-
-    def migrate_confirm(self, name: str, cancelled: bool) -> None:
-        self._call(
-            "domain.migrate_confirm", {"name": name, "cancelled": cancelled}
-        )
-
-    def migrate_p2p(self, name: str, dest_uri: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self._call(
-            "domain.migrate_p2p",
-            {"name": name, "dest_uri": dest_uri, "params": params},
-        )
 
     # -- events -------------------------------------------------------------------------------
 
@@ -715,69 +528,7 @@ class RemoteDriver(Driver):
     def _on_daemon_shutdown(self, body: Any) -> None:
         self.shutdown_notices.append(dict(body or {}))
 
-    # -- networks --------------------------------------------------------------------------------
-
-    def network_define_xml(self, xml: str) -> Dict[str, Any]:
-        return self._call("network.define_xml", {"xml": xml})
-
-    def network_undefine(self, name: str) -> None:
-        self._call("network.undefine", {"name": name})
-
-    def network_create(self, name: str) -> None:
-        self._call("network.create", {"name": name})
-
-    def network_destroy(self, name: str) -> None:
-        self._call("network.destroy", {"name": name})
-
-    def network_list(self) -> List[Dict[str, Any]]:
-        return self._call("network.list")
-
-    def network_lookup_by_name(self, name: str) -> Dict[str, Any]:
-        return self._call("network.lookup_by_name", {"name": name})
-
-    def network_get_xml_desc(self, name: str) -> str:
-        return self._call("network.get_xml_desc", {"name": name})
-
-    def network_dhcp_leases(self, name: str) -> List[Dict[str, Any]]:
-        return self._call("network.dhcp_leases", {"name": name})
-
-    # -- storage ----------------------------------------------------------------------------------
-
-    def storage_pool_define_xml(self, xml: str) -> Dict[str, Any]:
-        return self._call("storage.pool_define_xml", {"xml": xml})
-
-    def storage_pool_undefine(self, name: str) -> None:
-        self._call("storage.pool_undefine", {"name": name})
-
-    def storage_pool_create(self, name: str) -> None:
-        self._call("storage.pool_create", {"name": name})
-
-    def storage_pool_destroy(self, name: str) -> None:
-        self._call("storage.pool_destroy", {"name": name})
-
-    def storage_pool_list(self) -> List[Dict[str, Any]]:
-        return self._call("storage.pool_list")
-
-    def storage_pool_lookup_by_name(self, name: str) -> Dict[str, Any]:
-        return self._call("storage.pool_lookup_by_name", {"name": name})
-
-    def storage_pool_get_info(self, name: str) -> Dict[str, Any]:
-        return self._call("storage.pool_get_info", {"name": name})
-
-    def storage_pool_get_xml_desc(self, name: str) -> str:
-        return self._call("storage.pool_get_xml_desc", {"name": name})
-
-    def storage_vol_create_xml(self, pool: str, xml: str) -> Dict[str, Any]:
-        return self._call("storage.vol_create_xml", {"pool": pool, "xml": xml})
-
-    def storage_vol_delete(self, pool: str, volume: str) -> None:
-        self._call("storage.vol_delete", {"pool": pool, "volume": volume})
-
-    def storage_vol_list(self, pool: str) -> List[str]:
-        return self._call("storage.vol_list", {"pool": pool})
-
-    def storage_vol_get_info(self, pool: str, volume: str) -> Dict[str, Any]:
-        return self._call("storage.vol_get_info", {"pool": pool, "volume": volume})
+    # -- volume streams ---------------------------------------------------------------------------
 
     def storage_vol_upload(self, pool: str, volume: str, data: Any, offset: int = 0) -> Dict[str, Any]:
         stream = self.client.open_stream(
@@ -798,3 +549,46 @@ class RemoteDriver(Driver):
             {"pool": pool, "volume": volume, "offset": int(offset), "length": length},
         )
         return stream.drain()
+
+
+def _forwarder(row: Procedure) -> Callable[..., Any]:
+    """The stub for a table row that forwards to one driver method.
+
+    A real function with the signature of the ``Driver`` method it
+    overrides (plus the ``cached`` bypass flag on cached reads), compiled
+    from a template the way ``namedtuple`` compiles ``__new__``: a call
+    builds its body map directly and binds no ``inspect.Signature``.
+    """
+    base = getattr(Driver, row.method)
+    signature = inspect.signature(base)
+    params = list(signature.parameters)[1:]
+    if len(params) != len(row.args):
+        raise TypeError(
+            f"{row.name} carries {row.args}, Driver.{row.method} takes {params}"
+        )
+    pairs = ", ".join(f"{arg!r}: {param}" for arg, param in zip(row.args, params))
+    body = f"{{{pairs}}}" if params else "None"
+    if row.cache is None:
+        call = f"self._call({row.name!r}, {body})"
+    else:
+        key = params[0] if params else repr(row.name)
+        call = f"self._cached_call({row.cache!r}, {key}, {row.name!r}, {body}, cached)"
+        cached = inspect.Parameter(
+            "cached", inspect.Parameter.POSITIONAL_OR_KEYWORD, default=True, annotation="bool"
+        )
+        signature = signature.replace(parameters=[*signature.parameters.values(), cached])
+    source = f"def {row.method}{signature}:\n    return {call}\n"
+    namespace: Dict[str, Any] = {"__name__": __name__}
+    # dont_inherit: this module's ``annotations`` future would quote the
+    # already-quoted annotations a second time
+    exec(compile(source, f"<RemoteDriver.{row.method}>", "exec", dont_inherit=True), namespace)
+    stub = namespace[row.method]
+    stub.__qualname__ = f"RemoteDriver.{row.method}"
+    stub.__doc__ = base.__doc__
+    return stub
+
+
+for _row in REMOTE_PROCEDURES:
+    # what the class body defines is a stub that does more than forward
+    if _row.method is not None and _row.method not in vars(RemoteDriver):
+        setattr(RemoteDriver, _row.method, _forwarder(_row))

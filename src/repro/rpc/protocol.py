@@ -13,8 +13,8 @@ A wire message is::
     [<XDR trace-context map>]    optional, appended after the body
 
 mirroring libvirt's ``virNetMessageHeader``.  Procedures are named in
-Python and mapped to stable numbers here; both sides share this table,
-and unknown numbers are rejected at dispatch.
+Python and mapped to stable numbers by :mod:`repro.rpc.procedures`; both
+sides share that table, and unknown numbers are rejected at dispatch.
 
 The trailing trace-context value is the distributed-tracing carrier: a
 ``{"trace_id": uint, "span_id": uint}`` map identifying the sender's
@@ -31,6 +31,7 @@ import struct
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import RPCError
+from repro.rpc.procedures import BY_NAME
 from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value
 
 #: the main program (libvirt's REMOTE_PROGRAM analogue)
@@ -74,130 +75,13 @@ _MESSAGE_TYPES = {int(member): member for member in MessageType}
 _REPLY_STATUSES = {int(member): member for member in ReplyStatus}
 
 
-#: stable procedure numbers — append-only, never renumber
-PROCEDURES: Dict[str, int] = {
-    "connect.open": 1,
-    "connect.close": 2,
-    "connect.get_capabilities": 3,
-    "connect.get_hostname": 4,
-    "connect.get_node_info": 5,
-    "connect.list_domains": 6,
-    "connect.list_defined_domains": 7,
-    "connect.num_of_domains": 8,
-    "connect.get_version": 9,
-    "domain.lookup_by_name": 10,
-    "domain.lookup_by_uuid": 11,
-    "domain.lookup_by_id": 12,
-    "domain.define_xml": 13,
-    "domain.undefine": 14,
-    "domain.create": 15,
-    "domain.create_xml": 16,
-    "domain.shutdown": 17,
-    "domain.destroy": 18,
-    "domain.suspend": 19,
-    "domain.resume": 20,
-    "domain.reboot": 21,
-    "domain.get_info": 22,
-    "domain.get_state": 23,
-    "domain.get_xml_desc": 24,
-    "domain.set_memory": 25,
-    "domain.set_vcpus": 26,
-    "domain.save": 27,
-    "domain.restore": 28,
-    "domain.get_autostart": 29,
-    "domain.set_autostart": 30,
-    "domain.snapshot_create": 31,
-    "domain.snapshot_list": 32,
-    "domain.snapshot_revert": 33,
-    "domain.snapshot_delete": 34,
-    "domain.migrate_begin": 35,
-    "domain.migrate_perform": 36,
-    "domain.migrate_finish": 37,
-    "domain.attach_device": 38,
-    "domain.detach_device": 39,
-    "network.lookup_by_name": 40,
-    "network.define_xml": 41,
-    "network.undefine": 42,
-    "network.create": 43,
-    "network.destroy": 44,
-    "network.list": 45,
-    "network.get_xml_desc": 46,
-    "storage.pool_lookup_by_name": 47,
-    "storage.pool_define_xml": 48,
-    "storage.pool_undefine": 49,
-    "storage.pool_create": 50,
-    "storage.pool_destroy": 51,
-    "storage.pool_list": 52,
-    "storage.pool_get_info": 53,
-    "storage.pool_get_xml_desc": 54,
-    "storage.vol_create_xml": 55,
-    "storage.vol_delete": 56,
-    "storage.vol_list": 57,
-    "storage.vol_get_info": 58,
-    "connect.domain_event_register": 59,
-    "connect.domain_event_deregister": 60,
-    "connect.ping": 61,
-    "domain.get_job_info": 62,
-    "domain.abort_job": 63,
-    "domain.migrate_prepare": 64,
-    "connect.supports_feature": 65,
-    "domain.migrate_confirm": 66,
-    "domain.get_stats": 67,
-    "domain.migrate_p2p": 68,
-    "network.dhcp_leases": 69,
-    "domain.get_scheduler_params": 70,
-    "domain.set_scheduler_params": 71,
-    "domain.checkpoint_create": 72,
-    "domain.checkpoint_list": 73,
-    "domain.checkpoint_delete": 74,
-    "domain.checkpoint_get_xml_desc": 75,
-    "domain.backup_begin": 76,
-    "domain.managed_save": 77,
-    "domain.managed_save_remove": 78,
-    "domain.has_managed_save": 79,
-    "connect.event_subscribe": 80,
-    "connect.event_unsubscribe": 81,
-    # -- stream-carrying procedures (each CALL opens a virStream)
-    "storage.vol_upload": 82,
-    "storage.vol_download": 83,
-    "domain.open_console": 84,
-    "domain.backup_begin_pull": 85,
-    # -- administration interface (separate 'admin' server in the daemon)
-    "admin.connect_open": 100,
-    "admin.srv_list": 101,
-    "admin.srv_threadpool_info": 102,
-    "admin.srv_threadpool_set": 103,
-    "admin.srv_clients_info": 104,
-    "admin.srv_clients_set": 105,
-    "admin.client_list": 106,
-    "admin.client_info": 107,
-    "admin.client_disconnect": 108,
-    "admin.dmn_log_info": 109,
-    "admin.dmn_log_define": 110,
-    "admin.srv_stats": 111,
-    "admin.client_stats": 112,
-    "admin.reset_stats": 113,
-    "admin.metrics_export": 114,
-    "admin.trace_list": 115,
-    "admin.trace_get": 116,
-    "admin.daemon_shutdown": 117,
-    "admin.flight_dump": 118,
-}
+#: name -> stable number, from the one procedure table
+PROCEDURES: Dict[str, int] = {name: row.number for name, row in BY_NAME.items()}
 
 _NUMBER_TO_NAME = {number: name for name, number in PROCEDURES.items()}
 
-#: procedures whose CALL opens a virStream on the same serial.  Data
-#: frames ride the connection outside request/response correlation, so
-#: these can NEVER sit on the idempotent-retry allowlist: re-issuing an
-#: upload after a lost reply would append the bytes twice.
-STREAM_PROCEDURES = frozenset(
-    {
-        "storage.vol_upload",
-        "storage.vol_download",
-        "domain.open_console",
-        "domain.backup_begin_pull",
-    }
-)
+#: procedures whose CALL opens a virStream on the same serial
+STREAM_PROCEDURES = frozenset(name for name, row in BY_NAME.items() if row.stream)
 
 #: the server-push event procedure numbers
 EVENT_DOMAIN_LIFECYCLE = 1000

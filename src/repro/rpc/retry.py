@@ -3,9 +3,10 @@
 A transient transport failure (deadline hit, link declared dead) is
 only safe to retry when the procedure is idempotent: re-running
 ``domain.get_info`` is free, re-running ``domain.create`` after a lost
-*reply* would double-start the guest.  The allowlist below names every
-procedure whose effect is the same executed once or twice; resilient
-callers consult it before retrying.
+*reply* would double-start the guest.  The allowlist names every
+procedure whose effect is the same executed once or twice (the
+``idempotent`` column of :mod:`repro.rpc.procedures`); resilient callers
+consult it before retrying.
 
 Backoff uses *decorrelated jitter* (delay drawn uniformly between the
 base and three times the previous delay, capped), seeded for
@@ -19,60 +20,13 @@ import threading
 from typing import Callable, FrozenSet, Optional
 
 from repro.errors import InvalidArgumentError
-from repro.rpc.protocol import STREAM_PROCEDURES
+from repro.rpc.procedures import BY_NAME
 
-#: procedures safe to re-issue after a transport failure
+#: procedures safe to re-issue after a transport failure: the table's
+#: ``idempotent`` column (which a stream-opening row may never set)
 IDEMPOTENT_PROCEDURES: FrozenSet[str] = frozenset(
-    {
-        "connect.open",
-        "connect.get_capabilities",
-        "connect.get_hostname",
-        "connect.get_node_info",
-        "connect.list_domains",
-        "connect.list_defined_domains",
-        "connect.num_of_domains",
-        "connect.get_version",
-        "connect.ping",
-        "connect.supports_feature",
-        "connect.domain_event_register",
-        "connect.domain_event_deregister",
-        "domain.lookup_by_name",
-        "domain.lookup_by_uuid",
-        "domain.lookup_by_id",
-        "domain.get_info",
-        "domain.get_state",
-        "domain.get_xml_desc",
-        "domain.get_stats",
-        "domain.get_autostart",
-        "domain.get_job_info",
-        "domain.get_scheduler_params",
-        "domain.snapshot_list",
-        "domain.checkpoint_list",
-        "domain.checkpoint_get_xml_desc",
-        "domain.has_managed_save",
-        "network.lookup_by_name",
-        "network.list",
-        "network.get_xml_desc",
-        "network.dhcp_leases",
-        "storage.pool_lookup_by_name",
-        "storage.pool_list",
-        "storage.pool_get_info",
-        "storage.pool_get_xml_desc",
-        "storage.vol_list",
-        "storage.vol_get_info",
-    }
+    name for name, row in BY_NAME.items() if row.idempotent
 )
-
-
-# Stream-opening procedures must never be retried: a "lost" reply may
-# mean the stream is half-open server-side, and re-issuing the CALL
-# would attach a second stream to a payload already partially moved.
-_STREAM_OVERLAP = IDEMPOTENT_PROCEDURES & STREAM_PROCEDURES
-if _STREAM_OVERLAP:  # pragma: no cover - import-time invariant
-    raise AssertionError(
-        "stream procedures may not be marked idempotent: "
-        f"{sorted(_STREAM_OVERLAP)}"
-    )
 
 
 def is_idempotent(procedure: str) -> bool:

@@ -1,0 +1,167 @@
+"""The procedure table and everything derived from it.
+
+``tests/data/procedures_parent.json`` is what PR 13's parent wrote down
+by hand in four places — the name -> number map, the priority lane as a
+fresh daemon registered it, the retry allowlist, the stream set — so
+"append-only, never renumber" and "the refactor moved nothing" are
+checked here instead of promised in a comment.
+
+``docs/PROTOCOL.md`` carries the table; to print it after a new row::
+
+    PYTHONPATH=src python tests/test_rpc_procedures.py
+"""
+
+import inspect
+import json
+import pathlib
+import re
+
+import pytest
+
+import repro
+from repro.core.driver import Driver
+from repro.daemon import Libvirtd
+from repro.drivers.remote import RemoteDriver
+from repro.errors import InvalidArgumentError
+from repro.rpc.procedures import ADMIN_PROCEDURES, BY_NAME, REMOTE_PROCEDURES, Procedure, index
+from repro.rpc.protocol import PROCEDURES, STREAM_PROCEDURES
+from repro.rpc.retry import IDEMPOTENT_PROCEDURES
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PARENT = json.loads((REPO / "tests" / "data" / "procedures_parent.json").read_text())
+PASS_THROUGH = [row for row in REMOTE_PROCEDURES if row.method is not None]
+
+
+def positional(function):
+    """(name, default) of each parameter after ``self``."""
+    return [(p.name, p.default) for p in list(inspect.signature(function).parameters.values())[1:]]
+
+
+class TestParentSnapshot:
+    def test_numbers_are_the_parents(self):
+        assert PROCEDURES == PARENT["numbers"]
+        assert {row.name: row.number for row in BY_NAME.values()} == PARENT["numbers"]
+
+    def test_priority_lane_is_the_parents(self):
+        assert sorted(r.name for r in REMOTE_PROCEDURES if r.priority) == PARENT["priority"]
+
+    def test_retry_allowlist_is_the_parents(self):
+        assert sorted(IDEMPOTENT_PROCEDURES) == PARENT["idempotent"]
+
+    def test_stream_set_is_the_parents(self):
+        assert sorted(STREAM_PROCEDURES) == PARENT["stream"]
+
+
+class TestTableInvariants:
+    def test_a_number_or_name_declared_twice_is_refused(self):
+        with pytest.raises(ValueError, match="declared twice"):
+            index((Procedure(1, "a.b"), Procedure(1, "a.c")))
+        with pytest.raises(ValueError, match="declared twice"):
+            index((Procedure(1, "a.b"),), (Procedure(2, "a.b"),))
+
+    def test_a_retry_safe_stream_is_refused(self):
+        with pytest.raises(ValueError, match="may not be marked idempotent"):
+            index((Procedure(1, "a.b", stream=True, idempotent=True),))
+
+    def test_admin_rows_carry_number_and_name_only(self):
+        assert all(row == Procedure(row.number, row.name) for row in ADMIN_PROCEDURES)
+
+    @pytest.mark.parametrize("row", PASS_THROUGH, ids=lambda row: row.name)
+    def test_row_matches_its_driver_method(self, row):
+        assert len(positional(getattr(Driver, row.method))) == len(row.args)
+
+    def test_only_reads_are_cached(self):
+        assert all(row.idempotent and row.method for row in REMOTE_PROCEDURES if row.cache)
+
+
+class TestDaemonRegistration:
+    def test_every_row_is_served_on_its_lane(self):
+        daemon = Libvirtd(hostname="procedures-reg", register=False)
+        for row in REMOTE_PROCEDURES:
+            assert daemon.rpc.registered(row.name), row.name
+            _, priority = daemon.rpc._procedures[row.number]
+            assert priority == row.priority, row.name
+        assert len(daemon.rpc._procedures) == len(REMOTE_PROCEDURES)
+
+    def test_admin_server_serves_every_admin_row(self):
+        with Libvirtd(hostname="procedures-admin") as daemon:
+            daemon.enable_admin()
+            admin = daemon._rpc_by_server["admin"]
+            assert all(admin.registered(row.name) for row in ADMIN_PROCEDURES)
+            assert len(admin._procedures) == len(ADMIN_PROCEDURES)
+
+
+class TestGeneratedStubs:
+    @pytest.mark.parametrize("row", PASS_THROUGH, ids=lambda row: row.name)
+    def test_stub_has_the_driver_methods_signature(self, row):
+        stub = vars(RemoteDriver)[row.method]
+        want = positional(getattr(Driver, row.method))
+        if row.cache is not None:
+            want.append(("cached", True))
+        assert positional(stub) == want
+
+    def test_the_cached_reads(self):
+        assert sorted(row.method for row in REMOTE_PROCEDURES if row.cache) == [
+            "domain_get_state", "domain_get_xml_desc",
+            "list_defined_domains", "list_domains", "num_of_domains",
+        ]
+
+
+@pytest.fixture(scope="module")
+def client():
+    with Libvirtd(hostname="procedures-args") as daemon:
+        daemon.listen("tcp")
+        conn = repro.open_connection("test+tcp://procedures-args/default")
+        yield conn._driver.client
+        conn.close()
+
+
+class TestMalformedBody:
+    """A CALL body is outside input: the reply is a typed argument error."""
+
+    @pytest.mark.parametrize(
+        "row", [row for row in REMOTE_PROCEDURES if row.args], ids=lambda row: row.name
+    )
+    def test_missing_arguments_are_named(self, client, row):
+        first = row.args[0]
+        for body in (None, {}, {"nam": "x"}):
+            with pytest.raises(InvalidArgumentError) as caught:
+                client.call(row.name, body)
+            assert row.name in str(caught.value) and first in str(caught.value)
+        for later in row.args[1:]:
+            given = dict.fromkeys(row.args[: row.args.index(later)], "x")
+            with pytest.raises(InvalidArgumentError, match=f"{row.name} requires argument '{later}'"):
+                client.call(row.name, given)
+        for body in ([1, 2], 5, "str"):
+            with pytest.raises(InvalidArgumentError, match=f"{row.name} requires a"):
+                client.call(row.name, body)
+        assert client.call("connect.ping") == "pong"
+
+    @pytest.mark.parametrize("name", ["connect.supports_feature", "connect.event_subscribe"])
+    def test_optional_arguments_still_need_a_map(self, client, name):
+        with pytest.raises(InvalidArgumentError, match=f"{name} requires a map body, got list"):
+            client.call(name, [1, 2])
+
+
+# -- docs/PROTOCOL.md ---------------------------------------------------------
+
+
+def doc_rows():
+    """The table rows exactly as ``docs/PROTOCOL.md`` must carry them."""
+    yes = {True: "yes", False: "no"}
+    remote = [
+        f"| {r.number} | `{r.name}` | {'priority' if r.priority else 'normal'} "
+        f"| {yes[r.idempotent]} | {yes[r.stream]} |"
+        for r in REMOTE_PROCEDURES
+    ]
+    return remote + [f"| {r.number} | `{r.name}` |" for r in ADMIN_PROCEDURES]
+
+
+def test_protocol_doc_carries_the_table_verbatim():
+    text = (REPO / "docs" / "PROTOCOL.md").read_text()
+    section = text.split("## Procedure number space")[1].split("\n## ")[0]
+    assert [line for line in section.splitlines() if re.match(r"\| \d+ \|", line)] == doc_rows()
+
+
+if __name__ == "__main__":
+    print("\n".join(doc_rows()))
