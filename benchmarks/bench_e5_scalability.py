@@ -19,10 +19,13 @@ synchronous, and ceil(N/window)× when the ``max_client_requests``
 window throttles the connection.
 """
 
+import time
+
 import pytest
 
 from repro.bench.tables import emit, format_series
 from repro.bench.workloads import build_local_connection, guest_config
+from repro.daemon.libvirtd import Libvirtd
 from repro.rpc.client import RPCClient
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import Listener
@@ -154,6 +157,48 @@ def concurrent_dispatch_makespan(n_calls=N_SLOW_CALLS, window=None):
     return makespan
 
 
+#: ``pool_handoff()`` on commit 0bd623f (one ``Condition``, ``notify_all()``
+#: per submit): median of five runs on the box the committed report is from
+PARENT_HANDOFF = (7.06, 53.5)
+
+
+def pool_handoff(n_jobs=2000):
+    """(worker wake-ups per job, wall us per ``submit().result()``) on a
+    default ``Libvirtd``'s pool, one job at a time.
+
+    Real time, informational: the frozen ``util.threadpool.handoff_us``
+    probe runs a one-worker pool and cannot see a cost that scales with
+    the number of parked workers."""
+    daemon = Libvirtd(hostname="handoff", register=False)
+    pool = daemon.pool
+    wakeups = [0]
+
+    def counted(wait):
+        def wrapper(timeout=None):
+            try:
+                return wait(timeout)
+            finally:
+                wakeups[0] += 1
+
+        return wrapper
+
+    for cond in (pool._cond, pool._prio_cond):
+        cond.wait = counted(cond.wait)
+    pool.set_parameters()  # broadcast once: every worker re-parks in the counted wait
+    time.sleep(0.05)
+    for _ in range(n_jobs // 10):
+        pool.submit(int).result()
+    wakeups[0] = 0
+    begin = time.perf_counter()
+    for _ in range(n_jobs):
+        pool.submit(int).result()
+    elapsed = time.perf_counter() - begin
+    time.sleep(0.05)  # let the herd (if any) finish waking before reading the count
+    woken = wakeups[0]
+    daemon.shutdown()
+    return woken / n_jobs, elapsed / n_jobs * 1e6
+
+
 def collect_dispatch():
     serial = serial_dispatch_makespan()
     concurrent = min(concurrent_dispatch_makespan() for _ in range(2))
@@ -169,6 +214,7 @@ def test_e5_concurrent_rpc_dispatch(benchmark):
     serial, concurrent, windowed = benchmark.pedantic(
         collect_dispatch, rounds=1, iterations=1
     )
+    wakeups, handoff_us = pool_handoff()
     emit(
         "e5_concurrent_dispatch",
         format_series(
@@ -176,7 +222,11 @@ def test_e5_concurrent_rpc_dispatch(benchmark):
             "dispatch",
             ["serial", f"window={N_SLOW_CALLS // 4}", "concurrent"],
             {"makespan": [f"{v:.1f} s" for v in (serial, windowed, concurrent)]},
-        ),
+        )
+        + "\n\npool hand-off, default libvirtd pool (5 ordinary + 5 priority workers parked),"
+        + "\nreal time, informational: parent 0bd623f -> this code"
+        + f"\nworker wake-ups per job     {PARENT_HANDOFF[0]:6.2f} -> {wakeups:6.2f}"
+        + f"\nus per submit().result()    {PARENT_HANDOFF[1]:6.1f} -> {handoff_us:6.1f}",
     )
     # synchronous dispatch serializes: N slow calls cost ~N slow-calls
     assert serial > (N_SLOW_CALLS - 0.5) * SLOW_CALL_SECONDS

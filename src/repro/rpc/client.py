@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.errors import (
@@ -87,7 +86,8 @@ class _PendingCall:
         "wait_bound",
         "bound_is_keepalive",
         "started",
-        "cond",
+        "_claimed",
+        "_resolved",
         "outcome",
         "reply",
         "reason",
@@ -109,7 +109,11 @@ class _PendingCall:
         self.wait_bound = wait_bound
         self.bound_is_keepalive = bound_is_keepalive
         self.started = started
-        self.cond = threading.Condition()
+        #: taken (never released) by the resolution that wins
+        self._claimed = threading.Lock()
+        #: one-shot gate: held from creation, released by that resolution
+        self._resolved = threading.Lock()
+        self._resolved.acquire()
         #: None while in flight; then "reply" | "lost" | "closed" | "desync"
         self.outcome: "Optional[str]" = None
         #: packed, as an inline server returned it; or already decoded by
@@ -122,13 +126,20 @@ class _PendingCall:
     def resolve(
         self, outcome: str, reply: "bytes | RPCMessage | None" = None, reason: "Optional[str]" = None
     ) -> None:
-        with self.cond:
-            if self.outcome is not None:
-                return  # first resolution wins
-            self.outcome = outcome
-            self.reply = reply
-            self.reason = reason
-            self.cond.notify_all()
+        if not self._claimed.acquire(blocking=False):
+            return  # first resolution wins
+        self.reply = reply
+        self.reason = reason
+        self.outcome = outcome  # last: a set outcome means the rest is readable
+        self._resolved.release()
+
+    def wait(self, timeout: float) -> bool:
+        """Block until resolved; False after ``timeout`` real seconds."""
+        if self.outcome is None:
+            if not self._resolved.acquire(timeout=timeout):
+                return False
+            self._resolved.release()  # stays open for every other waiter
+        return True
 
 
 class PendingReply:
@@ -684,18 +695,11 @@ class RPCClient:
         return reply.body
 
     def _wait_for_outcome(self, entry: _PendingCall) -> None:
-        with entry.cond:
-            if entry.outcome is not None:
-                return
-            deadline = time.monotonic() + REPLY_WAIT_BACKSTOP
-            while entry.outcome is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RPCError(
-                        f"no reply to {entry.procedure} after "
-                        f"{REPLY_WAIT_BACKSTOP:g}s of real time (dispatch wedged)"
-                    )
-                entry.cond.wait(remaining)
+        if not entry.wait(REPLY_WAIT_BACKSTOP):
+            raise RPCError(
+                f"no reply to {entry.procedure} after "
+                f"{REPLY_WAIT_BACKSTOP:g}s of real time (dispatch wedged)"
+            )
 
     def _map_stall(self, exc: TransportStalledError, entry: _PendingCall) -> None:
         """Translate a transport stall into the user-facing error."""

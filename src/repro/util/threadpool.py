@@ -13,6 +13,13 @@ Mirrors libvirt's ``virThreadPool``:
   and after finishing a job (libvirt's ``virThreadPoolWorkerQuitHelper``
   design, which avoids the deadlock of queueing "poison" jobs while
   holding the pool lock).
+
+Wake-up rule: ordinary and priority workers park on separate conditions
+of the one pool lock, and a submitted job wakes exactly **one** worker
+that may run it — a parked ordinary worker if there is one, otherwise
+(priority jobs only) a parked priority worker — so a hand-off costs one
+wake-up however many workers are parked.  Only what every worker must
+re-check is broadcast: a limit change, shutdown, and a worker's exit.
 """
 
 from __future__ import annotations
@@ -93,7 +100,14 @@ class WorkerPool:
                 lambda: self._n_prio_workers
             )
         self._lock = threading.Lock()
+        #: where idle ordinary / priority workers park (one lock, two queues)
         self._cond = threading.Condition(self._lock)
+        self._prio_cond = threading.Condition(self._lock)
+        #: workers waiting on each condition and not yet signalled.  Exact:
+        #: the notifier decrements, so a second submit never aims at a
+        #: worker an earlier one already woke
+        self._parked = 0
+        self._prio_parked = 0
         self._queue: "Deque[_Job]" = deque()
         self._prio_queue: "Deque[_Job]" = deque()
         self._min_workers = min_workers
@@ -106,7 +120,7 @@ class WorkerPool:
         self._threads: List[threading.Thread] = []
         self._jobs_completed = 0
         self._jobs_cancelled = 0
-        with self._cond:
+        with self._lock:
             for _ in range(min_workers):
                 self._spawn_locked(priority=False)
             for _ in range(prio_workers):
@@ -126,13 +140,9 @@ class WorkerPool:
         job = _Job(func, args, kwargs, priority)
         if self.metrics is not None:
             job.enqueued_at = self._now()
-        with self._cond:
+        with self._lock:
             if self._quit:
                 raise InvalidOperationError(f"workerpool {self.name!r} is shut down")
-            if self.metrics is not None:
-                self._m_jobs.labels(
-                    pool=self.name, lane="priority" if priority else "normal"
-                ).inc()
             if priority:
                 self._prio_queue.append(job)
             else:
@@ -141,7 +151,18 @@ class WorkerPool:
             pending = len(self._queue) + len(self._prio_queue)
             if pending > self._free_workers and self._n_workers < self._max_workers:
                 self._spawn_locked(priority=False)
-            self._cond.notify_all()
+            # wake one worker that may run the job; with nobody parked the
+            # next worker to finish finds it before parking
+            if self._parked:
+                self._parked -= 1
+                self._cond.notify()
+            elif priority and self._prio_parked:
+                self._prio_parked -= 1
+                self._prio_cond.notify()
+        if self.metrics is not None:
+            self._m_jobs.labels(
+                pool=self.name, lane="priority" if priority else "normal"
+            ).inc()
         return job.future
 
     def set_parameters(
@@ -151,7 +172,7 @@ class WorkerPool:
         prio_workers: "Optional[int]" = None,
     ) -> None:
         """Adjust pool limits at runtime (the admin-API entry point)."""
-        with self._cond:
+        with self._lock:
             if self._quit:
                 raise InvalidOperationError(f"workerpool {self.name!r} is shut down")
             new_min = self._min_workers if min_workers is None else min_workers
@@ -166,7 +187,7 @@ class WorkerPool:
             while self._n_prio_workers < self._want_prio_workers:
                 self._spawn_locked(priority=True)
             # surplus workers notice the new limits via the quit helper
-            self._cond.notify_all()
+            self._wake_all_locked()
 
     def stats(self) -> Dict[str, int]:
         """Snapshot of the pool counters, keyed like ``srv-threadpool-info``."""
@@ -196,7 +217,7 @@ class WorkerPool:
         With ``wait=True`` queued jobs drain first; otherwise pending
         futures fail with :class:`OperationAbortedError`.
         """
-        with self._cond:
+        with self._lock:
             if self._quit:
                 return
             self._quit = True
@@ -206,7 +227,8 @@ class WorkerPool:
                 self._prio_queue.clear()
             else:
                 cancelled = []
-            self._cond.notify_all()
+            threads = list(self._threads)
+            self._wake_all_locked()
         for job in cancelled:
             _deliver(
                 job.future.set_exception,
@@ -215,7 +237,7 @@ class WorkerPool:
         # a worker may itself trigger shutdown (e.g. an admin handler
         # tearing the daemon down) — never join the current thread
         me = threading.current_thread()
-        for thread in list(self._threads):
+        for thread in threads:
             if thread is not me:
                 thread.join(timeout=10.0)
 
@@ -247,9 +269,15 @@ class WorkerPool:
             return self._n_prio_workers > self._want_prio_workers
         return self._n_workers > self._max_workers
 
+    def _wake_all_locked(self) -> None:
+        """Broadcast: every parked worker re-checks limits and queues."""
+        self._parked = self._prio_parked = 0
+        self._cond.notify_all()
+        self._prio_cond.notify_all()
+
     def _worker_loop(self, priority: bool) -> None:
         while True:
-            with self._cond:
+            with self._lock:
                 job = self._take_job_locked(priority)
                 if job is None:
                     # either surplus or pool quitting with drained queues
@@ -257,7 +285,8 @@ class WorkerPool:
                         self._n_prio_workers -= 1
                     else:
                         self._n_workers -= 1
-                    self._cond.notify_all()
+                    self._threads.remove(threading.current_thread())
+                    self._wake_all_locked()
                     break
             # a Future cancelled while queued must not execute — and must
             # not kill this worker with InvalidStateError on delivery
@@ -295,12 +324,16 @@ class WorkerPool:
                 return self._queue.popleft()
             if self._quit:
                 return None
-            if not priority:
+            # whoever signals this worker takes it off the parked count
+            if priority:
+                self._prio_parked += 1
+                self._prio_cond.wait()
+            else:
+                self._parked += 1
                 self._free_workers += 1
-            try:
-                self._cond.wait()
-            finally:
-                if not priority:
+                try:
+                    self._cond.wait()
+                finally:
                     self._free_workers -= 1
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import repro.rpc.client as client_module
 from repro.daemon.libvirtd import Libvirtd
 from repro.errors import (
     ConnectionClosedError,
@@ -16,7 +17,7 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.observability.metrics import MetricsRegistry
-from repro.rpc.client import RPCClient
+from repro.rpc.client import RPCClient, _PendingCall
 from repro.rpc.protocol import (
     MessageType,
     ReplyStatus,
@@ -399,6 +400,96 @@ class TestDecodeOnce:
             with pytest.raises(RPCError, match="matches no outstanding call"):
                 other.result()
             assert channel.closed
+
+
+class TestReplyWait:
+    """The one-shot wait a call blocks in until its reply (or the loss
+    of it) is known: several waiters, first resolution wins, and a
+    real-time backstop against a wedged dispatcher."""
+
+    def test_two_threads_collect_one_call(self, clock):
+        gate = threading.Event()
+
+        def slow(conn, body):
+            gate.wait(timeout=30.0)
+            return body
+
+        with WorkerPool(min_workers=1, max_workers=2) as pool:
+            client, _, _ = make_pair(clock, pool, handlers={"domain.save": slow})
+            pending = client.call_async("domain.save", {"k": "v"})
+            got = []
+            waiters = [
+                threading.Thread(target=lambda: got.append(pending.result())) for _ in range(2)
+            ]
+            for t in waiters:
+                t.start()
+            time.sleep(0.05)  # both are blocked in the wait by now
+            assert got == [] and not pending.done()
+            gate.set()
+            for t in waiters:
+                t.join(timeout=5)
+                assert not t.is_alive()
+            assert got == [{"k": "v"}, {"k": "v"}]
+            assert pending.result() == {"k": "v"}  # and a late third caller
+
+    def test_concurrent_resolutions_first_wins(self):
+        outcomes = {"reply": 0, "lost": 0}
+        for _ in range(300):
+            entry = _PendingCall(1, "connect.ping", None, None, False, 0.0)
+            start = threading.Barrier(3)
+            errors = []
+
+            def resolve(*args, **kwargs):
+                start.wait(timeout=5)
+                try:
+                    entry.resolve(*args, **kwargs)
+                except BaseException as exc:  # a second release of the gate
+                    errors.append(exc)
+
+            racers = [
+                threading.Thread(target=resolve, args=("reply",), kwargs={"reply": b"frame"}),
+                threading.Thread(target=resolve, args=("lost",)),
+            ]
+            for t in racers:
+                t.start()
+            start.wait(timeout=5)
+            assert entry.wait(5.0)
+            seen = (entry.outcome, entry.reply)
+            for t in racers:
+                t.join(timeout=5)
+                assert not t.is_alive()
+            assert errors == []
+            # exactly one outcome, whole, and the loser did not disturb it
+            assert seen in (("reply", b"frame"), ("lost", None))
+            assert (entry.outcome, entry.reply) == seen
+            assert entry.wait(0.0)  # the gate stays open
+            outcomes[seen[0]] += 1
+        assert sum(outcomes.values()) == 300
+
+    def test_unresolved_wait_times_out(self):
+        entry = _PendingCall(1, "connect.ping", None, None, False, 0.0)
+        assert not entry.wait(0.01)
+        entry.resolve("closed", reason="gone")
+        assert entry.wait(0.01) and entry.outcome == "closed"
+
+    def test_backstop_reports_a_wedged_dispatcher(self, clock, monkeypatch):
+        assert client_module.REPLY_WAIT_BACKSTOP == 60.0
+        monkeypatch.setattr(client_module, "REPLY_WAIT_BACKSTOP", 0.05)
+        gate = threading.Event()
+        with WorkerPool(min_workers=1, max_workers=1) as pool:
+            client, _, _ = make_pair(
+                clock, pool, handlers={"domain.save": lambda c, b: gate.wait(timeout=30.0)}
+            )
+            try:
+                with pytest.raises(RPCError) as caught:
+                    client.call("domain.save")
+            finally:
+                gate.set()
+        message = "no reply to domain.save after {:g}s of real time (dispatch wedged)"
+        assert str(caught.value) == message.format(0.05)
+        assert message.format(60.0) == (
+            "no reply to domain.save after 60s of real time (dispatch wedged)"
+        )
 
 
 class TestDaemonSurface:

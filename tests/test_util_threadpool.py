@@ -1,11 +1,13 @@
 """Tests for the workerpool (repro.util.threadpool)."""
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.errors import InvalidArgumentError, InvalidOperationError, OperationAbortedError
+from repro.observability.metrics import MetricsRegistry
 from repro.util.threadpool import WorkerPool
 
 
@@ -249,3 +251,193 @@ class TestCancelledFutures:
         pool.shutdown(wait=False)  # used to raise InvalidStateError
         running.result(timeout=5)
         assert pending.cancelled()
+
+
+# -- one wake-up per job ------------------------------------------------------
+
+#: the pool shape ``Libvirtd`` builds by default
+DAEMON_SHAPE = dict(min_workers=5, max_workers=20, prio_workers=5)
+
+
+def count_wakeups(pool):
+    """Count returns from the wait of each condition workers park on.
+
+    Every parked worker is woken once first, so that the sleep it was
+    already in when the wrapper went on does not escape the count."""
+    woken = {"ordinary": 0, "priority": 0}
+
+    def counted(kind, wait):
+        def wrapper(timeout=None):
+            try:
+                return wait(timeout)
+            finally:
+                woken[kind] += 1  # under the pool lock, re-taken by wait()
+
+        return wrapper
+
+    pool._cond.wait = counted("ordinary", pool._cond.wait)
+    pool._prio_cond.wait = counted("priority", pool._prio_cond.wait)
+    pool.set_parameters()  # broadcast: everyone re-parks through the wrappers
+    assert wait_for(lambda: all_parked(pool))
+    woken["ordinary"] = woken["priority"] = 0
+    return woken
+
+
+def all_parked(pool):
+    with pool._lock:
+        return (
+            pool._parked == pool._n_workers
+            and pool._prio_parked == pool._n_prio_workers
+            and pool._free_workers == pool._n_workers
+        )
+
+
+class TestTargetedWakeups:
+    @pytest.mark.parametrize("priority", [False, True])
+    def test_one_wakeup_per_sequential_job(self, priority):
+        """The parent woke all ten workers per submit (≈ 7 000 wake-ups
+        for 1 000 jobs); a job wakes the one worker that runs it."""
+        with WorkerPool(**DAEMON_SHAPE) as pool:
+            woken = count_wakeups(pool)
+            for _ in range(1000):
+                pool.submit(lambda: None, priority=priority).result(timeout=5)
+            assert wait_for(lambda: all_parked(pool))
+            assert 1000 <= woken["ordinary"] + woken["priority"] <= 1010
+            # a priority job prefers a parked ordinary worker
+            assert woken["priority"] == 0
+            assert pool.stats()["nWorkers"] == 5  # nothing grew
+
+    def test_priority_job_wakes_one_priority_worker_when_ordinary_all_busy(self):
+        gate = threading.Event()
+        with WorkerPool(min_workers=3, max_workers=3, prio_workers=5) as pool:
+            woken = count_wakeups(pool)
+            blockers = [pool.submit(gate.wait) for _ in range(3)]
+            assert wait_for(lambda: pool.stats()["freeWorkers"] == 0)
+            assert pool.submit(lambda: "critical", priority=True).result(timeout=5) == "critical"
+            assert wait_for(lambda: pool._prio_parked == 5)
+            assert woken["priority"] == 1  # one, not five
+            gate.set()
+            for f in blockers:
+                f.result(timeout=5)
+
+    def test_priority_job_not_aimed_at_an_already_signalled_worker(self):
+        """One parked ordinary worker: the ordinary job takes its signal,
+        so the priority job right behind must go to the priority lane —
+        a parked count still including the signalled worker would aim
+        the second signal at nobody."""
+        gate = threading.Event()
+        with WorkerPool(min_workers=1, max_workers=1, prio_workers=2) as pool:
+            woken = count_wakeups(pool)
+            slow = pool.submit(gate.wait)
+            fast = pool.submit(lambda: "critical", priority=True)
+            assert fast.result(timeout=5) == "critical"
+            assert not slow.done()  # the lane finished while slow still runs
+            assert wait_for(lambda: pool._prio_parked == 2 and woken["ordinary"] == 1)
+            assert woken == {"ordinary": 1, "priority": 1}
+            gate.set()
+            slow.result(timeout=5)
+
+    def test_ordinary_job_never_wakes_the_priority_lane(self):
+        gate = threading.Event()
+        with WorkerPool(min_workers=1, max_workers=1, prio_workers=2) as pool:
+            woken = count_wakeups(pool)
+            jobs = [pool.submit(gate.wait) for _ in range(3)]
+            gate.set()
+            for f in jobs:
+                f.result(timeout=5)
+            assert woken["priority"] == 0
+
+    def test_free_workers_gauge_and_growth_rule_unchanged(self):
+        """Two parked workers, two jobs back to back: the second submit
+        still sees the signalled worker as free, so nothing grows."""
+        metrics = MetricsRegistry()
+        with WorkerPool(min_workers=2, max_workers=8, name="g", metrics=metrics) as pool:
+            assert wait_for(lambda: all_parked(pool))
+            free = metrics.get("workerpool_workers").labels(pool="g", kind="free")
+            assert free.value == 2
+            for _ in range(200):
+                a, b = pool.submit(lambda: None), pool.submit(lambda: None)
+                a.result(timeout=5), b.result(timeout=5)
+            assert pool.stats()["nWorkers"] == 2
+            assert wait_for(lambda: free.value == 2)
+            jobs = metrics.get("workerpool_jobs_total")
+            assert jobs.labels(pool="g", lane="normal").value == 400
+            assert jobs.labels(pool="g", lane="priority").value == 0
+            assert metrics.get("workerpool_job_wait_seconds").labels(pool="g").count == 400
+
+
+class TestWorkerBookkeeping:
+    def test_tracked_threads_do_not_outlive_their_workers(self):
+        """``_threads`` only ever grew: five grow/shrink cycles left 97
+        entries for 7 live workers and shutdown joined 90 dead threads."""
+        with WorkerPool(**DAEMON_SHAPE) as pool:
+            assert wait_for(lambda: all_parked(pool))
+            before = pool.stats()
+            for _ in range(5):
+                pool.set_parameters(min_workers=20, max_workers=20)
+                assert wait_for(lambda: pool.stats()["nWorkers"] == 20)
+                pool.set_parameters(min_workers=2, max_workers=2)
+                assert wait_for(lambda: pool.stats()["nWorkers"] == 2)
+            pool.set_parameters(max_workers=20, min_workers=5)
+            assert wait_for(lambda: all_parked(pool))
+            assert pool.stats() == before
+            with pool._lock:
+                tracked = list(pool._threads)
+            assert len(tracked) == before["nWorkers"] + before["prioWorkers"]
+            assert all(thread.is_alive() for thread in tracked)
+
+    def test_lowering_limits_while_everyone_is_parked_terminates_the_surplus(self):
+        with WorkerPool(min_workers=6, max_workers=6, prio_workers=4) as pool:
+            assert wait_for(lambda: all_parked(pool))
+            pool.set_parameters(min_workers=1, max_workers=2, prio_workers=1)
+            assert wait_for(lambda: pool.stats()["nWorkers"] == 2)
+            assert wait_for(lambda: pool.stats()["prioWorkers"] == 1)
+            assert wait_for(lambda: all_parked(pool))
+            assert pool.submit(lambda: "ok").result(timeout=5) == "ok"
+            assert pool.submit(lambda: "ok", priority=True).result(timeout=5) == "ok"
+
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_shutdown_joins_every_worker(self, wait):
+        pool = WorkerPool(**DAEMON_SHAPE)
+        assert wait_for(lambda: all_parked(pool))
+        with pool._lock:
+            threads = list(pool._threads)
+        assert len(threads) == 10
+        pool.shutdown(wait=wait)
+        assert not any(thread.is_alive() for thread in threads)
+        assert pool._threads == []
+        assert pool.stats()["nWorkers"] == 0 and pool.stats()["prioWorkers"] == 0
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("round_", range(20))
+def test_no_lost_wakeup_under_mixed_lane_producers(round_):
+    """8 producers x 2 000 jobs on both lanes, more threads than cores
+    and a short switch interval: a lost wake-up leaves a job queued with
+    its workers parked, and its future never resolves."""
+    producers, per_producer = 8, 2000
+    futures = [[] for _ in range(producers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with WorkerPool(**DAEMON_SHAPE) as pool:
+
+            def produce(slot):
+                for k in range(per_producer):
+                    futures[slot].append(
+                        pool.submit(lambda v=k: v, priority=(k + slot) % 3 == 0)
+                    )
+
+            threads = [threading.Thread(target=produce, args=(i,)) for i in range(producers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for made in futures:
+                assert [f.result(timeout=30) for f in made] == list(range(per_producer))
+            assert wait_for(lambda: all_parked(pool))
+            assert pool.stats()["jobQueueDepth"] == 0
+            assert wait_for(lambda: pool.jobs_completed == producers * per_producer)
+    finally:
+        sys.setswitchinterval(interval)
