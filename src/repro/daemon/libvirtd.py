@@ -203,6 +203,10 @@ class Libvirtd:
         self.state_dir = state_dir
         #: per-driver recovery audit from startup (driver name -> stats)
         self.recovery: Dict[str, Dict[str, Any]] = {}
+        #: the StateDirs this incarnation owns; shutdown() and crash()
+        #: release their held descriptors (a killed process's are closed
+        #: by the kernel — nothing is flushed, there is no buffer)
+        self._state_dirs: List[Any] = []
         if state_dir is not None:
             self._attach_persistence(state_dir)
         self.rpc.on_ping = self._on_keepalive_ping
@@ -293,6 +297,7 @@ class Libvirtd:
         # tail names the dispatches its death interrupted, and those
         # spans must be closed before this incarnation starts tracing
         self.flight_recorder.statedir = StateDir(os.path.join(root, "flightrec"))
+        self._state_dirs.append(self.flight_recorder.statedir)
         tail = self.flight_recorder.recover()
         interrupted = 0
         for begun in interrupted_dispatches(tail):
@@ -325,9 +330,9 @@ class Libvirtd:
         for driver in self._unique_drivers():
             if not hasattr(driver, "attach_state"):
                 continue
-            journal = StateJournal(
-                StateDir(os.path.join(root, driver.name)), clock=self.clock
-            )
+            statedir = StateDir(os.path.join(root, driver.name))
+            self._state_dirs.append(statedir)
+            journal = StateJournal(statedir, clock=self.clock)
             journal.on_append = (
                 lambda kind, key, lsn, name=driver.name: self.flight_recorder.record(
                     "journal", driver=name, record_kind=kind, key=key, lsn=lsn
@@ -406,6 +411,8 @@ class Libvirtd:
             listener.close_all()
         for timer_id in timers:
             self.eventloop.cancel(timer_id)
+        for statedir in self._state_dirs:
+            statedir.close()
         unregister_daemon(self.hostname)
 
     # ==================================================================
@@ -898,6 +905,8 @@ class Libvirtd:
             pools = list(self.server_pools.values())
         for pool in pools:
             pool.shutdown()
+        for statedir in self._state_dirs:
+            statedir.close()
         unregister_daemon(self.hostname)
 
     def __enter__(self) -> "Libvirtd":

@@ -53,6 +53,14 @@ KIND_CRASH = "crash"
 KIND_SHUTDOWN = "shutdown"
 KIND_RECOVERY = "recovery"
 
+#: one compiled encoder for every durable line (``json.dumps`` with
+#: these options would build a new ``JSONEncoder`` per record)
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _encode_line(record: "Dict[str, Any]") -> bytes:
+    return _ENCODE(record).encode("utf-8") + b"\n"
+
 
 def read_tail(statedir: StateDir) -> "List[Dict[str, Any]]":
     """Parse the recorder file a previous incarnation left behind.
@@ -115,7 +123,12 @@ class FlightRecorder:
         self._now = now
         self.capacity = capacity
         self._ring: "Deque[Dict[str, Any]]" = deque(maxlen=capacity)
-        self._lock = threading.Lock()
+        #: in step with ``_ring``: each record's durable line, or None
+        #: for one that was never encoded (in-memory, or recovered)
+        self._lines: "Deque[Optional[bytes]]" = deque(maxlen=capacity)
+        #: re-entrant: ``record`` compacts through ``flush`` while holding
+        #: it, so ring order is file order and compaction is single-flight
+        self._lock = threading.RLock()
         self.statedir = statedir
         #: records written over this recorder's lifetime (ring evictions
         #: included), and records inherited from previous incarnations
@@ -134,40 +147,40 @@ class FlightRecorder:
         record: Dict[str, Any] = {"t": self._now(), "kind": kind}
         record.update(fields)
         record["life"] = self.incarnation
+        statedir = self.statedir
+        line = None if statedir is None else _encode_line(record)
         with self._lock:
             self._ring.append(record)
+            self._lines.append(line)
             self.records_total += 1
-        if self.statedir is not None:
-            self._persist(record)
+            if line is not None:
+                statedir.append(FLIGHT_FILE, line)
+                self._file_records += 1
+                if self._file_records > COMPACT_FACTOR * self.capacity:
+                    self.flush()
         return record
-
-    def _persist(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self.statedir.append(FLIGHT_FILE, line.encode("utf-8") + b"\n")
-        with self._lock:
-            self._file_records += 1
-            needs_compact = self._file_records > COMPACT_FACTOR * self.capacity
-        if needs_compact:
-            self.flush()
 
     # -- durability --------------------------------------------------------
 
     def flush(self) -> None:
         """Compact the durable tail to exactly the current ring (one
         atomic write).  Called on graceful shutdown and whenever the
-        append-only file outgrows ``COMPACT_FACTOR`` times the ring."""
+        append-only file outgrows ``COMPACT_FACTOR`` times the ring.
+
+        The ring keeps each record's encoded line, so this joins them;
+        only records that never had one (recorded before the directory
+        was attached, or recovered) are encoded here, once.
+        """
         if self.statedir is None:
             return
         with self._lock:
-            records = list(self._ring)
-            self._file_records = len(records)
+            self._lines = deque(
+                (line or _encode_line(r) for r, line in zip(self._ring, self._lines)),
+                maxlen=self.capacity,
+            )
+            self.statedir.write_atomic(FLIGHT_FILE, b"".join(self._lines))
+            self._file_records = len(self._lines)
             self.compactions += 1
-        payload = b"".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")).encode("utf-8")
-            + b"\n"
-            for r in records
-        )
-        self.statedir.write_atomic(FLIGHT_FILE, payload)
 
     def recover(self) -> "List[Dict[str, Any]]":
         """Load the previous incarnation's tail into the ring.
@@ -183,6 +196,7 @@ class FlightRecorder:
         with self._lock:
             for record in tail[-self.capacity :]:
                 self._ring.append(record)
+                self._lines.append(None)
             self.recovered_records += len(tail)
             self._file_records = len(tail)
             self.incarnation = 1 + max(

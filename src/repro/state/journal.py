@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 import zlib
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -36,6 +37,7 @@ from repro.state.statedir import StateDir
 from repro.util.clock import Clock
 
 _HEADER = struct.Struct(">II")  # payload length, CRC32(payload)
+_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 #: modelled I/O latency constants (charged only when a clock is given)
 APPEND_COST_S = 50e-6  # one fsync'd journal append
@@ -66,6 +68,10 @@ class StateJournal:
         #: optional observer called as ``on_append(kind, key, lsn)`` after
         #: every durable append — the daemon's flight recorder rides this
         self.on_append: "Optional[Any]" = None
+        #: one critical section for LSN assignment, the append, the
+        #: counters and the folded map — shared with checkpoint(), so a
+        #: truncate can never discard a record its snapshot lacks
+        self._lock = threading.Lock()
         #: folded last-writer-wins state: (kind, key) -> data
         self._kv: Dict[Tuple[str, str], Any] = {}
         self.lsn = 0
@@ -97,35 +103,35 @@ class StateJournal:
         if data is None:
             raise InvalidArgumentError("journal data must not be None (use delete)")
         self._append(kind, key, data)
-        self._kv[(kind, key)] = data
-        self._maybe_auto_checkpoint()
 
     def delete(self, kind: str, key: str) -> None:
         """Journal a tombstone for ``(kind, key)``."""
         self._append(kind, key, None)
-        self._kv.pop((kind, key), None)
-        self._maybe_auto_checkpoint()
 
     # -- record encoding ---------------------------------------------------
 
     def _encode(self, kind: str, key: str, data: Any) -> bytes:
-        payload = json.dumps(
-            {"lsn": self.lsn + 1, "kind": kind, "key": key, "data": data},
-            separators=(",", ":"),
-            sort_keys=True,
+        """The next record's bytes (caller holds the lock)."""
+        payload = _ENCODE(
+            {"lsn": self.lsn + 1, "kind": kind, "key": key, "data": data}
         ).encode("utf-8")
         return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
     def _append(self, kind: str, key: str, data: Any) -> None:
-        record = self._encode(kind, key, data)
-        self.statedir.append(self.JOURNAL_FILE, record)
-        self.lsn += 1
-        self.tail_records += 1
-        self.appends += 1
+        with self._lock:
+            self.statedir.append(self.JOURNAL_FILE, self._encode(kind, key, data))
+            lsn = self.lsn = self.lsn + 1
+            self.tail_records += 1
+            self.appends += 1
+            if data is None:
+                self._kv.pop((kind, key), None)
+            else:
+                self._kv[(kind, key)] = data
         if self.clock is not None:
             self.clock.sleep(APPEND_COST_S)
         if self.on_append is not None:
-            self.on_append(kind, key, self.lsn)
+            self.on_append(kind, key, lsn)
+        self._maybe_auto_checkpoint()
 
     def append_torn(self, kind: str, key: str, data: Any) -> int:
         """Write a deliberately torn record: the crash-injection hook.
@@ -136,9 +142,10 @@ class StateJournal:
         *not* updated — the write never finished.  Returns the number
         of bytes written, for tests to assert against.
         """
-        record = self._encode(kind, key, data)
-        torn = record[: _HEADER.size + max(1, (len(record) - _HEADER.size) // 2)]
-        self.statedir.append(self.JOURNAL_FILE, torn)
+        with self._lock:
+            record = self._encode(kind, key, data)
+            torn = record[: _HEADER.size + max(1, (len(record) - _HEADER.size) // 2)]
+            self.statedir.append(self.JOURNAL_FILE, torn)
         if self.clock is not None:
             self.clock.sleep(APPEND_COST_S)
         return len(torn)
@@ -152,20 +159,22 @@ class StateJournal:
         during checkpoint leaves either the old snapshot + full journal
         or the new snapshot + empty journal — both recoverable.
         """
-        snapshot = {
-            "lsn": self.lsn,
-            "entries": [
-                [kind, key, data]
-                for (kind, key), data in sorted(self._kv.items())
-            ],
-        }
-        blob = json.dumps(snapshot, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        self.statedir.write_atomic(self.SNAPSHOT_FILE, blob)
-        self.statedir.truncate(self.JOURNAL_FILE, 0)
-        self.snapshot_lsn = self.lsn
-        self.tail_records = 0
+        with self._lock:
+            snapshot = {
+                "lsn": self.lsn,
+                "entries": [
+                    [kind, key, data]
+                    for (kind, key), data in sorted(self._kv.items())
+                ],
+            }
+            blob = _ENCODE(snapshot).encode("utf-8")
+            self.statedir.write_atomic(self.SNAPSHOT_FILE, blob)
+            self.statedir.truncate(self.JOURNAL_FILE, 0)
+            self.snapshot_lsn = self.lsn
+            self.tail_records = 0
+            entries = len(self._kv)
         if self.clock is not None:
-            self.clock.sleep(SNAPSHOT_BASE_S + SNAPSHOT_ENTRY_S * len(self._kv))
+            self.clock.sleep(SNAPSHOT_BASE_S + SNAPSHOT_ENTRY_S * entries)
 
     def _maybe_auto_checkpoint(self) -> None:
         if self.tail_records >= self.checkpoint_every:
