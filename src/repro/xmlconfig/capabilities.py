@@ -14,11 +14,13 @@ from typing import List, Optional, Sequence
 from repro.errors import XMLError
 from repro.util.xmlutil import (
     child_text,
-    element_to_string,
+    escape_attr,
+    escape_text,
+    int_attr,
     int_child_text,
     parse_xml,
     require_attr,
-    sub_element,
+    text_element,
 )
 
 
@@ -55,28 +57,27 @@ class HostCapability:
     def total_cpus(self) -> int:
         return self.sockets * self.cores * self.threads
 
-    def to_element(self) -> ET.Element:
-        host = ET.Element("host")
-        sub_element(host, "uuid", text=self.uuid)
-        cpu = sub_element(host, "cpu")
-        sub_element(cpu, "arch", text=self.arch)
-        sub_element(cpu, "model", text=self.cpu_model)
-        sub_element(
-            cpu,
-            "topology",
-            sockets=str(self.sockets),
-            cores=str(self.cores),
-            threads=str(self.threads),
-        )
-        sub_element(cpu, "mhz", text=str(self.mhz))
-        sub_element(host, "memory", text=str(self.memory_kib), unit="KiB")
-        topology = sub_element(host, "topology")
-        cells = sub_element(topology, "cells", num=str(self.numa_cells))
+    def _xml(self) -> str:
         per_cell_kib = self.memory_kib // self.numa_cells
-        for cell_id in range(self.numa_cells):
-            cell = sub_element(cells, "cell", id=str(cell_id))
-            sub_element(cell, "memory", text=str(per_cell_kib), unit="KiB")
-        return host
+        memory = f'          <memory unit="KiB">{per_cell_kib}</memory>\n'
+        cells = "".join(
+            [f'        <cell id="{i}">\n{memory}        </cell>\n' for i in range(self.numa_cells)]
+        )
+        return (
+            "  <host>\n"
+            f"    {text_element('uuid', self.uuid)}\n"
+            "    <cpu>\n"
+            f"      {text_element('arch', self.arch)}\n"
+            f"      {text_element('model', self.cpu_model)}\n"
+            f'      <topology sockets="{self.sockets}" cores="{self.cores}"'
+            f' threads="{self.threads}" />\n'
+            f"      <mhz>{self.mhz}</mhz>\n"
+            "    </cpu>\n"
+            f'    <memory unit="KiB">{self.memory_kib}</memory>\n'
+            "    <topology>\n"
+            f'      <cells num="{self.numa_cells}">\n{cells}      </cells>\n'
+            "    </topology>\n  </host>\n"
+        )
 
     @staticmethod
     def from_element(host: ET.Element) -> "HostCapability":
@@ -97,14 +98,14 @@ class HostCapability:
         if topology is not None:
             cells = topology.find("cells")
             if cells is not None:
-                numa_cells = int(cells.get("num", "1"))
+                numa_cells = int_attr(cells, "num", 1)
         return HostCapability(
             uuid=uuid,
             arch=child_text(cpu, "arch", "x86_64"),
             cpu_model=child_text(cpu, "model", "sim-core"),
-            sockets=int(require_attr(topo, "sockets")),
-            cores=int(require_attr(topo, "cores")),
-            threads=int(require_attr(topo, "threads")),
+            sockets=int_attr(topo, "sockets"),
+            cores=int_attr(topo, "cores"),
+            threads=int_attr(topo, "threads"),
             memory_kib=memory,
             mhz=int_child_text(cpu, "mhz", 2400),
             numa_cells=numa_cells,
@@ -130,16 +131,21 @@ class GuestCapability:
         self.emulator = emulator
         self.max_vcpus = max_vcpus
 
-    def to_element(self) -> ET.Element:
-        guest = ET.Element("guest")
-        sub_element(guest, "os_type", text=self.os_type)
-        arch = sub_element(guest, "arch", name=self.arch)
-        if self.emulator:
-            sub_element(arch, "emulator", text=self.emulator)
-        sub_element(arch, "vcpu", max=str(self.max_vcpus))
-        for dtype in self.domain_types:
-            sub_element(arch, "domain", type=dtype)
-        return guest
+    def _xml(self) -> str:
+        emulator = (
+            f"      <emulator>{escape_text(self.emulator)}</emulator>\n" if self.emulator else ""
+        )
+        domains = "".join(
+            [f'      <domain type="{escape_attr(dtype)}" />\n' for dtype in self.domain_types]
+        )
+        return (
+            "  <guest>\n"
+            f"    {text_element('os_type', self.os_type)}\n"
+            f'    <arch name="{escape_attr(self.arch)}">\n'
+            f"{emulator}"
+            f'      <vcpu max="{self.max_vcpus}" />\n'
+            f"{domains}    </arch>\n  </guest>\n"
+        )
 
     @staticmethod
     def from_element(guest: ET.Element) -> "GuestCapability":
@@ -155,7 +161,7 @@ class GuestCapability:
             arch=require_attr(arch, "name"),
             domain_types=[require_attr(d, "type") for d in arch.findall("domain")],
             emulator=child_text(arch, "emulator"),
-            max_vcpus=int(vcpu.get("max", "64")) if vcpu is not None else 64,
+            max_vcpus=int_attr(vcpu, "max", 64) if vcpu is not None else 64,
         )
 
 
@@ -182,12 +188,9 @@ class Capabilities:
                     seen.append(dtype)
         return seen
 
-    def to_xml(self, pretty: bool = True) -> str:
-        root = ET.Element("capabilities")
-        root.append(self.host.to_element())
-        for guest in self.guests:
-            root.append(guest.to_element())
-        return element_to_string(root, pretty=pretty)
+    def to_xml(self) -> str:
+        guests = "".join([guest._xml() for guest in self.guests])
+        return f"<capabilities>\n{self.host._xml()}{guests}</capabilities>"
 
     @staticmethod
     def from_xml(text: str) -> "Capabilities":

@@ -16,10 +16,12 @@ from typing import List, Optional
 from repro.errors import XMLError
 from repro.util.xmlutil import (
     child_text,
-    element_to_string,
+    escape_attr,
+    escape_text,
+    int_attr,
     parse_xml,
     require_attr,
-    sub_element,
+    text_element,
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.+:@-]+$")
@@ -42,16 +44,11 @@ class CheckpointDisk:
         self.dirty_blocks = dirty_blocks
         self.block_size = block_size
 
-    def to_element(self) -> ET.Element:
-        return ET.Element(
-            "disk",
-            {
-                "name": self.name,
-                "checkpoint": "bitmap",
-                "bitmap": self.bitmap,
-                "dirty-blocks": str(self.dirty_blocks),
-                "block-size": str(self.block_size),
-            },
+    def _xml(self) -> str:
+        return (
+            f'    <disk name="{escape_attr(self.name)}" checkpoint="bitmap"'
+            f' bitmap="{escape_attr(self.bitmap)}" dirty-blocks="{self.dirty_blocks}"'
+            f' block-size="{self.block_size}" />\n'
         )
 
     @staticmethod
@@ -59,8 +56,8 @@ class CheckpointDisk:
         return CheckpointDisk(
             require_attr(elem, "name"),
             elem.get("bitmap", ""),
-            int(elem.get("dirty-blocks", "0")),
-            int(elem.get("block-size", "0")),
+            int_attr(elem, "dirty-blocks", 0),
+            int_attr(elem, "block-size", 0),
         )
 
 
@@ -88,20 +85,22 @@ class CheckpointConfig:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CheckpointConfig(name={self.name!r}, parent={self.parent!r})"
 
-    def to_xml(self, pretty: bool = True) -> str:
-        root = ET.Element("domaincheckpoint")
-        sub_element(root, "name", text=self.name)
-        if self.parent:
-            parent = sub_element(root, "parent")
-            sub_element(parent, "name", text=self.parent)
-        sub_element(root, "creationTime", text=str(int(self.creation_time)))
-        sub_element(root, "state", text=self.state)
-        if self.domain:
-            sub_element(root, "domain", text=self.domain)
-        disks = sub_element(root, "disks")
-        for disk in self.disks:
-            disks.append(disk.to_element())
-        return element_to_string(root, pretty=pretty)
+    def to_xml(self) -> str:
+        parent = (
+            f"  <parent>\n    <name>{escape_text(self.parent)}</name>\n  </parent>\n"
+            if self.parent
+            else ""
+        )
+        domain = f"  <domain>{escape_text(self.domain)}</domain>\n" if self.domain else ""
+        disks = "".join([disk._xml() for disk in self.disks])
+        disks = f"  <disks>\n{disks}  </disks>\n" if disks else "  <disks />\n"
+        return (
+            f"<domaincheckpoint>\n  <name>{escape_text(self.name)}</name>\n"
+            f"{parent}"
+            f"  <creationTime>{int(self.creation_time)}</creationTime>\n"
+            f"  {text_element('state', self.state)}\n"
+            f"{domain}{disks}</domaincheckpoint>"
+        )
 
     @staticmethod
     def from_xml(text: str) -> "CheckpointConfig":

@@ -19,11 +19,12 @@ from repro.errors import XMLError
 from repro.util import uuidutil
 from repro.util.xmlutil import (
     child_text,
-    element_to_string,
+    escape_attr,
+    escape_text,
     int_attr,
+    int_text,
     parse_xml,
     require_attr,
-    sub_element,
 )
 
 #: domain/hypervisor types understood by the library
@@ -34,6 +35,12 @@ LIFECYCLE_ACTIONS = ("destroy", "restart", "preserve", "rename-restart")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.+:@-]+$")
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
+#: a feature is written as a tag, so it must be an XML name (no prefix)
+_FEATURE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+
+# Formatting: each class writes its own, already indented, lines (``_xml``);
+# ``str`` fields pass through an escaper, ``int`` fields are formatted as they
+# are, and the bytes are ``ElementTree``'s (``tests/data/xml_golden/``).
 
 
 class DiskDevice:
@@ -91,19 +98,28 @@ class DiskDevice:
             self.capacity_bytes,
         )
 
-    def to_element(self) -> ET.Element:
-        elem = ET.Element("disk", {"type": self.disk_type, "device": self.device})
-        sub_element(elem, "driver", name="sim", type=self.driver_format)
+    def _xml(self) -> str:
         source_attr = "file" if self.disk_type == "file" else (
             "dev" if self.disk_type == "block" else "volume"
         )
-        sub_element(elem, "source", **{source_attr: self.source})
-        sub_element(elem, "target", dev=self.target_dev, bus=self.target_bus)
+        capacity = readonly = ""
         if self.capacity_bytes:
-            sub_element(elem, "capacity", text=str(self.capacity_bytes), unit="bytes")
+            capacity = f'      <capacity unit="bytes">{self.capacity_bytes}</capacity>\n'
         if self.readonly:
-            sub_element(elem, "readonly")
-        return elem
+            readonly = "      <readonly />\n"
+        return (
+            f'    <disk type="{escape_attr(self.disk_type)}"'
+            f' device="{escape_attr(self.device)}">\n'
+            f'      <driver name="sim" type="{escape_attr(self.driver_format)}" />\n'
+            f'      <source {source_attr}="{escape_attr(self.source)}" />\n'
+            f'      <target dev="{escape_attr(self.target_dev)}"'
+            f' bus="{escape_attr(self.target_bus)}" />\n'
+            f"{capacity}{readonly}"
+            "    </disk>\n"
+        )
+
+    def to_element(self) -> ET.Element:
+        return parse_xml(self._xml())
 
     @staticmethod
     def from_element(elem: ET.Element) -> "DiskDevice":
@@ -124,7 +140,7 @@ class DiskDevice:
         if target is None:
             raise XMLError("disk element lacks <target>")
         capacity_elem = elem.find("capacity")
-        capacity = int(capacity_elem.text) if capacity_elem is not None else 0
+        capacity = int_text(capacity_elem) if capacity_elem is not None else 0
         return DiskDevice(
             source=source,
             target_dev=require_attr(target, "dev"),
@@ -173,15 +189,21 @@ class InterfaceDevice:
             other.model,
         )
 
-    def to_element(self) -> ET.Element:
-        elem = ET.Element("interface", {"type": self.interface_type})
-        if self.mac:
-            sub_element(elem, "mac", address=self.mac)
-        source_attr = "network" if self.interface_type == "network" else "bridge"
+    def _xml(self) -> str:
+        mac = f'      <mac address="{escape_attr(self.mac)}" />\n' if self.mac else ""
+        source = ""
         if self.interface_type != "user":
-            sub_element(elem, "source", **{source_attr: self.source})
-        sub_element(elem, "model", type=self.model)
-        return elem
+            source_attr = "network" if self.interface_type == "network" else "bridge"
+            source = f'      <source {source_attr}="{escape_attr(self.source)}" />\n'
+        return (
+            f'    <interface type="{escape_attr(self.interface_type)}">\n'
+            f"{mac}{source}"
+            f'      <model type="{escape_attr(self.model)}" />\n'
+            "    </interface>\n"
+        )
+
+    def to_element(self) -> ET.Element:
+        return parse_xml(self._xml())
 
     @staticmethod
     def from_element(elem: ET.Element) -> "InterfaceDevice":
@@ -219,14 +241,10 @@ class GraphicsDevice:
             other.autoport,
         )
 
-    def to_element(self) -> ET.Element:
-        return ET.Element(
-            "graphics",
-            {
-                "type": self.graphics_type,
-                "port": str(self.port),
-                "autoport": "yes" if self.autoport else "no",
-            },
+    def _xml(self) -> str:
+        return (
+            f'    <graphics type="{escape_attr(self.graphics_type)}" port="{self.port}"'
+            f' autoport="{"yes" if self.autoport else "no"}" />\n'
         )
 
     @staticmethod
@@ -257,10 +275,12 @@ class ConsoleDevice:
             other.target_port,
         )
 
-    def to_element(self) -> ET.Element:
-        elem = ET.Element("console", {"type": self.console_type})
-        sub_element(elem, "target", port=str(self.target_port))
-        return elem
+    def _xml(self) -> str:
+        return (
+            f'    <console type="{escape_attr(self.console_type)}">\n'
+            f'      <target port="{self.target_port}" />\n'
+            "    </console>\n"
+        )
 
     @staticmethod
     def from_element(elem: ET.Element) -> "ConsoleDevice":
@@ -305,14 +325,15 @@ class OSConfig:
             other.init,
         )
 
-    def to_element(self) -> ET.Element:
-        elem = ET.Element("os")
-        sub_element(elem, "type", text=self.os_type, arch=self.arch)
-        for dev in self.boot:
-            sub_element(elem, "boot", dev=dev)
-        if self.init:
-            sub_element(elem, "init", text=self.init)
-        return elem
+    def _xml(self) -> str:
+        boot = "".join([f'    <boot dev="{escape_attr(dev)}" />\n' for dev in self.boot])
+        init = f"    <init>{escape_text(self.init)}</init>\n" if self.init else ""
+        return (
+            "  <os>\n"
+            f'    <type arch="{escape_attr(self.arch)}">{escape_text(self.os_type)}</type>\n'
+            f"{boot}{init}"
+            "  </os>\n"
+        )
 
     @staticmethod
     def from_element(elem: ET.Element) -> "OSConfig":
@@ -400,6 +421,9 @@ class DomainConfig:
         macs = [i.mac for i in self.interfaces if i.mac]
         if len(macs) != len(set(macs)):
             raise XMLError(f"duplicate interface MAC addresses in {macs}")
+        for feature in self.features:
+            if not _FEATURE_RE.fullmatch(feature):
+                raise XMLError(f"invalid feature name {feature!r}")
         if self.domain_type == "lxc" and self.os.os_type != "exe":
             raise XMLError("lxc domains require os type 'exe'")
         if self.domain_type in ("qemu", "kvm", "esx", "test") and self.os.os_type != "hvm":
@@ -417,35 +441,29 @@ class DomainConfig:
 
     # -- serialization --------------------------------------------------
 
-    def to_xml(self, pretty: bool = True) -> str:
+    def to_xml(self) -> str:
         """Format the config as a ``<domain>`` document."""
-        root = ET.Element("domain", {"type": self.domain_type})
-        sub_element(root, "name", text=self.name)
-        if self.uuid:
-            sub_element(root, "uuid", text=self.uuid)
-        sub_element(root, "memory", text=str(self.memory_kib), unit="KiB")
-        sub_element(
-            root, "currentMemory", text=str(self.current_memory_kib), unit="KiB"
+        uuid = f"  <uuid>{escape_text(self.uuid)}</uuid>\n" if self.uuid else ""
+        features = "".join([f"    <{feature} />\n" for feature in self.features])
+        if features:
+            features = f"  <features>\n{features}  </features>\n"
+        devices = "".join(
+            [d._xml() for d in self.disks + self.interfaces + self.graphics + self.consoles]
         )
-        sub_element(root, "vcpu", text=str(self.max_vcpus), current=str(self.vcpus))
-        root.append(self.os.to_element())
-        if self.features:
-            features = sub_element(root, "features")
-            for feature in self.features:
-                sub_element(features, feature)
-        sub_element(root, "on_poweroff", text=self.on_poweroff)
-        sub_element(root, "on_reboot", text=self.on_reboot)
-        sub_element(root, "on_crash", text=self.on_crash)
-        devices = sub_element(root, "devices")
-        for disk in self.disks:
-            devices.append(disk.to_element())
-        for iface in self.interfaces:
-            devices.append(iface.to_element())
-        for gfx in self.graphics:
-            devices.append(gfx.to_element())
-        for console in self.consoles:
-            devices.append(console.to_element())
-        return element_to_string(root, pretty=pretty)
+        devices = f"  <devices>\n{devices}  </devices>\n" if devices else "  <devices />\n"
+        return (
+            f'<domain type="{escape_attr(self.domain_type)}">\n'
+            f"  <name>{escape_text(self.name)}</name>\n"
+            f"{uuid}"
+            f'  <memory unit="KiB">{self.memory_kib}</memory>\n'
+            f'  <currentMemory unit="KiB">{self.current_memory_kib}</currentMemory>\n'
+            f'  <vcpu current="{self.vcpus}">{self.max_vcpus}</vcpu>\n'
+            f"{self.os._xml()}{features}"
+            f"  <on_poweroff>{escape_text(self.on_poweroff)}</on_poweroff>\n"
+            f"  <on_reboot>{escape_text(self.on_reboot)}</on_reboot>\n"
+            f"  <on_crash>{escape_text(self.on_crash)}</on_crash>\n"
+            f"{devices}</domain>"
+        )
 
     @staticmethod
     def from_xml(text: str) -> "DomainConfig":
@@ -463,7 +481,7 @@ class DomainConfig:
         current = _parse_memory_element(root, "currentMemory")
         vcpu_elem = root.find("vcpu")
         if vcpu_elem is not None and vcpu_elem.text:
-            max_vcpus = int(vcpu_elem.text)
+            max_vcpus = int_text(vcpu_elem)
             vcpus = int_attr(vcpu_elem, "current", max_vcpus)
         else:
             max_vcpus = vcpus = 1
@@ -542,8 +560,4 @@ def _parse_memory_element(root: ET.Element, tag: str) -> Optional[int]:
     unit = elem.get("unit", "KiB").lower()
     if unit not in _MEMORY_UNIT_KIB:
         raise XMLError(f"unknown memory unit {unit!r} on <{tag}>")
-    try:
-        value = int(elem.text.strip())
-    except ValueError as exc:
-        raise XMLError(f"<{tag}> must hold an integer, got {elem.text!r}") from exc
-    return int(value * _MEMORY_UNIT_KIB[unit])
+    return int(int_text(elem) * _MEMORY_UNIT_KIB[unit])

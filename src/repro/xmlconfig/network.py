@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import ipaddress
 import re
-import xml.etree.ElementTree as ET
 from typing import Optional
 
 from repro.errors import XMLError
 from repro.util import uuidutil
-from repro.util.xmlutil import (
-    child_text,
-    element_to_string,
-    parse_xml,
-    require_attr,
-    sub_element,
-)
+from repro.util.xmlutil import child_text, escape_attr, escape_text, parse_xml, require_attr
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.+:@-]+$")
 
@@ -80,6 +73,19 @@ class IPConfig:
             other.dhcp,
         )
 
+    def _xml(self) -> str:
+        ip = f'  <ip address="{escape_attr(self.address)}" netmask="{escape_attr(self.netmask)}"'
+        if self.dhcp is None:
+            return f"{ip} />\n"
+        return (
+            f"{ip}>\n"
+            "    <dhcp>\n"
+            f'      <range start="{escape_attr(self.dhcp.start)}"'
+            f' end="{escape_attr(self.dhcp.end)}" />\n'
+            "    </dhcp>\n"
+            "  </ip>\n"
+        )
+
 
 class NetworkConfig:
     """A complete, validated ``<network>`` document."""
@@ -110,24 +116,18 @@ class NetworkConfig:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NetworkConfig(name={self.name!r}, mode={self.forward_mode!r})"
 
-    def to_xml(self, pretty: bool = True) -> str:
-        root = ET.Element("network")
-        sub_element(root, "name", text=self.name)
-        if self.uuid:
-            sub_element(root, "uuid", text=self.uuid)
+    def to_xml(self) -> str:
+        uuid = f"  <uuid>{escape_text(self.uuid)}</uuid>\n" if self.uuid else ""
+        forward = ""
         if self.forward_mode != "isolated":
-            sub_element(root, "forward", mode=self.forward_mode)
-        sub_element(root, "bridge", name=self.bridge)
-        if self.ip is not None:
-            ip_elem = sub_element(
-                root, "ip", address=self.ip.address, netmask=self.ip.netmask
-            )
-            if self.ip.dhcp is not None:
-                dhcp_elem = sub_element(ip_elem, "dhcp")
-                sub_element(
-                    dhcp_elem, "range", start=self.ip.dhcp.start, end=self.ip.dhcp.end
-                )
-        return element_to_string(root, pretty=pretty)
+            forward = f'  <forward mode="{escape_attr(self.forward_mode)}" />\n'
+        ip = self.ip._xml() if self.ip is not None else ""
+        return (
+            f"<network>\n  <name>{escape_text(self.name)}</name>\n"
+            f"{uuid}{forward}"
+            f'  <bridge name="{escape_attr(self.bridge)}" />\n'
+            f"{ip}</network>"
+        )
 
     @staticmethod
     def from_xml(text: str) -> "NetworkConfig":

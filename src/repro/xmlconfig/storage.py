@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from typing import Optional
 
 from repro.errors import XMLError
 from repro.util import uuidutil
-from repro.util.xmlutil import (
-    child_text,
-    element_to_string,
-    parse_xml,
-    require_attr,
-    sub_element,
-)
+from repro.util.xmlutil import child_text, escape_attr, escape_text, int_child_text, parse_xml, require_attr
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.+:@-]+$")
 
@@ -55,15 +48,18 @@ class StoragePoolConfig:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StoragePoolConfig(name={self.name!r}, type={self.pool_type!r})"
 
-    def to_xml(self, pretty: bool = True) -> str:
-        root = ET.Element("pool", {"type": self.pool_type})
-        sub_element(root, "name", text=self.name)
-        if self.uuid:
-            sub_element(root, "uuid", text=self.uuid)
-        sub_element(root, "capacity", text=str(self.capacity_bytes), unit="bytes")
-        target = sub_element(root, "target")
-        sub_element(target, "path", text=self.target_path)
-        return element_to_string(root, pretty=pretty)
+    def to_xml(self) -> str:
+        uuid = f"  <uuid>{escape_text(self.uuid)}</uuid>\n" if self.uuid else ""
+        return (
+            f'<pool type="{escape_attr(self.pool_type)}">\n'
+            f"  <name>{escape_text(self.name)}</name>\n"
+            f"{uuid}"
+            f'  <capacity unit="bytes">{self.capacity_bytes}</capacity>\n'
+            "  <target>\n"
+            f"    <path>{escape_text(self.target_path)}</path>\n"
+            "  </target>\n"
+            "</pool>"
+        )
 
     @staticmethod
     def from_xml(text: str) -> "StoragePoolConfig":
@@ -73,7 +69,6 @@ class StoragePoolConfig:
         name = child_text(root, "name")
         if not name:
             raise XMLError("pool lacks a <name>")
-        capacity_text = child_text(root, "capacity", str(100 * 1024**3))
         target = root.find("target")
         target_path = child_text(target, "path") if target is not None else None
         return StoragePoolConfig(
@@ -81,7 +76,7 @@ class StoragePoolConfig:
             pool_type=require_attr(root, "type"),
             uuid=child_text(root, "uuid"),
             target_path=target_path,
-            capacity_bytes=int(capacity_text),
+            capacity_bytes=int_child_text(root, "capacity", 100 * 1024**3),
         )
 
 
@@ -125,17 +120,23 @@ class VolumeConfig:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VolumeConfig(name={self.name!r}, format={self.volume_format!r})"
 
-    def to_xml(self, pretty: bool = True) -> str:
-        root = ET.Element("volume")
-        sub_element(root, "name", text=self.name)
-        sub_element(root, "capacity", text=str(self.capacity_bytes), unit="bytes")
-        sub_element(root, "allocation", text=str(self.allocation_bytes), unit="bytes")
-        target = sub_element(root, "target")
-        sub_element(target, "format", type=self.volume_format)
-        if self.backing_store:
-            backing = sub_element(root, "backingStore")
-            sub_element(backing, "path", text=self.backing_store)
-        return element_to_string(root, pretty=pretty)
+    def to_xml(self) -> str:
+        backing = (
+            f"  <backingStore>\n    <path>{escape_text(self.backing_store)}</path>\n"
+            "  </backingStore>\n"
+            if self.backing_store
+            else ""
+        )
+        return (
+            f"<volume>\n  <name>{escape_text(self.name)}</name>\n"
+            f'  <capacity unit="bytes">{self.capacity_bytes}</capacity>\n'
+            f'  <allocation unit="bytes">{self.allocation_bytes}</allocation>\n'
+            "  <target>\n"
+            f'    <format type="{escape_attr(self.volume_format)}" />\n'
+            "  </target>\n"
+            f"{backing}"
+            "</volume>"
+        )
 
     @staticmethod
     def from_xml(text: str) -> "VolumeConfig":
@@ -145,10 +146,9 @@ class VolumeConfig:
         name = child_text(root, "name")
         if not name:
             raise XMLError("volume lacks a <name>")
-        capacity = child_text(root, "capacity")
+        capacity = int_child_text(root, "capacity")
         if capacity is None:
             raise XMLError("volume lacks a <capacity>")
-        allocation = child_text(root, "allocation")
         target = root.find("target")
         volume_format = "qcow2"
         if target is not None:
@@ -159,8 +159,8 @@ class VolumeConfig:
         backing = child_text(backing_elem, "path") if backing_elem is not None else None
         return VolumeConfig(
             name=name,
-            capacity_bytes=int(capacity),
-            allocation_bytes=int(allocation) if allocation is not None else None,
+            capacity_bytes=capacity,
+            allocation_bytes=int_child_text(root, "allocation"),
             volume_format=volume_format,
             backing_store=backing,
         )

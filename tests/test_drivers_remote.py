@@ -230,3 +230,33 @@ class TestRemoteMigration:
             # source still running, destination clean
             assert dom.state() == DomainState.RUNNING
             assert dst.list_domains(active=True) == []
+
+
+class TestMalformedDocumentsOverTheWire:
+    """A document the daemon cannot parse is the caller's XML error (code 14),
+    not the daemon's internal error (code 1)."""
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            '<vcpu current="1">one</vcpu>',
+            '<vcpu current="1">1</vcpu><devices><disk><source file="/a" /><target dev="vda" />'
+            '<capacity unit="bytes">five</capacity></disk></devices>',
+            '<vcpu current="1">1</vcpu><devices><disk><source file="/a" /><target dev="vda" />'
+            '<capacity unit="bytes" /></disk></devices>',
+            "<features><a:b /></features>",
+        ],
+    )
+    def test_define_domain_answers_xml_error(self, daemon, broken):
+        from repro.errors import ErrorCode, XMLError
+
+        xml = f'<domain type="kvm"><name>bad</name><memory>1024</memory>{broken}</domain>'
+        connection = repro.open_connection("qemu+unix://farm1/system")
+        try:
+            with pytest.raises(XMLError) as caught:
+                connection.define_domain(xml)
+            assert caught.value.code == ErrorCode.XML_ERROR
+            assert "internal error" not in str(caught.value)
+            assert connection.list_domains() == []
+        finally:
+            connection.close()

@@ -79,3 +79,21 @@ class TestCapabilities:
     def test_missing_host_rejected(self):
         with pytest.raises(XMLError, match="lack a <host>"):
             Capabilities.from_xml("<capabilities></capabilities>")
+
+
+class TestMalformedIntegers:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('sockets="2"', 'sockets="two"', "'sockets' on <topology> must be an integer"),
+            ('cores="8" ', "", "missing required attribute 'cores'"),
+            ('<cells num="2">', '<cells num="both">', "'num' on <cells> must be an integer"),
+            ('<vcpu max="64" />', '<vcpu max="many" />', "'max' on <vcpu> must be an integer"),
+            ("<mhz>3000</mhz>", "<mhz>fast</mhz>", "<mhz> must hold an integer"),
+        ],
+    )
+    def test_capabilities_document(self, old, new, message):
+        xml = sample_caps().to_xml()
+        assert old in xml
+        with pytest.raises(XMLError, match=message):
+            Capabilities.from_xml(xml.replace(old, new))

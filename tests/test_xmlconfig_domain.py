@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import XMLError
+from repro.util.xmlutil import element_to_string
 from repro.xmlconfig.domain import (
     ConsoleDevice,
     DiskDevice,
@@ -245,3 +246,97 @@ class TestCopy:
             full_config().copy(vcpus=0)
         with pytest.raises(XMLError):
             full_config().copy(nonexistent_field=1)
+
+
+def _doc(extra="", vcpu='<vcpu current="1">1</vcpu>', devices=""):
+    return (
+        f'<domain type="test"><name>d</name><memory>1024</memory>{vcpu}{extra}'
+        f"<devices>{devices}</devices></domain>"
+    )
+
+
+def _disk(capacity):
+    return (
+        f'<disk type="file" device="disk"><source file="/a.img" />'
+        f'<target dev="vda" bus="virtio" />{capacity}</disk>'
+    )
+
+
+class TestMalformedIntegers:
+    """A non-integer where the schema wants one is an XMLError, never a bare
+    ValueError/TypeError (which a daemon would report as an internal error)."""
+
+    @pytest.mark.parametrize(
+        "xml, element",
+        [
+            (_doc(vcpu='<vcpu current="1">one</vcpu>'), "<vcpu>"),
+            (_doc(vcpu='<vcpu current="x">2</vcpu>'), "<vcpu>"),
+            (_doc(devices=_disk('<capacity unit="bytes">five</capacity>')), "<capacity>"),
+            (_doc(devices=_disk('<capacity unit="bytes" />')), "<capacity>"),
+            (_doc(devices='<graphics type="vnc" port="auto" />'), "<graphics>"),
+            (_doc(devices='<console type="pty"><target port="p" /></console>'), "<target>"),
+            (_doc().replace("<memory>1024", "<memory>lots"), "<memory>"),
+        ],
+    )
+    def test_domain_document(self, xml, element):
+        with pytest.raises(XMLError, match=element):
+            DomainConfig.from_xml(xml)
+
+    def test_well_formed_integers_still_parse(self):
+        cfg = DomainConfig.from_xml(
+            _doc(vcpu='<vcpu current=" 2 "> 4 </vcpu>',
+                 devices=_disk('<capacity unit="bytes"> 4096 </capacity>'))
+        )
+        assert (cfg.vcpus, cfg.max_vcpus, cfg.disks[0].capacity_bytes) == (2, 4, 4096)
+
+
+class TestFeatureNames:
+    """Features are written as tag names, so they must be XML names."""
+
+    @pytest.mark.parametrize(
+        "feature", ["a b", "x><y", "", "1st", "a/b", 'a"b', "ns:tag", "acpi\n", "<!--"]
+    )
+    def test_invalid_feature_rejected_at_construction(self, feature):
+        with pytest.raises(XMLError, match="invalid feature name"):
+            DomainConfig(name="a", features=[feature])
+
+    def test_invalid_feature_rejected_by_copy_and_validate(self):
+        cfg = DomainConfig(name="a", features=["acpi"])
+        with pytest.raises(XMLError, match="invalid feature name"):
+            cfg.copy(features=["x><y"])
+        cfg.features.append("a b")
+        with pytest.raises(XMLError, match="invalid feature name"):
+            cfg.validate()
+
+    def test_namespaced_feature_rejected_by_from_xml(self):
+        xml = _doc(extra='<features><x:f xmlns:x="urn:x" /></features>')
+        with pytest.raises(XMLError, match="invalid feature name"):
+            DomainConfig.from_xml(xml)
+
+    def test_xml_names_accepted_and_round_trip(self):
+        cfg = DomainConfig(name="a", features=["acpi", "hyper-v", "_x", "vm.port", "Pae2"])
+        assert "    <hyper-v />\n" in cfg.to_xml()
+        assert DomainConfig.from_xml(cfg.to_xml()).features == cfg.features
+
+
+class TestDeviceElements:
+    """to_element() is parse_xml of what the writer wrote: one source of truth."""
+
+    @pytest.mark.parametrize(
+        "device",
+        [
+            DiskDevice("/a&b.img", "vda", capacity_bytes=7, readonly=True),
+            DiskDevice("/dev/sdb", "sdb", disk_type="block", driver_format="raw"),
+            InterfaceDevice("bridge", 'br"0', "52:54:00:00:00:01", "e1000"),
+            InterfaceDevice("user"),
+        ],
+    )
+    def test_element_round_trips_and_matches_the_document(self, device):
+        elem = device.to_element()
+        assert type(device).from_element(elem) == device
+        lines = element_to_string(elem).splitlines()
+        if isinstance(device, DiskDevice):
+            document = DomainConfig(name="d", disks=[device]).to_xml()
+        else:
+            document = DomainConfig(name="d", interfaces=[device]).to_xml()
+        assert "\n".join("    " + line for line in lines) in document

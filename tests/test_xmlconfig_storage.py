@@ -96,3 +96,28 @@ class TestVolumeConfig:
     def test_missing_capacity_rejected(self):
         with pytest.raises(XMLError, match="lacks a <capacity>"):
             VolumeConfig.from_xml("<volume><name>v</name></volume>")
+
+
+class TestMalformedIntegers:
+    def test_pool_document(self):
+        xml = '<pool type="dir"><name>p</name><capacity unit="bytes">big</capacity></pool>'
+        with pytest.raises(XMLError, match="<capacity> must hold an integer"):
+            StoragePoolConfig.from_xml(xml)
+
+    @pytest.mark.parametrize(
+        "body, element",
+        [
+            ("<capacity>ten</capacity>", "<capacity>"),
+            ("<capacity>10</capacity><allocation>1.5</allocation>", "<allocation>"),
+        ],
+    )
+    def test_volume_document(self, body, element):
+        with pytest.raises(XMLError, match=f"{element} must hold an integer"):
+            VolumeConfig.from_xml(f"<volume><name>v</name>{body}</volume>")
+
+    def test_pool_capacity_defaults_when_absent_or_empty(self):
+        for capacity in ("", "<capacity />"):
+            pool = StoragePoolConfig.from_xml(
+                f'<pool type="dir"><name>p</name>{capacity}</pool>'
+            )
+            assert pool.capacity_bytes == 100 * GiB
