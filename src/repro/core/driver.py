@@ -19,7 +19,7 @@ what the capability matrix (experiment E1) queries.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.events import EventCallback
 from repro.core.uri import ConnectionURI
@@ -446,10 +446,11 @@ class Driver:
         self,
         pool: str,
         volume: str,
-        data: "bytes | bytearray | memoryview",
+        data: "bytes | bytearray | memoryview | Sequence[bytes | memoryview]",
         offset: int = 0,
     ) -> Dict[str, Any]:
-        """Write ``data`` into a volume at ``offset``; returns the
+        """Write ``data`` — one buffer or a sequence of buffers laid
+        back to back — into a volume at ``offset``; returns the
         refreshed volume info."""
         raise self._unsupported("storage_vol_upload")
 

@@ -21,6 +21,7 @@ from repro.errors import (
     ConnectionError_,
     DaemonCrashError,
     InvalidArgumentError,
+    InvalidOperationError,
     InvalidURIError,
     OperationFailedError,
     VirtError,
@@ -38,6 +39,7 @@ from repro.rpc.protocol import (
 )
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import Listener, ServerConnection
+from repro.stream.core import DEFAULT_CHUNK
 from repro.util.clock import Clock, VirtualClock
 from repro.util.threadpool import WorkerPool
 from repro.util.virtlog import LOG_ERROR, LOG_INFO, Logger
@@ -1114,21 +1116,43 @@ class Libvirtd:
         def handler(conn: ServerConnection, body: Any) -> Any:
             pool, volume = _unpack(row, body)
             offset = int(body.get("offset") or 0)
+            if offset < 0:
+                raise InvalidArgumentError("write offset must be non-negative")
             info = validate(conn, (pool, volume))
+            capacity = info["capacity_bytes"]
             stream = self.rpc.open_stream()
-            staging = bytearray()
+            # a full chunk is staged by reference (a view of its frame's
+            # immutable bytes), a short one copied into a coalescing tail:
+            # what is pinned stays proportional to the bytes staged
+            staged: List[Any] = []
+            size = 0
+
+            def on_data(chunk: memoryview) -> None:
+                nonlocal size
+                size += len(chunk)
+                if offset + size > capacity:
+                    raise InvalidOperationError(
+                        f"write of {size} bytes at offset {offset} "
+                        f"exceeds capacity {capacity} of {info['path']!r}"
+                    )
+                if len(chunk) == DEFAULT_CHUNK:
+                    staged.append(chunk)
+                elif staged and isinstance(staged[-1], bytearray):
+                    staged[-1] += chunk
+                else:
+                    staged.append(bytearray(chunk))
 
             def on_finish() -> Any:
                 # single journaled mutation: MID_JOURNAL crash here tears
                 # the journal record and recovery discards the upload
-                return commit(conn, (pool, volume, bytes(staging), offset))
+                return commit(conn, (pool, volume, staged, offset))
 
-            stream.set_sink(staging.extend, on_finish=on_finish)
+            stream.set_sink(on_data, on_finish=on_finish)
             return {
                 "pool": pool,
                 "volume": volume,
                 "offset": offset,
-                "capacity_bytes": info["capacity_bytes"],
+                "capacity_bytes": capacity,
             }
 
         return handler

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import CheckpointTree, JobEngine
 from repro.core.driver import Driver
@@ -1985,10 +1985,13 @@ class StatefulDriver(Driver):
         self,
         pool: str,
         volume: str,
-        data: "bytes | bytearray | memoryview",
+        data: "bytes | bytearray | memoryview | Sequence[bytes | memoryview]",
         offset: int = 0,
     ) -> Dict[str, Any]:
         """Commit uploaded bytes into a volume (``virStorageVolUpload``).
+
+        ``data`` is one buffer or a sequence of buffers laid back to
+        back (the daemon passes its staged chunks without joining them).
 
         This is the *commit* half of a streamed upload: the daemon
         stages chunks while the stream runs and applies them in this

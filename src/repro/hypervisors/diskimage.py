@@ -10,7 +10,7 @@ on), all in memory.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import (
     InvalidArgumentError,
@@ -214,10 +214,12 @@ class ImageStore:
         return max(1, -(-image.capacity_bytes // self.block_size))
 
     def write_bytes(
-        self, path: str, offset: int, data: "bytes | bytearray | memoryview"
+        self, path: str, offset: int, data: "bytes | bytearray | memoryview | Sequence[bytes | memoryview]"
     ) -> int:
         """Write actual bytes at ``offset`` (the vol-upload data path).
 
+        ``data`` is one buffer or a sequence (list/tuple) of buffers laid
+        back to back, each taken as raw bytes and copied exactly once.
         Unlike :meth:`write` — which only *models* allocation growth —
         this stores content, so a later :meth:`read_bytes` returns what
         was written.  The span's blocks are marked dirty at offset
@@ -226,14 +228,20 @@ class ImageStore:
         """
         if offset < 0:
             raise InvalidArgumentError("write offset must be non-negative")
+        buffers = data if isinstance(data, (list, tuple)) else (data,)
+        try:
+            views = [memoryview(buffer).cast("B") for buffer in buffers]
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"write data must be contiguous byte buffers: {exc}") from exc
+        size = sum(view.nbytes for view in views)
         with self._lock:
             image = self._images.get(path)
             if image is None:
                 raise NoStorageVolumeError(f"image {path!r} not found")
-            end = offset + len(data)
+            end = offset + size
             if end > image.capacity_bytes:
                 raise InvalidOperationError(
-                    f"write of {len(data)} bytes at offset {offset} exceeds "
+                    f"write of {size} bytes at offset {offset} exceeds "
                     f"capacity {image.capacity_bytes} of {path!r}"
                 )
             new_alloc = max(image.allocation_bytes, end)
@@ -243,22 +251,28 @@ class ImageStore:
             content = self._content.setdefault(path, bytearray())
             if len(content) < end:
                 content.extend(b"\x00" * (end - len(content)))
-            content[offset:end] = data
+            # released on exit: an exported view makes the next ``extend`` raise BufferError
+            with memoryview(content) as target:
+                pos = offset
+                for view in views:
+                    target[pos : pos + view.nbytes] = view
+                    pos += view.nbytes
             image.allocation_bytes = new_alloc
-            if len(data):
+            if size:
                 blocks = self._dirty.setdefault(path, set())
                 total = self._num_blocks(image)
                 first = offset // self.block_size
                 last = (end - 1) // self.block_size
                 for block in range(first, last + 1):
                     blocks.add(block % total)
-        return len(data)
+        return size
 
     def read_bytes(self, path: str, offset: int = 0, length: "Optional[int]" = None) -> bytes:
         """Read stored content (the vol-download data path).
 
         Extents never written read back as zeroes, like a sparse file;
-        ``length`` defaults to the rest of the image's capacity.
+        ``length`` defaults to the rest of the image's capacity.  The
+        result is an independent copy: later writes never show through it.
         """
         if offset < 0:
             raise InvalidArgumentError("read offset must be non-negative")
@@ -273,9 +287,10 @@ class ImageStore:
             end = min(offset + length, image.capacity_bytes)
             if end <= offset:
                 return b""
-            content = self._content.get(path, b"")
-            stored = bytes(content[offset:end])
-            return stored + b"\x00" * ((end - offset) - len(stored))
+            with memoryview(self._content.get(path, b"")) as view:
+                stored = bytes(view[offset:end])
+        short = (end - offset) - len(stored)
+        return stored + bytes(short) if short else stored
 
     def set_allocation(self, path: str, allocation_bytes: int) -> None:
         """Force an image's allocation (snapshot revert / backup finish)."""

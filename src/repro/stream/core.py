@@ -238,7 +238,7 @@ class ClientStream:
         while True:
             chunk = self.recv()
             if chunk:
-                parts.append(bytes(chunk))
+                parts.append(chunk)
                 stalls = 0
                 continue
             if self.state == "finished":
@@ -479,7 +479,11 @@ class ServerStream:
             self.bytes_in += len(body)
             self._server._count_stream_bytes("in", len(body))
             if self._on_data is not None:
-                self._on_data(body)
+                try:
+                    self._on_data(body)
+                except VirtError as exc:
+                    self._fail(exc)  # the sink refused the chunk: no credit
+                    return
             # consumed — hand the sender its credit back
             self._push(
                 stream_frame(
@@ -501,12 +505,7 @@ class ServerStream:
                     self._teardown("abort", error="daemon crashed at commit")
                     raise
                 except VirtError as exc:
-                    self._push(
-                        stream_frame(
-                            self.number, self.serial, ReplyStatus.ERROR, exc.to_dict()
-                        )
-                    )
-                    self._teardown("abort", error=repr(exc))
+                    self._fail(exc)
                     return
             self.finish(result)
             return
@@ -516,6 +515,11 @@ class ServerStream:
             else "aborted by peer"
         )
         self._teardown("abort", error=reason)
+
+    def _fail(self, exc: VirtError) -> None:
+        """A sink callback raised: its typed error rides the ERROR frame."""
+        self._push(stream_frame(self.number, self.serial, ReplyStatus.ERROR, exc.to_dict()))
+        self._teardown("abort", error=repr(exc))
 
     def _teardown(self, outcome: str, error: "Optional[str]" = None) -> None:
         if self.state != "open":

@@ -1,6 +1,10 @@
 """Tests for the simulated image store (repro.hypervisors.diskimage)."""
 
+import array
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import (
     InvalidArgumentError,
@@ -169,3 +173,169 @@ class TestIntrospection:
     def test_lookup_missing(self, store):
         with pytest.raises(NoStorageVolumeError):
             store.lookup("/img/missing")
+
+
+# -- the byte path (vol-upload / vol-download) --------------------------------
+
+
+class TestByteBuffers:
+    def test_non_byte_buffer_is_sized_and_stored_as_bytes(self, store):
+        store.create("/img/a.qcow2", GiB)
+        store.write_bytes("/img/a.qcow2", 0, b"A" * 16)
+        words = array.array("I", [1, 2, 3])
+        assert store.write_bytes("/img/a.qcow2", 0, words) == 12
+        assert store.read_bytes("/img/a.qcow2", 0, 32) == words.tobytes() + b"A" * 4 + b"\x00" * 16
+        assert store.lookup("/img/a.qcow2").allocation_bytes == 16
+
+    @pytest.mark.parametrize(
+        "data",
+        [memoryview(b"abcdef")[::2], "text", 7, [b"ok", memoryview(b"abcdef")[::2]], [b"ok", "text"]],
+        ids=["strided", "str", "int", "strided-in-list", "str-in-list"],
+    )
+    def test_uncastable_data_is_an_argument_error(self, store, data):
+        store.create("/img/a.qcow2", GiB)
+        store.write_bytes("/img/a.qcow2", 0, b"before")
+        with pytest.raises(InvalidArgumentError, match="byte buffers"):
+            store.write_bytes("/img/a.qcow2", 0, data)
+        assert store.read_bytes("/img/a.qcow2", 0, 6) == b"before"
+
+    def test_sequence_lands_back_to_back_in_one_write(self, store):
+        store.create("/img/a.qcow2", GiB)
+        parts = [b"ab", bytearray(b"cd"), b"", memoryview(b"xefx")[1:3], array.array("H", [0x6867])]
+        assert store.write_bytes("/img/a.qcow2", 3, parts) == 8
+        assert store.read_bytes("/img/a.qcow2", 0, 12) == b"\x00\x00\x00abcdefgh\x00"
+        assert store.lookup("/img/a.qcow2").allocation_bytes == 11
+
+    def test_growing_write_right_after_a_read(self, store):
+        # a view left exported by either call would make this extend raise BufferError
+        store.create("/img/a.qcow2", GiB)
+        store.write_bytes("/img/a.qcow2", 0, b"abc")
+        assert store.read_bytes("/img/a.qcow2", 0, 3) == b"abc"
+        store.write_bytes("/img/a.qcow2", 3, [b"def"])
+        store.write_bytes("/img/a.qcow2", 6, b"ghi")
+        assert store.read_bytes("/img/a.qcow2", 0, 9) == b"abcdefghi"
+
+    def test_read_is_a_snapshot(self, store):
+        store.create("/img/a.qcow2", GiB)
+        store.write_bytes("/img/a.qcow2", 0, b"old!")
+        snapshot = store.read_bytes("/img/a.qcow2", 0, 4)
+        store.write_bytes("/img/a.qcow2", 0, b"new!")
+        assert type(snapshot) is bytes and snapshot == b"old!"
+
+
+# the store against a plain bytearray model
+
+IMAGE_CAPACITY = 1024
+STORE_CAPACITY = 1400
+BLOCK = 64
+PATH, FILLER = "/img/a.qcow2", "/img/filler.qcow2"
+
+
+def _as_array(data):
+    words = array.array({0: "I", 2: "H"}.get(len(data) % 4, "B"))
+    words.frombytes(data)
+    return words
+
+
+#: every single-buffer type the API admits, built from plain bytes
+SHAPES = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "sliced": lambda data: memoryview(b"<" + data + b">")[1:-1],
+    "array": _as_array,
+}
+
+buffers = st.tuples(st.binary(max_size=200), st.sampled_from(sorted(SHAPES)))
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, IMAGE_CAPACITY + 40), buffers),
+        st.tuples(
+            st.just("write_seq"),
+            st.integers(0, IMAGE_CAPACITY + 40),
+            st.lists(buffers, max_size=20),
+            st.sampled_from([list, tuple]),
+        ),
+        st.tuples(
+            st.just("read"),
+            st.integers(0, IMAGE_CAPACITY + 40),
+            st.one_of(st.none(), st.integers(0, IMAGE_CAPACITY + 200)),
+        ),
+        st.tuples(st.just("fill"), st.integers(0, 400)),
+    ),
+    max_size=25,
+)
+
+
+def _state(store):
+    return (
+        bytes(store._content.get(PATH, b"")),
+        store.lookup(PATH).allocation_bytes,
+        store.dirty_blocks(PATH),
+    )
+
+
+def _attempt(call):
+    try:
+        return call()
+    except InvalidOperationError as exc:
+        return "full" if "store full" in str(exc) else "exceeds"
+
+
+def check_store_against_model(ops):
+    """Run ``ops`` on a store fed the buffers as drawn, on a twin fed
+    each write as one joined ``bytes``, and on a ``bytearray`` model."""
+    store, twin = (ImageStore(capacity_bytes=STORE_CAPACITY, block_size=BLOCK) for _ in range(2))
+    for each in (store, twin):
+        each.create(PATH, IMAGE_CAPACITY)
+        each.create(FILLER, IMAGE_CAPACITY)
+    content, allocation, dirty = bytearray(), 0, set()
+    for op in ops:
+        if op[0] == "fill":
+            for each in (store, twin):
+                _attempt(lambda: each.write(FILLER, op[1]))
+        elif op[0] == "read":
+            _, offset, length = op
+            want = (bytes(content) + bytes(IMAGE_CAPACITY))[:IMAGE_CAPACITY]
+            want = want[offset:] if length is None else want[offset : offset + length]
+            got = store.read_bytes(PATH, offset, length)
+            assert type(got) is bytes and got == want
+        else:
+            offset = op[1]
+            drawn = [op[2]] if op[0] == "write" else op[2]
+            flat = b"".join(data for data, _ in drawn)
+            shaped = [SHAPES[shape](data) for data, shape in drawn]
+            end = offset + len(flat)
+            growth = max(allocation, end) - allocation
+            if end > IMAGE_CAPACITY:
+                expected = "exceeds"
+            elif growth > 0 and store.allocated_bytes + growth > STORE_CAPACITY:
+                expected = "full"
+            else:
+                expected = len(flat)
+                content.extend(bytes(max(0, end - len(content))))
+                content[offset:end] = flat
+                allocation += growth
+                if flat:
+                    dirty.update(range(offset // BLOCK, (end - 1) // BLOCK + 1))
+            before = _state(store)
+            given_data = shaped[0] if op[0] == "write" else op[3](shaped)
+            assert _attempt(lambda: store.write_bytes(PATH, offset, given_data)) == expected
+            assert _attempt(lambda: twin.write_bytes(PATH, offset, flat)) == expected
+            if isinstance(expected, str):
+                assert _state(store) == before
+        assert _state(store) == _state(twin) == (bytes(content), allocation, frozenset(dirty))
+    assert store.read_bytes(PATH) == bytes(content) + bytes(IMAGE_CAPACITY - len(content))
+
+
+class TestStoreAgainstModel:
+    @given(store_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_byte_path_matches_a_bytearray_model(self, ops):
+        check_store_against_model(ops)
+
+    @pytest.mark.slow
+    @given(store_ops)
+    @settings(max_examples=2000, deadline=None)
+    def test_byte_path_matches_a_bytearray_model_soak(self, ops):
+        check_store_against_model(ops)

@@ -10,6 +10,8 @@ never leave a partial volume), and the batched zero-copy RPC fast
 paths that ride along.
 """
 
+import tracemalloc
+
 import pytest
 
 import repro
@@ -636,6 +638,131 @@ class TestStreamFaultSoak:
             finally:
                 check.close()
                 harness.shutdown()
+
+
+# -- one copy per hop, and what the copies used to guarantee -------------------
+
+
+def server_streams(daemon):
+    return [s for streams in list(daemon.rpc._streams.values()) for s in streams.values()]
+
+
+def closure_var(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+@pytest.mark.stress
+class TestBulkCopies:
+    def test_oversized_upload_is_refused_before_it_is_buffered(self, conn, daemon, volume):
+        small = conn.lookup_storage_pool("default").create_volume(
+            VolumeConfig(name="small.qcow2", capacity_bytes=MiB)
+        )
+        kept = payload_bytes(64 * KiB)
+        small.upload(kept)
+        with pytest.raises(InvalidOperationError, match="exceeds capacity"):
+            small.upload(b"x" * (8 * MiB))
+        abort = daemon.flight_recorder.records("stream.abort")[-1]
+        assert abort["bytes_in"] <= MiB + DEFAULT_CHUNK
+        assert_no_dangling(conn, daemon)
+        assert small.info().allocation_bytes == 64 * KiB
+        assert small.download(0, MiB) == kept + b"\x00" * (MiB - 64 * KiB)
+
+    def test_negative_offset_is_refused_at_the_opening_call(self, conn, daemon, volume):
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            volume.upload(b"x" * DEFAULT_CHUNK, offset=-1)
+        assert daemon.flight_recorder.records("stream.open") == []
+        assert_no_dangling(conn, daemon)
+
+    def test_upload_peak_memory_is_about_one_payload(self):
+        with Libvirtd(hostname="farm2") as daemon:
+            daemon.listen("unix")
+            conn = repro.open_connection("qemu+unix://farm2/system")
+            try:
+                pool = conn.define_storage_pool(
+                    StoragePoolConfig(name="default", capacity_bytes=10 * GiB)
+                )
+                pool.start()
+                vol = pool.create_volume(VolumeConfig(name="v", capacity_bytes=GiB))
+                data = payload_bytes(4 * MiB)
+                vol.upload(data)  # grow the image first: growth is not what is budgeted
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    vol.upload(data)
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                # staged frames only (1x); the parent added the staging
+                # buffer's bytes() and the slice assignment's temporary (3x)
+                assert peak <= 1.5 * len(data)
+                assert vol.download(0, len(data)) == data
+            finally:
+                conn.close()
+
+    def test_one_byte_chunks_pin_a_bounded_number_of_objects(self, conn, daemon, volume):
+        stream = conn._driver.client.open_stream(
+            "storage.vol_upload", {"pool": "default", "volume": "disk0.qcow2", "offset": 0}
+        )
+        data = payload_bytes(4096)
+        for i in range(len(data)):
+            stream.send(data[i : i + 1])
+        (server_side,) = server_streams(daemon)
+        assert len(closure_var(server_side._on_data, "staged")) <= 2
+        stream.finish()
+        assert volume.download(0, len(data)) == data
+        assert_no_dangling(conn, daemon)
+
+    def test_short_chunks_between_full_ones_keep_their_order(self, conn, daemon, volume):
+        stream = conn._driver.client.open_stream(
+            "storage.vol_upload", {"pool": "default", "volume": "disk0.qcow2", "offset": 0}
+        )
+        pieces = [b"ab", payload_bytes(DEFAULT_CHUNK), b"c", b"d", payload_bytes(DEFAULT_CHUNK)[::-1], b"e"]
+        for piece in pieces:
+            stream.send(piece)
+        (server_side,) = server_streams(daemon)
+        assert len(closure_var(server_side._on_data, "staged")) == 5
+        stream.finish()
+        assert volume.download() == b"".join(pieces)
+
+    def test_download_in_flight_is_isolated_from_a_later_upload(self, conn, daemon, volume):
+        old = payload_bytes(2 * MiB)
+        volume.upload(old)
+        stream = conn._driver.client.open_stream(
+            "storage.vol_download",
+            {"pool": "default", "volume": "disk0.qcow2", "offset": 0, "length": None},
+        )
+        first = bytes(stream.recv())
+        assert len(first) == DEFAULT_CHUNK and stream.state == "open"
+        other = repro.open_connection("qemu+tcp://farm1/system")
+        try:
+            vol = other.lookup_storage_pool("default").lookup_volume("disk0.qcow2")
+            vol.upload(old[::-1])
+        finally:
+            other.close()
+        assert first + stream.drain() == old
+        assert volume.download(0, len(old)) == old[::-1]
+        assert_no_dangling(conn, daemon)
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, DEFAULT_CHUNK - 1, DEFAULT_CHUNK, DEFAULT_CHUNK + 1, 4 * MiB]
+    )
+    def test_drain_returns_exact_bytes(self, conn, daemon, volume, size):
+        data = payload_bytes(size)
+        volume.upload(data)
+        got = volume.download(0, size)
+        assert type(got) is bytes and got == data
+        assert_no_dangling(conn, daemon)
+
+    def test_multi_chunk_upload_at_an_offset_lands_in_place(self, conn, daemon, volume):
+        volume.upload(b"\xee" * (4 * DEFAULT_CHUNK))
+        data = payload_bytes(2 * DEFAULT_CHUNK + 5)
+        info = volume.upload(data, offset=12345)
+        assert info.allocation_bytes == 4 * DEFAULT_CHUNK
+        got = volume.download(0, 4 * DEFAULT_CHUNK)
+        assert got[:12345] == b"\xee" * 12345
+        assert got[12345 : 12345 + len(data)] == data
+        assert got[12345 + len(data) :] == b"\xee" * (4 * DEFAULT_CHUNK - 12345 - len(data))
 
 
 # -- observability (satellite) -----------------------------------------------
