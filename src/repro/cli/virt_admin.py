@@ -116,10 +116,10 @@ def cmd_server_stats(conn, args, out: TextIO) -> int:
     for key in ("minWorkers", "maxWorkers", "nWorkers", "freeWorkers",
                 "prioWorkers", "jobQueueDepth"):
         print(f"  {key:<15}: {pool[key]}", file=out)
-    print(f"  {'jobsCompleted':<15}: {stats['jobs_completed']}", file=out)
+    print(f"  {'jobsCompleted':<15}: {stats['jobs_completed']}  (pooled jobs, not calls)", file=out)
     rpc = stats["rpc"]
     print("RPC:", file=out)
-    print(f"  {'callsServed':<15}: {rpc['calls_served']}", file=out)
+    print(f"  {'callsServed':<15}: {rpc['calls_served']}  (pooled + inline)", file=out)
     print(f"  {'callsFailed':<15}: {rpc['calls_failed']}", file=out)
     print(f"  {'pingsAnswered':<15}: {rpc['pings_answered']}", file=out)
     for procedure, row in sorted(rpc.get("procedures", {}).items()):

@@ -698,7 +698,9 @@ class Libvirtd:
 
         Combines the workerpool counters, the RPC dispatcher counters,
         per-driver operation latency summaries, and the keepalive/span
-        totals into one plain-data payload.
+        totals into one plain-data payload.  ``jobs_completed`` is jobs
+        the pool ran — a non-blocking procedure never becomes one;
+        ``rpc.calls_served`` counts every call once, pooled or inline.
         """
         self._prune()
         with self._lock:

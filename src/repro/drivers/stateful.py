@@ -229,8 +229,11 @@ class StatefulDriver(Driver):
         return record
 
     def _domain_state(self, name: str) -> DomainState:
-        if self.backend.has_guest(name):
-            return from_run_state(self.backend.guest_state(name))
+        try:
+            if self.backend.has_guest(name):
+                return from_run_state(self.backend.guest_state(name))
+        except NoDomainError:
+            pass  # destroyed between the two looks: it is shut off now
         return DomainState.SHUTOFF
 
     def _check_transition(self, name: str, op: str) -> DomainState:
@@ -803,8 +806,11 @@ class StatefulDriver(Driver):
     def domain_get_info(self, name: str) -> Dict[str, Any]:
         self._count_call()
         record = self._record(name)
-        if self.backend.has_guest(name):
-            raw = self._backend_info(name)
+        try:
+            raw = self._backend_info(name) if self.backend.has_guest(name) else None
+        except NoDomainError:
+            raw = None  # destroyed while the monitor query was in flight
+        if raw is not None:
             return {
                 "state": int(from_run_state_str(raw["state"])),
                 "max_memory_kib": raw["max_memory_kib"],
@@ -908,9 +914,14 @@ class StatefulDriver(Driver):
             "name": name,
             "state": int(self._domain_state(name)),
         }
+        runtime = None
         if self.backend.has_guest(name):
             self.backend._charge("query")
-            runtime = self.backend._get(name)
+            try:
+                runtime = self.backend._get(name)
+            except NoDomainError:
+                pass  # destroyed while the monitor query was in flight
+        if runtime is not None:
             stats.update(
                 {
                     "cpu_seconds": runtime.cpu_seconds,

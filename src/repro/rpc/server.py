@@ -12,9 +12,11 @@ any order, correlated by serial on the client (exactly how libvirtd
 dispatches through ``virThreadPool``).  Each connection gets an
 in-flight window mirroring libvirtd's ``max_client_requests``: calls
 beyond the window queue (up to a bound) and are rejected past that,
-providing backpressure instead of unbounded memory growth.  Without a
-pool, dispatch stays fully synchronous (handler runs inline, reply is
-the return value).
+providing backpressure instead of unbounded memory growth.  A procedure
+whose table row says ``blocking=False`` takes its window slot and is
+then answered on the receiving thread (handler runs inline, reply is
+the return value), as every procedure is without a pool; with the
+window full it queues like any other and a worker answers it.
 
 Bulk data: STREAM frames are peeked off the dispatch entry *before*
 full unpack and routed straight to their
@@ -36,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import DaemonCrashError, InvalidArgumentError, RPCError, VirtError
 from repro.observability.tracing import SpanContext
+from repro.rpc.procedures import BY_NAME
 from repro.rpc.protocol import (
     KEEPALIVE_PING,
     MessageType,
@@ -117,7 +120,7 @@ class RPCServer:
         max_queued_requests: int = DEFAULT_MAX_QUEUED_REQUESTS,
     ) -> None:
         _validate_window(max_client_requests, max_queued_requests)
-        self._procedures: Dict[int, Tuple[Handler, bool]] = {}
+        self._procedures: Dict[int, Tuple[Handler, bool, bool]] = {}
         self._pool = pool
         self._lock = threading.Lock()
         self._windows: "weakref.WeakKeyDictionary[ServerConnection, _InflightWindow]" = (
@@ -207,11 +210,12 @@ class RPCServer:
 
         ``priority=True`` marks the procedure for the guaranteed lane:
         it is dispatched to priority workers and must never block on a
-        hypervisor (libvirt's high-priority procedure tagging).
+        hypervisor (libvirt's high-priority procedure tagging); on that
+        lane, a row the table declares ``blocking=False`` is answered inline.
         """
         number = procedure_number(name)
         with self._lock:
-            self._procedures[number] = (handler, priority)
+            self._procedures[number] = (handler, priority, BY_NAME[name].blocking or not priority)
 
     def registered(self, name: str) -> bool:
         return procedure_number(name) in self._procedures
@@ -266,7 +270,7 @@ class RPCServer:
         """The server-side entry: unpack → route → reply.
 
         Returns the packed REPLY bytes when the call was answered
-        inline (no pool, keepalive, early errors), or
+        inline (non-blocking row, no pool, keepalive, early errors), or
         :data:`~repro.rpc.transport.ASYNC_REPLY` when the reply will be
         delivered through :meth:`ServerConnection.send_reply` once a
         worker finishes the job.
@@ -298,7 +302,7 @@ class RPCServer:
                 message.serial,
                 RPCError(f"procedure {message.procedure} not registered"),
             )
-        handler, priority = entry
+        handler, priority, blocking = entry
         trace_ctx = (
             SpanContext.from_wire(message.trace)
             if self.tracer is not None and message.trace is not None
@@ -314,7 +318,7 @@ class RPCServer:
             trace_ctx=trace_ctx,
         )
         if self._pool is None:
-            return self._execute(conn, job)
+            return self._run_inline(conn, None, job)
         window = self._window(conn)
         with window.lock:
             if window.inflight >= self.max_client_requests:
@@ -334,6 +338,8 @@ class RPCServer:
                 return ASYNC_REPLY
             window.inflight += 1
             window.peak = max(window.peak, window.inflight)
+        if not blocking:
+            return self._run_inline(conn, window, job)
         self._submit_job(conn, window, job)
         return ASYNC_REPLY
 
@@ -367,14 +373,36 @@ class RPCServer:
         finally:
             if attached:
                 self.tracer.detach(token)
-            with window.lock:
-                window.inflight -= 1
-            self._pump(conn, window)
+            self._pump(conn, window, freed=1)
 
-    def _pump(self, conn: ServerConnection, window: _InflightWindow) -> None:
-        """Move queued calls into the pool while the window has room."""
+    def _run_inline(
+        self, conn: ServerConnection, window: "Optional[_InflightWindow]", job: _DispatchJob
+    ) -> Any:
+        """Receiving-thread body of a non-blocking row and of a pool-less
+        server (``window`` None): the REPLY is the return value.
+
+        A crashed daemon has severed the link, which resolved the call as
+        lost: under a pool the crash stops here, and the caller sees what a
+        pooled call sees.  ``CrashHarness``'s pool-less rig learns that its
+        plan fired from the exception unwinding the caller, so it keeps it.
+        """
+        try:
+            return self._execute(conn, job)
+        except DaemonCrashError:
+            if window is None:
+                raise
+            return ASYNC_REPLY
+        finally:
+            if window is not None:
+                self._pump(conn, window, freed=1)
+
+    def _pump(self, conn: ServerConnection, window: _InflightWindow, freed: int = 0) -> None:
+        """Give ``freed`` slots back, then move queued calls into the pool
+        while the window has room."""
         while True:
             with window.lock:
+                window.inflight -= freed
+                freed = 0
                 if not window.queue or window.inflight >= self.max_client_requests:
                     return
                 job = window.queue.popleft()

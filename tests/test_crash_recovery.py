@@ -18,14 +18,17 @@ fresh incarnation over the same state directory converges:
 
 import pytest
 
+import repro
 from repro.admin import admin_open
 from repro.core.uri import ConnectionURI
 from repro.daemon.libvirtd import Libvirtd
 from repro.daemon.registry import lookup_daemon
 from repro.drivers.remote import RemoteDriver, ResilienceConfig
-from repro.errors import ConnectionError_, DaemonCrashError, VirtError
+from repro.errors import ConnectionError_, DaemonCrashError, OperationTimeoutError, VirtError
 from repro.faults import CrashHarness, CrashPlan, CrashPoint
+from repro.observability.flightrec import interrupted_dispatches, read_tail
 from repro.rpc.retry import RetryPolicy
+from repro.state import StateDir
 from repro.xmlconfig.domain import DiskDevice, DomainConfig
 from repro.xmlconfig.storage import StoragePoolConfig
 
@@ -398,6 +401,53 @@ class TestAdminShutdown:
         with pytest.raises(VirtError):
             conn._client.call("admin.daemon_shutdown", {"mode": "violently"})
         daemon.shutdown()
+
+
+class TestCrashOnTheReceivingThread:
+    """A non-blocking row runs its handler on the thread that delivered
+    the CALL.  A kill point hit there must look to the client like one
+    hit on a worker: a reply that never comes, never the daemon's own
+    ``DaemonCrashError``.  (The pool-less daemon of ``CrashHarness``
+    keeps raising it through the caller — the census above depends on it.)"""
+
+    @pytest.mark.parametrize("point", [CrashPoint.MID_DISPATCH, CrashPoint.POST_JOURNAL])
+    def test_inline_and_pooled_rows_fail_alike(self, tmp_path, point):
+        seen = {}
+        for lane, procedure in (("inline", "domain.get_info"), ("pooled", "domain.suspend")):
+            state_dir = tmp_path / lane
+            daemon = Libvirtd(hostname="recv-crash", state_dir=str(state_dir))
+            daemon.listen("tcp")
+            conn = repro.open_connection("qemu+tcp://recv-crash/system")
+            conn._driver.domain_define_xml(plain_xml("g"))
+            conn._driver.domain_create("g")
+            client = conn._driver.client
+            daemon.install_crash_plan(CrashPlan().crash(point))
+            started = daemon.clock.now()
+            pending = client.call_async(procedure, {"name": "g"}, timeout=5.0)
+            if lane == "inline":
+                assert pending.done()  # resolved as lost before dispatch returned
+            with pytest.raises(VirtError) as caught:
+                pending.result()
+            seen[lane] = (type(caught.value), pytest.approx(daemon.clock.now() - started))
+            assert client._channel.inflight_requests == 0
+            assert client.calls_in_flight == 0
+            daemon.pool.shutdown()
+
+            # the daemon's last words and the dispatch it died in are on disk
+            tail = read_tail(StateDir(str(state_dir / "flightrec")))
+            (crash,) = [r for r in tail if r["kind"] == "crash"]
+            assert (crash["point"], crash["procedure"]) == (point.value, procedure)
+            (begun,) = interrupted_dispatches(tail)
+            assert (begun["procedure"], begun["serial"]) == (procedure, pending.serial)
+
+            with Libvirtd(hostname="recv-crash", state_dir=str(state_dir)) as reborn:
+                (span,) = [
+                    s for s in reborn.tracer.export()
+                    if s["attributes"].get("status") == "interrupted"
+                ]
+                assert span["span_id"] == begun["span_id"]
+                assert span["attributes"]["serial"] == pending.serial
+        assert seen["inline"] == seen["pooled"] == (OperationTimeoutError, 5.0)
 
 
 @pytest.mark.stress

@@ -7,8 +7,11 @@ import time
 
 import pytest
 
+import repro
 import repro.rpc.client as client_module
+from repro.core.states import DomainState
 from repro.daemon.libvirtd import Libvirtd
+from repro.drivers.qemu import QemuDriver
 from repro.errors import (
     ConnectionClosedError,
     InvalidArgumentError,
@@ -16,6 +19,8 @@ from repro.errors import (
     RPCError,
 )
 from repro.faults.plan import FaultPlan
+from repro.hypervisors.host import SimHost
+from repro.hypervisors.qemu_backend import QemuBackend
 from repro.observability.metrics import MetricsRegistry
 from repro.rpc.client import RPCClient, _PendingCall
 from repro.rpc.protocol import (
@@ -29,6 +34,7 @@ from repro.rpc.server import RPCServer
 from repro.rpc.transport import Listener
 from repro.util.clock import ScaledWallClock, VirtualClock
 from repro.util.threadpool import WorkerPool
+from repro.xmlconfig.domain import DomainConfig
 
 
 @pytest.fixture()
@@ -512,6 +518,200 @@ class TestDaemonSurface:
         with pytest.raises(InvalidArgumentError, match="no server named"):
             daemon.set_max_client_requests(4, server="nope")
         daemon.shutdown()
+
+
+    def test_inline_calls_are_served_but_are_no_pool_jobs(self):
+        """``calls_served`` counts every call once on either path;
+        ``jobs_completed`` is jobs the pool ran, and an inline call is none."""
+        with Libvirtd(hostname="inline-stats") as daemon:
+            daemon.listen("unix")
+            conn = repro.open_connection("test+unix://inline-stats/default")
+            before = daemon.server_stats()
+            for i in range(25):
+                assert conn._driver.client.call("connect.ping", i) == i
+            after = daemon.server_stats()
+            assert after["rpc"]["calls_served"] - before["rpc"]["calls_served"] == 25
+            # connect.open is inline too: this pool has not run a job yet
+            assert after["jobs_completed"] == before["jobs_completed"] == 0
+            # the same _execute ran: one latency sample and one span a call
+            assert after["rpc"]["procedures"]["connect.ping"]["count"] == 25
+            pings = [
+                s for s in daemon.tracer.export()
+                if s["name"] == "rpc.dispatch" and s["attributes"]["procedure"] == "connect.ping"
+            ]
+            assert len(pings) == 25
+            assert {s["attributes"]["queue_wait"] for s in pings} == {0.0}
+            conn.close()
+
+
+def thread_name(conn, body):
+    return threading.current_thread().name
+
+
+@pytest.mark.stress
+class TestInlineRows:
+    """Non-blocking rows are answered on the receiving thread; blocking
+    rows, pipelining and the window behave as they did."""
+
+    def test_pipelined_blocking_calls_still_overlap(self):
+        clock = ScaledWallClock(scale=0.005)
+
+        def save(conn, body):
+            clock.sleep(body["sleep"])
+            return body["tag"]
+
+        with WorkerPool(min_workers=8, max_workers=8) as pool:
+            client, _, _ = make_pair(
+                clock, pool, handlers={"domain.save": save}, max_client_requests=8
+            )
+            start = clock.now()
+            # later calls sleep less, so replies come back against call order
+            handles = [
+                client.call_async("domain.save", {"tag": i, "sleep": 20.0 - 2 * i}, timeout=600.0)
+                for i in range(8)
+            ]
+            assert not handles[0].done()
+            assert [h.result() for h in handles] == list(range(8))
+            makespan = clock.now() - start
+        assert client.replies_out_of_order > 0
+        assert makespan < 2 * 20.0  # one slow call, not the 104 s of eight in a row
+
+    def test_pipelined_non_blocking_calls_come_back_resolved_and_in_order(self, clock):
+        with WorkerPool(min_workers=2, max_workers=4) as pool:
+            client, server, _ = make_pair(clock, pool)
+            server.register("domain.get_state", lambda conn, body: body, priority=True)
+            server.register("connect.ping", thread_name, priority=True)
+            handles = [client.call_async("domain.get_state", i) for i in range(8)]
+            assert all(h.done() for h in handles)
+            assert [h.result() for h in handles] == list(range(8))
+            batch = client.call_many([("domain.get_state", i) for i in range(8)])
+            assert batch == list(range(8))
+            assert client.call("connect.ping") == threading.current_thread().name
+            assert client.replies_out_of_order == 0
+            assert client.calls_in_flight == 0 and server.inflight_calls() == 0
+            assert server.calls_served == 17
+        assert pool.jobs_completed == 0  # read after shutdown drained the pool
+
+    def test_a_full_window_queues_a_non_blocking_call_behind_the_others(self, clock):
+        gates = {tag: threading.Event() for tag in "abc"}
+        started = []
+
+        def save(conn, body):
+            started.append(body)
+            gates[body].wait(timeout=30.0)
+            return body
+
+        def get_state(conn, body):
+            started.append("state")
+            return threading.current_thread().name
+
+        with WorkerPool(min_workers=2, max_workers=4) as pool:
+            client, server, _ = make_pair(
+                clock, pool, handlers={"domain.save": save}, max_client_requests=2
+            )
+            server.register("domain.get_state", get_state, priority=True)
+            slow = {tag: client.call_async("domain.save", tag) for tag in "abc"}  # c queues
+            state = client.call_async("domain.get_state")
+            assert server.calls_queued == 2 and not state.done()
+            gates["a"].set()
+            assert slow["a"].result() == "a"  # its slot goes to c, the window is full again
+            deadline = time.monotonic() + 5.0
+            while len(started) < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert started == ["a", "b", "c"] and not state.done()
+            gates["b"].set()
+            assert "worker" in state.result()  # answered from the pool, after c went in
+            assert started == ["a", "b", "c", "state"]
+            gates["c"].set()
+            assert slow["b"].result() == "b" and slow["c"].result() == "c"
+            assert server.inflight_calls() == 0
+            # the window has room again: the next one never leaves this thread
+            assert client.call("domain.get_state") == threading.current_thread().name
+
+    def test_inline_readers_against_a_mutator(self, tmp_path):
+        """Two connections read one guest inline while a third cycles
+        it: every state read is one the guest held during that call."""
+        clock = ScaledWallClock(scale=0.0005)
+        backend = QemuBackend(host=SimHost(hostname="rw", clock=clock), clock=clock)
+
+        def boot():
+            qemu = QemuDriver(backend)
+            daemon = Libvirtd(
+                hostname="rw", drivers={"qemu": qemu, "kvm": qemu}, clock=clock,
+                state_dir=str(tmp_path),
+            )
+            daemon.listen("unix")
+            return daemon
+
+        daemon = boot()
+        xml = DomainConfig(name="g", domain_type="kvm", memory_kib=256 * 1024, vcpus=1).to_xml()
+        conns = [repro.open_connection("qemu+unix://rw/system") for _ in range(3)]
+        writer = conns[0]._driver
+        writer.domain_define_xml(xml)
+        #: (earliest, latest, state): the guest may have shown ``state``
+        #: from when the call that set it began to when the next one ended
+        held = [[time.monotonic(), None, int(DomainState.SHUTOFF)]]
+        reads = []
+        stop = time.monotonic() + 2.0
+        failures = []
+
+        def mutate():
+            steps = (
+                (writer.domain_define_xml, xml, DomainState.SHUTOFF),
+                (writer.domain_create, "g", DomainState.RUNNING),
+                (writer.domain_destroy, "g", DomainState.SHUTOFF),
+            )
+            try:
+                while time.monotonic() < stop:
+                    for call, arg, state in steps:
+                        begun = time.monotonic()
+                        call(arg)
+                        held[-1][1] = time.monotonic()
+                        held.append([begun, None, int(state)])
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        def read(conn):
+            client = conn._driver.client
+            try:
+                while time.monotonic() < stop:
+                    for procedure in ("domain.get_state", "domain.get_info"):
+                        begun = time.monotonic()
+                        reply = client.call(procedure, {"name": "g"})
+                        state = reply if procedure == "domain.get_state" else reply["state"]
+                        reads.append((begun, time.monotonic(), state))
+            except BaseException as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=mutate)] + [
+            threading.Thread(target=read, args=(conn,)) for conn in conns[1:]
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        assert [repr(f) for f in failures] == []
+        held[-1][1] = time.monotonic()
+        assert len(held) > 6 and len(reads) > 100
+        for begun, ended, state in reads:
+            assert any(
+                state == shown and earliest <= ended and begun <= latest
+                for earliest, latest, shown in held
+            ), (begun, ended, state)
+        assert daemon.rpc.inflight_calls() == 0
+        assert all(c._driver.client.calls_in_flight == 0 for c in conns)
+
+        # journal replay == live state
+        live = (writer.list_domains(), writer.list_defined_domains(), writer.domain_get_state("g"))
+        daemon.crash()
+        daemon.pool.shutdown()
+        reborn = boot()
+        recovered = reborn.drivers["qemu"]
+        assert (
+            recovered.list_domains(), recovered.list_defined_domains(), recovered.domain_get_state("g")
+        ) == live
+        reborn.shutdown()
 
 
 @pytest.mark.slow

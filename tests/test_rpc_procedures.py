@@ -23,13 +23,19 @@ from repro.core.driver import Driver
 from repro.daemon import Libvirtd
 from repro.drivers.remote import RemoteDriver
 from repro.errors import InvalidArgumentError
+from repro.hypervisors.timing import model_for
 from repro.rpc.procedures import ADMIN_PROCEDURES, BY_NAME, REMOTE_PROCEDURES, Procedure, index
-from repro.rpc.protocol import PROCEDURES, STREAM_PROCEDURES
+from repro.rpc.protocol import PROCEDURES, STREAM_PROCEDURES, MessageType, ReplyStatus, RPCMessage
 from repro.rpc.retry import IDEMPOTENT_PROCEDURES
+from repro.rpc.transport import ASYNC_REPLY
+from repro.xmlconfig.domain import DiskDevice, DomainConfig
+from repro.xmlconfig.network import DHCPRange, IPConfig, NetworkConfig
+from repro.xmlconfig.storage import StoragePoolConfig, VolumeConfig
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PARENT = json.loads((REPO / "tests" / "data" / "procedures_parent.json").read_text())
 PASS_THROUGH = [row for row in REMOTE_PROCEDURES if row.method is not None]
+GiB = 1024**3
 
 
 def positional(function):
@@ -63,6 +69,13 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="may not be marked idempotent"):
             index((Procedure(1, "a.b", stream=True, idempotent=True),))
 
+    def test_a_non_blocking_row_off_the_priority_lane_or_with_a_stream_is_refused(self):
+        with pytest.raises(ValueError, match="non-blocking procedure 'a.b' must be priority"):
+            index((Procedure(1, "a.b", blocking=False),))
+        with pytest.raises(ValueError, match="non-blocking procedure 'a.b' must .* open no stream"):
+            index((Procedure(1, "a.b", priority=True, stream=True, blocking=False),))
+        index((Procedure(1, "a.b", priority=True, blocking=False),))
+
     def test_admin_rows_carry_number_and_name_only(self):
         assert all(row == Procedure(row.number, row.name) for row in ADMIN_PROCEDURES)
 
@@ -74,14 +87,35 @@ class TestTableInvariants:
         assert all(row.idempotent and row.method for row in REMOTE_PROCEDURES if row.cache)
 
 
+def call_frame(row, serial, body=None):
+    return RPCMessage(row.number, MessageType.CALL, serial, ReplyStatus.OK, body).pack()
+
+
 class TestDaemonRegistration:
     def test_every_row_is_served_on_its_lane(self):
-        daemon = Libvirtd(hostname="procedures-reg", register=False)
-        for row in REMOTE_PROCEDURES:
-            assert daemon.rpc.registered(row.name), row.name
-            _, priority = daemon.rpc._procedures[row.number]
-            assert priority == row.priority, row.name
-        assert len(daemon.rpc._procedures) == len(REMOTE_PROCEDURES)
+        """A non-blocking CALL is answered by ``dispatch`` itself; a
+        blocking one is handed to the pool, on the row's lane."""
+        with Libvirtd(hostname="procedures-reg") as daemon:
+            listener = daemon.listen("unix")
+            jobs = daemon.metrics.get("workerpool_jobs_total")
+            lanes = {
+                lane: jobs.labels(pool=daemon.pool.name, lane=lane) for lane in ("priority", "normal")
+            }
+            for row in REMOTE_PROCEDURES:
+                assert daemon.rpc.registered(row.name), row.name
+                # a connection of its own: connect.close ends the one it is sent on
+                conn = listener.connect()._server_conn
+                before = {lane: child.value for lane, child in lanes.items()}
+                reply = daemon.rpc.dispatch(conn, call_frame(row, row.number))
+                moved = {lane: child.value - before[lane] for lane, child in lanes.items()}
+                if row.blocking:
+                    assert reply is ASYNC_REPLY, row.name
+                    lane = "priority" if row.priority else "normal"
+                    assert moved == {"priority": 0, "normal": 0, lane: 1}, row.name
+                else:
+                    assert RPCMessage.unpack(reply).serial == row.number, row.name
+                    assert moved == {"priority": 0, "normal": 0}, row.name
+            assert len(daemon.rpc._procedures) == len(REMOTE_PROCEDURES)
 
     def test_admin_server_serves_every_admin_row(self):
         with Libvirtd(hostname="procedures-admin") as daemon:
@@ -89,6 +123,76 @@ class TestDaemonRegistration:
             admin = daemon._rpc_by_server["admin"]
             assert all(admin.registered(row.name) for row in ADMIN_PROCEDURES)
             assert len(admin._procedures) == len(ADMIN_PROCEDURES)
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A ``state_dir`` daemon holding one of everything a read can name."""
+
+    def guest(name):
+        disk = DiskDevice(f"/img/{name}.qcow2", "vda", capacity_bytes=GiB, driver_format="qcow2")
+        return DomainConfig(
+            name=name, domain_type="kvm", memory_kib=1024 * 1024, vcpus=1, disks=[disk]
+        ).to_xml()
+
+    state_dir = str(tmp_path_factory.mktemp("procedures-reads"))
+    with Libvirtd(hostname="procedures-reads", state_dir=state_dir) as daemon:
+        daemon.listen("tcp")
+        conn = repro.open_connection("qemu+tcp://procedures-reads/system")
+        drv = conn._driver
+        for name in ("running", "shutoff"):
+            drv.domain_define_xml(guest(name))
+        drv.domain_create("running")
+        drv.snapshot_create("running", "s1")
+        drv.checkpoint_create("running", "c1")
+        dhcp = DHCPRange("10.0.0.2", "10.0.0.50")
+        drv.network_define_xml(
+            NetworkConfig(name="net", ip=IPConfig("10.0.0.1", "255.255.255.0", dhcp)).to_xml()
+        )
+        drv.network_create("net")
+        drv.storage_pool_define_xml(StoragePoolConfig(name="pool", capacity_bytes=10 * GiB).to_xml())
+        drv.storage_pool_create("pool")
+        drv.storage_vol_create_xml("pool", VolumeConfig(name="vol", capacity_bytes=GiB).to_xml())
+        values = {
+            guest: {
+                "domain.name": guest, "network.name": "net", "storage.name": "pool",
+                "uuid": drv.domain_lookup_by_name(guest)["uuid"],
+                "id": drv.domain_lookup_by_name("running")["id"],
+                "checkpoint": "c1", "pool": "pool", "volume": "vol",
+            }
+            for guest in ("running", "shutoff")
+        }
+        yield daemon, drv.client._channel._server_conn, values
+        conn.close()
+
+
+class TestBlockingColumn:
+    """``blocking=False`` is a claim about the handler; here it is checked."""
+
+    @pytest.mark.parametrize(
+        "row", [row for row in PASS_THROUGH if not row.blocking], ids=lambda row: row.name
+    )
+    def test_a_non_blocking_row_leaves_no_trace(self, served, row):
+        daemon, conn, values = served
+        qemu = daemon.drivers["qemu"]
+        group = row.name.split(".")[0]
+
+        def trace():
+            quiet = [r for r in daemon.flight_recorder.records() if not r["kind"].startswith("rpc.")]
+            return qemu._state.lsn, qemu.events.published, len(quiet), daemon.pool.jobs_completed
+
+        for serial, guest in enumerate(("running", "shutoff"), start=1):
+            known = values[guest]
+            body = {arg: known.get(f"{group}.{arg}", known.get(arg)) for arg in row.args}
+            before, started = trace(), daemon.clock.now()
+            reply = daemon.rpc.dispatch(conn, call_frame(row, 1000 * row.number + serial, body or None))
+            assert isinstance(reply, bytes), "answered on the receiving thread"
+            assert trace() == before
+            # at most one monitor ``query``, and only a running guest has a monitor
+            charge = model_for("kvm").cost("query") if guest == "running" else 0.0
+            assert daemon.clock.now() - started in (0.0, pytest.approx(charge))
+            if (row.name, guest) != ("domain.checkpoint_get_xml_desc", "shutoff"):  # none there
+                assert RPCMessage.unpack(reply).status == ReplyStatus.OK
 
 
 class TestGeneratedStubs:
@@ -146,12 +250,17 @@ class TestMalformedBody:
 # -- docs/PROTOCOL.md ---------------------------------------------------------
 
 
+def lane(row):
+    if not row.blocking:
+        return "inline"
+    return "priority" if row.priority else "normal"
+
+
 def doc_rows():
     """The table rows exactly as ``docs/PROTOCOL.md`` must carry them."""
     yes = {True: "yes", False: "no"}
     remote = [
-        f"| {r.number} | `{r.name}` | {'priority' if r.priority else 'normal'} "
-        f"| {yes[r.idempotent]} | {yes[r.stream]} |"
+        f"| {r.number} | `{r.name}` | {lane(r)} | {yes[r.idempotent]} | {yes[r.stream]} |"
         for r in REMOTE_PROCEDURES
     ]
     return remote + [f"| {r.number} | `{r.name}` |" for r in ADMIN_PROCEDURES]
