@@ -13,6 +13,7 @@ Run:  python examples/monitoring.py
 
 import repro
 from repro.admin import admin_open
+from repro.core import state_name
 from repro.daemon import Libvirtd
 from repro.util.clock import VirtualClock
 from repro.util.units import format_size
@@ -56,10 +57,9 @@ def main() -> None:
     # -- virt-top style sample -------------------------------------------
     print(f"{'guest':<8}{'state':<10}{'cpu s':>8}{'mem':>10}{'disk r/w':>20}{'net rx/tx':>20}")
     print("-" * 76)
-    for domain in conn.list_domains(active=True):
-        stats = domain.get_stats()
+    for stats in conn.get_all_domain_stats():  # one call, the state is in the row
         print(
-            f"{stats['name']:<8}{domain.state_text():<10}"
+            f"{stats['name']:<8}{state_name(repro.DomainState(stats['state'])):<10}"
             f"{stats['cpu_seconds']:>8.1f}"
             f"{stats['memory_kib'] // 1024:>8} M"
             f"{format_size(stats['disk_read_bytes']):>11}/{format_size(stats['disk_write_bytes'])}"

@@ -226,15 +226,11 @@ class Connection:
     def get_all_domain_stats(self, active: "Optional[bool]" = True) -> List[Dict[str, Any]]:
         """Bulk statistics for every (active) domain — one monitoring sweep."""
         self._check_open()
-        return [domain.get_stats() for domain in self.list_domains(active=active)]
+        return self._driver.get_all_domain_stats(active)
 
     def active_domain_count(self) -> int:
         """Domains currently holding a live instance."""
-        return sum(
-            1
-            for domain in self.list_domains(active=True)
-            if domain.state() in ACTIVE_STATES
-        )
+        return sum(row["state"] in ACTIVE_STATES for row in self.get_all_domain_stats())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "closed" if self._closed else "open"

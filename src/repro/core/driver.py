@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 
 from repro.core.events import EventCallback
 from repro.core.uri import ConnectionURI
-from repro.errors import InvalidURIError, UnsupportedError
+from repro.errors import InvalidURIError, NoDomainError, UnsupportedError
 
 #: optional capabilities a driver can advertise (drives experiment E1)
 FEATURES = (
@@ -132,8 +132,12 @@ class Driver:
     """Internal driver interface (``virDriver``).
 
     Every public ``Connection``/``Domain`` method maps 1:1 onto one of
-    these.  The base class implements nothing: each method raises
-    :class:`UnsupportedError` so capability probing is uniform.
+    these.  The base class implements nothing — each method raises
+    :class:`UnsupportedError` so capability probing is uniform — but for
+    one default: :meth:`get_all_domain_stats` is written over the two
+    listings and :meth:`domain_get_stats`, so a backend without a cheaper
+    walk inherits the bulk call and a daemon serving it still answers in
+    one round trip.
     """
 
     #: URI scheme(s) this driver answers to
@@ -239,6 +243,24 @@ class Driver:
     def domain_get_stats(self, name: str) -> Dict[str, Any]:
         """Extended statistics: cpu, balloon, and cumulative I/O counters."""
         raise self._unsupported("domain_get_stats")
+
+    def get_all_domain_stats(self, active: "Optional[bool]" = True) -> List[Dict[str, Any]]:
+        """:meth:`domain_get_stats` of every domain, sorted by name:
+        ``active=True`` → running/paused only, ``False`` → inactive only,
+        ``None`` → both.  A domain that vanished after it was listed is
+        left out, not raised."""
+        names: List[str] = []
+        if active is None or active:
+            names.extend(self.list_domains())
+        if active is None or not active:
+            names.extend(self.list_defined_domains())
+        rows = []
+        for name in sorted(set(names)):
+            try:
+                rows.append(self.domain_get_stats(name))
+            except NoDomainError:
+                continue
+        return rows
 
     def domain_get_scheduler_params(self, name: str) -> List[Any]:
         """CPU scheduler tunables as a typed-parameter list."""

@@ -907,6 +907,22 @@ class StatefulDriver(Driver):
         self._count_call()
         return self._record(name).config.to_xml()
 
+    def get_all_domain_stats(self, active: "Optional[bool]" = True) -> List[Dict[str, Any]]:
+        # the guest table is read once: a guest started between the two
+        # listings of the base default would be in neither
+        with self._lock:
+            names = sorted(self._domains)
+        if active is not None:
+            running = set(self.backend.list_guests())
+            names = [name for name in names if (name in running) == active]
+        rows = []
+        for name in names:
+            try:
+                rows.append(self.domain_get_stats(name))
+            except NoDomainError:
+                continue  # undefined, or transient and destroyed, since the read
+        return rows
+
     def domain_get_stats(self, name: str) -> Dict[str, Any]:
         self._count_call()
         record = self._record(name)

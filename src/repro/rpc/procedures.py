@@ -147,6 +147,8 @@ REMOTE_PROCEDURES: Tuple[Procedure, ...] = (
     _P(83, "storage.vol_download", None, ("pool", "volume"), stream=True),
     _P(84, "domain.open_console", None, ("name",), stream=True),
     _P(85, "domain.backup_begin_pull", None, ("name",), stream=True),
+    # pooled, not inline: one monitor query per running guest, not at most one
+    _P(86, "connect.get_all_domain_stats", "get_all_domain_stats", ("active",), priority=True, idempotent=True),
 )
 
 #: the administration interface, served by the daemon's separate ``admin``

@@ -554,7 +554,9 @@ class TestInlineRows:
     rows, pipelining and the window behave as they did."""
 
     def test_pipelined_blocking_calls_still_overlap(self):
-        clock = ScaledWallClock(scale=0.005)
+        # 0.4 s of wall for the slow call: at 0.1 s a stall of the runner
+        # late in the full suite ate the whole margin below
+        clock = ScaledWallClock(scale=0.02)
 
         def save(conn, body):
             clock.sleep(body["sleep"])

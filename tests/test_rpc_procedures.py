@@ -44,18 +44,24 @@ def positional(function):
 
 
 class TestParentSnapshot:
+    """Append-only: what the parent recorded still reads the same; a row
+    added since takes a remote number above the parent's and below 100."""
+
     def test_numbers_are_the_parents(self):
-        assert PROCEDURES == PARENT["numbers"]
-        assert {row.name: row.number for row in BY_NAME.values()} == PARENT["numbers"]
+        assert {row.name: row.number for row in BY_NAME.values()} == PROCEDURES
+        assert {name: PROCEDURES.get(name) for name in PARENT["numbers"]} == PARENT["numbers"]
+        added = [row for row in BY_NAME.values() if row.name not in PARENT["numbers"]]
+        assert all(row in REMOTE_PROCEDURES and 85 < row.number < 100 for row in added)
 
     def test_priority_lane_is_the_parents(self):
-        assert sorted(r.name for r in REMOTE_PROCEDURES if r.priority) == PARENT["priority"]
+        was = [r.name for r in REMOTE_PROCEDURES if r.priority and r.name in PARENT["numbers"]]
+        assert sorted(was) == PARENT["priority"]
 
     def test_retry_allowlist_is_the_parents(self):
-        assert sorted(IDEMPOTENT_PROCEDURES) == PARENT["idempotent"]
+        assert sorted(IDEMPOTENT_PROCEDURES & PARENT["numbers"].keys()) == PARENT["idempotent"]
 
     def test_stream_set_is_the_parents(self):
-        assert sorted(STREAM_PROCEDURES) == PARENT["stream"]
+        assert sorted(STREAM_PROCEDURES & PARENT["numbers"].keys()) == PARENT["stream"]
 
 
 class TestTableInvariants:

@@ -70,7 +70,8 @@ class TestExecution:
             assert sorted(f.result(timeout=10) for f in futures) == sorted(
                 i * i for i in range(100)
             )
-            assert pool.jobs_completed == 100
+            # a worker counts the job after it delivers the result
+            assert wait_for(lambda: pool.jobs_completed == 100)
 
     def test_submit_after_shutdown_rejected(self):
         pool = WorkerPool()

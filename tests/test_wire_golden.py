@@ -87,6 +87,8 @@ STUB_CALLS = [
     ("stub:connect.list_defined_domains", "list_defined_domains", (), {}),
     ("stub:connect.num_of_domains", "num_of_domains", (), {}),
     ("stub:connect.get_version", "get_version", (), {}),
+    ("stub:connect.get_all_domain_stats", "get_all_domain_stats", (), {}),
+    ("stub:connect.get_all_domain_stats:all", "get_all_domain_stats", (None,), {}),
     ("stub:connect.ping", "ping", (), {}),
     ("stub:connect.supports_feature", "features", (), {}),
     ("stub:connect.domain_event_register", "domain_event_register", (print,), {}),
