@@ -76,6 +76,8 @@ class EventBroker:
         self._lock = threading.Lock()
         self._logger = logger or (lambda: None)
         self._metrics = metrics or (lambda: None)
+        #: counters this broker has emitted into, by name (see ``_counter``)
+        self._counters: Dict[str, Any] = {}
         self.delivered = 0
         #: callbacks that raised during delivery (the broken-subscriber count)
         self.callback_errors = 0
@@ -94,6 +96,22 @@ class EventBroker:
         if metrics is not None:
             self._metrics = metrics
 
+    def _counter(self, name: str, help_text: str, label: "Optional[str]" = None) -> Any:
+        """The registry's counter ``name`` — keyed by its ``label``'s
+        values if it has one — or None without a registry.  Registered by
+        the first emission (the family must not exist before it) and held."""
+        counter = self._counters.get(name)
+        if counter is None:
+            metrics = self._metrics()
+            if metrics is None:
+                return None
+            if label is None:
+                counter = metrics.counter(name, help_text)
+            else:
+                counter = metrics.counter(name, help_text, (label,)).by(label)
+            self._counters[name] = counter
+        return counter
+
     def _count_callback_error(self, callback_id: Any, exc: Exception) -> None:
         """A subscriber raised: make it visible instead of swallowing it."""
         with self._lock:
@@ -105,12 +123,11 @@ class EventBroker:
                 f"event callback {callback_id} raised "
                 f"{type(exc).__name__}: {exc}",
             )
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter(
-                "event_callback_errors_total",
-                "Event callbacks that raised during delivery",
-            ).inc()
+        errors = self._counter(
+            "event_callback_errors_total", "Event callbacks that raised during delivery"
+        )
+        if errors is not None:
+            errors.inc()
 
     def register(self, callback: EventCallback) -> int:
         """Register a callback; returns the id used for deregistration."""
@@ -329,13 +346,11 @@ class EventBus(EventBroker):
             subs = [s for s in self._subs.values() if s.wants(kind)]
         if self.tap is not None:
             self.tap(dict(record))
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics.counter(
-                "events_published_total",
-                "Event records published on the daemon bus",
-                ("kind",),
-            ).labels(kind=kind).inc()
+        published = self._counter(
+            "events_published_total", "Event records published on the daemon bus", "kind"
+        )
+        if published is not None:
+            published[kind].inc()
         tracer = self._tracer() if subs else None
         if tracer is not None:
             # no span without subscribers: an unobserved publish should
@@ -357,12 +372,11 @@ class EventBus(EventBroker):
                 sub.dropped += 1
                 with self._lock:
                     self.dropped += 1
-                metrics = self._metrics()
-                if metrics is not None:
-                    metrics.counter(
-                        "events_dropped_total",
-                        "Event records dropped on slow-subscriber overflow",
-                    ).inc()
+                dropped = self._counter(
+                    "events_dropped_total", "Event records dropped on slow-subscriber overflow"
+                )
+                if dropped is not None:
+                    dropped.inc()
             if not sub.paused:
                 self._drain(sub)
 
@@ -381,12 +395,11 @@ class EventBus(EventBroker):
         if count:
             with self._lock:
                 self.bus_delivered += count
-            metrics = self._metrics()
-            if metrics is not None:
-                metrics.counter(
-                    "events_delivered_total",
-                    "Event records delivered to bus subscribers",
-                ).inc(count)
+            delivered = self._counter(
+                "events_delivered_total", "Event records delivered to bus subscribers"
+            )
+            if delivered is not None:
+                delivered.inc(count)
         return count
 
     def drain_all(self) -> int:

@@ -941,6 +941,7 @@ class Libvirtd:
     ) -> Callable[[ServerConnection, Any], Any]:
         """``fn(driver, body)`` as the handler of ``procedure``: client
         bookkeeping, kill points, the ``driver.op`` span and metric."""
+        op_seconds = self._m_driver_ops.by("driver", procedure=procedure)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
             record = self._record_of(conn)
@@ -951,9 +952,10 @@ class Libvirtd:
             self._maybe_crash(CrashPoint.MID_DISPATCH, procedure)
             label = getattr(driver, "name", type(driver).__name__)
             started = self.clock.now()
+            tracer = self.tracer
             scope = (
-                self.tracer.span("driver.op", driver=label, procedure=procedure)
-                if self.tracer is not None
+                tracer.span("driver.op", driver=label, procedure=procedure)
+                if tracer is not None
                 else nullcontext()
             )
             with scope:
@@ -969,9 +971,7 @@ class Libvirtd:
                     )
                     self.crash()
                     raise
-            self._m_driver_ops.labels(driver=label, procedure=procedure).observe(
-                self.clock.now() - started
-            )
+            op_seconds[label].observe(self.clock.now() - started)
             # kill point 3: mutation + journal durable, reply never sent
             self._maybe_crash(CrashPoint.POST_JOURNAL, procedure)
             return result

@@ -160,6 +160,9 @@ class StatefulDriver(Driver):
         self.api_calls = 0
         #: optional observability registry, attached by a hosting daemon
         self.metrics = None
+        #: ``driver_api_calls_total{driver}``, registered by the first call
+        #: counted after a registry is attached
+        self._m_api_calls = None
         #: optional tracer, attached by a hosting daemon
         self.tracer = None
         #: cancellable background jobs (backups); lazy getters so the
@@ -214,12 +217,16 @@ class StatefulDriver(Driver):
 
     def _count_call(self) -> None:
         self.api_calls += 1
-        if self.metrics is not None:
-            self.metrics.counter(
+        counted = self._m_api_calls
+        if counted is None:
+            if self.metrics is None:
+                return
+            counted = self._m_api_calls = self.metrics.counter(
                 "driver_api_calls_total",
                 "Uniform-API entries, by driver",
                 ("driver",),
-            ).labels(driver=self.name).inc()
+            ).labels(driver=self.name)
+        counted.inc()
 
     def _record(self, name: str) -> _DomainRecord:
         with self._lock:

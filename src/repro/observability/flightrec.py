@@ -92,12 +92,17 @@ def interrupted_dispatches(
 
     These are the dispatches a crash cut short: the daemon recorded
     the frame header, started executing, and died before replying.
-    Matched by ``(server, serial)`` — the dispatch identity on one
-    daemon — scoped to the final incarnation in the tail.
+    Matched by ``(server, call)`` — the server's dispatch ordinal; a
+    serial is only unique on one connection, and every client starts at
+    1 — scoped to the final incarnation in the tail.  Records written
+    before the ``call`` field existed are matched by ``(server, serial)``.
     """
-    begun: "Dict[Tuple[Any, Any], Dict[str, Any]]" = {}
+    begun: "Dict[Tuple[Any, ...], Dict[str, Any]]" = {}
     for record in records:
-        key = (record.get("server"), record.get("serial"))
+        if "call" in record:
+            key = (record.get("server"), "call", record["call"])
+        else:
+            key = (record.get("server"), "serial", record.get("serial"))
         if record.get("kind") == KIND_RPC_BEGIN:
             begun[key] = record
         elif record.get("kind") == KIND_RPC_END:
@@ -144,9 +149,7 @@ class FlightRecorder:
     def record(self, kind: str, **fields: Any) -> Dict[str, Any]:
         """Append one record (virtual-clock stamped) to the ring and,
         when a state directory is attached, to the durable tail."""
-        record: Dict[str, Any] = {"t": self._now(), "kind": kind}
-        record.update(fields)
-        record["life"] = self.incarnation
+        record = {"t": self._now(), "kind": kind, **fields, "life": self.incarnation}
         statedir = self.statedir
         line = None if statedir is None else _encode_line(record)
         with self._lock:

@@ -207,6 +207,21 @@ class Histogram:
 _INSTRUMENTS = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}
 
 
+class _ChildrenBy(dict):
+    """``MetricFamily.by``: ``labels()`` runs in ``__missing__`` only."""
+
+    __slots__ = ("_family", "_label", "_fixed")
+
+    def __init__(self, family: "MetricFamily", label: str, fixed: Dict[str, str]) -> None:
+        self._family, self._label, self._fixed = family, label, fixed
+
+    def __missing__(self, value: str) -> Any:
+        child = self._family.labels(**{self._label: value}, **self._fixed)
+        if type(value) is str:  # as ``labels()``: 1, 1.0 and True are one key
+            self[value] = child
+        return child
+
+
 class MetricFamily:
     """One named metric, fanned out into children by label values."""
 
@@ -231,6 +246,8 @@ class MetricFamily:
         self._children: Dict[Tuple[str, ...], Any] = {}
         #: exact kwargs of an earlier ``labels()`` call -> its child
         self._memo: Dict[Tuple[Tuple[str, str], ...], Any] = {}
+        #: the one child of an unlabelled family, once it has a sample
+        self._solo: Any = None
         self._lock = threading.Lock()
 
     def _make_child(self) -> Any:
@@ -262,12 +279,22 @@ class MetricFamily:
             self._memo[memo_key] = child
         return child
 
+    def by(self, label: str, **fixed: str) -> "Dict[str, Any]":
+        """A dict from values of ``label`` to the child carrying that value
+        beside the ``fixed`` labels.  Instrumented code holds one per
+        emission site: a child is looked up (and so first appears in the
+        export) the first time its value is used, and never again."""
+        return _ChildrenBy(self, label, fixed)
+
     def _unlabelled(self) -> Any:
-        if self.labelnames:
-            raise InvalidArgumentError(
-                f"metric {self.name!r} is labelled; call .labels(...) first"
-            )
-        return self.labels()
+        child = self._solo
+        if child is None:
+            if self.labelnames:
+                raise InvalidArgumentError(
+                    f"metric {self.name!r} is labelled; call .labels(...) first"
+                )
+            child = self._solo = self.labels()
+        return child
 
     # -- unlabelled conveniences ------------------------------------------
 

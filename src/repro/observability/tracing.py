@@ -37,14 +37,10 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 #: one id space for every tracer in the process — span ids must not
-#: collide when client and daemon spans join the same trace
-_ID_LOCK = threading.Lock()
+#: collide when client and daemon spans join the same trace.  Taken with
+#: a bare ``next(_IDS)``: ``itertools.count.__next__`` runs in C without
+#: releasing the interpreter lock, so two threads cannot draw one id
 _IDS = itertools.count(1)
-
-
-def _next_id() -> int:
-    with _ID_LOCK:
-        return next(_IDS)
 
 
 class SpanContext:
@@ -122,7 +118,9 @@ class Span:
         self.parent_id = parent_id
         self.start = start
         self.end: Optional[float] = None
-        self.attributes: Dict[str, Any] = dict(attributes or {})
+        #: adopted, not copied: the tracer hands over the ``**attributes``
+        #: dict its caller's call just built, which nobody else holds
+        self.attributes: Dict[str, Any] = attributes if attributes is not None else {}
         #: set to the exception repr when the spanned block raised
         self.error: Optional[str] = None
 
@@ -184,10 +182,9 @@ class _SpanContextManager:
 _SpanContext = _SpanContextManager
 
 
-class _ThreadState:
-    """Per-thread tracing state: the nesting stack + attached context."""
-
-    __slots__ = ("stack", "context")
+class _ThreadState(threading.local):
+    """Per-thread tracing state: the nesting stack + attached context
+    (``__init__`` runs once in each thread that touches it)."""
 
     def __init__(self) -> None:
         self.stack: List[Span] = []
@@ -211,7 +208,7 @@ class Tracer:
         metrics: "Optional[Any]" = None,
     ) -> None:
         self._now = now
-        self._local = threading.local()
+        self._local = _ThreadState()
         self._finished: "Deque[Span]" = deque(maxlen=max_finished)
         self._open: Dict[int, Span] = {}
         self._lock = threading.Lock()
@@ -227,7 +224,7 @@ class Tracer:
                 "span_seconds",
                 "Modelled span durations by span name",
                 ("name",),
-            )
+            ).by("name")
             self._m_propagated = metrics.counter(
                 "spans_propagated_total",
                 "Spans created under a wire-propagated parent context",
@@ -251,9 +248,7 @@ class Tracer:
         (counted in ``spans_propagated_total``).  Without it the parent
         is the thread's innermost open span, else the attached context.
         """
-        span = self._make_span(name, parent, attributes)
-        self._state().stack.append(span)
-        return _SpanContextManager(self, span)
+        return _SpanContextManager(self, self._make_span(name, parent, attributes, True))
 
     def start_span(
         self,
@@ -265,11 +260,11 @@ class Tracer:
         pushed on the thread stack, so it survives thread handoffs and
         pipelined siblings stay siblings.  Finish it explicitly with
         :meth:`finish_span` from any thread."""
-        return self._make_span(name, parent, attributes)
+        return self._make_span(name, parent, attributes, False)
 
     def finish_span(self, span: Span, error: "Optional[str]" = None) -> None:
         """Finish a span started with :meth:`start_span` (idempotent)."""
-        if span.finished:
+        if span.end is not None:
             return
         if error is not None and span.error is None:
             span.error = error
@@ -280,19 +275,22 @@ class Tracer:
         name: str,
         parent: "Optional[SpanContext]",
         attributes: Dict[str, Any],
+        stacked: bool,
     ) -> Span:
+        """One thread-state look-up, one id, one clock read, one ``Span``,
+        one lock; the ambient parent's ids are read where they are."""
+        state = self._local
+        stack = state.stack
         propagated = parent is not None
         if parent is None:
-            parent = self.current_context()
-        span_id = _next_id()
-        span = Span(
-            name,
-            span_id,
-            trace_id=parent.trace_id if parent is not None else span_id,
-            start=self._now(),
-            parent_id=parent.span_id if parent is not None else None,
-            attributes=attributes,
-        )
+            parent = stack[-1] if stack else state.context  # a Span or a SpanContext
+        span_id = next(_IDS)
+        if parent is None:
+            span = Span(name, span_id, span_id, self._now(), None, attributes)
+        else:
+            span = Span(name, span_id, parent.trace_id, self._now(), parent.span_id, attributes)
+        if stacked:
+            stack.append(span)
         with self._lock:
             self.spans_started += 1
             if propagated:
@@ -302,39 +300,33 @@ class Tracer:
             self._m_propagated.inc()
         return span
 
-    def _finish(self, span: Span) -> None:
-        if span.finished:
+    def _finish(self, span: Span, orphaned: int = 0) -> None:
+        if span.end is not None:
             return
-        span.end = self._now()
-        stack = self._state().stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:
-            # out-of-order exit: spans opened after ``span`` on this
-            # thread can never pop cleanly — finish them as orphans
-            # (marked, counted, buffered) instead of silently dropping
-            # them with spans_started forever exceeding finished
-            while stack and stack[-1] is not span:
-                orphan = stack.pop()
-                self._finalize(orphan, orphaned_by=span.name)
-            if stack:
+        stack = self._local.stack
+        if stack:
+            if stack[-1] is span:
                 stack.pop()
-        self._finalize(span)
-
-    def _finalize(self, span: Span, orphaned_by: "Optional[str]" = None) -> None:
-        if orphaned_by is not None:
-            span.end = self._now()
-            if span.error is None:
-                span.error = f"orphaned: enclosing span {orphaned_by!r} exited first"
+            elif span in stack:
+                # out-of-order exit: spans opened after ``span`` on this
+                # thread can never pop cleanly — finish them as orphans
+                # (marked, counted, buffered) instead of silently dropping
+                # them with spans_started forever exceeding finished
+                while stack[-1] is not span:
+                    orphan = stack[-1]
+                    if orphan.error is None:
+                        orphan.error = f"orphaned: enclosing span {span.name!r} exited first"
+                    self._finish(orphan, orphaned=1)
+                stack.pop()
+        end = span.end = self._now()
         with self._lock:
             self._open.pop(span.span_id, None)
             if span.error is not None:
                 self.spans_failed += 1
-            if orphaned_by is not None:
-                self.spans_orphaned += 1
+            self.spans_orphaned += orphaned
             self._finished.append(span)
         if self.metrics is not None:
-            self._m_span_seconds.labels(name=span.name).observe(span.end - span.start)
+            self._m_span_seconds[span.name].observe(end - span.start)
 
     def record_interrupted(
         self,
@@ -371,7 +363,7 @@ class Tracer:
             self.spans_failed += 1
             self._finished.append(span)
         if self.metrics is not None:
-            self._m_span_seconds.labels(name=span.name).observe(span.end - span.start)
+            self._m_span_seconds[span.name].observe(span.end - span.start)
         return span
 
     # -- context propagation -----------------------------------------------
@@ -379,7 +371,7 @@ class Tracer:
     def current_context(self) -> "Optional[SpanContext]":
         """The context a child span started *now* on this thread would
         inherit: innermost open span, else the attached context."""
-        state = self._state()
+        state = self._local
         if state.stack:
             return state.stack[-1].context
         return state.context
@@ -390,27 +382,20 @@ class Tracer:
         :meth:`current_context`, the executing side attaches it).
         Returns the previously attached context — pass it back to
         :meth:`detach` to restore."""
-        state = self._state()
+        state = self._local
         previous = state.context
         state.context = context
         return previous
 
     def detach(self, token: "Optional[SpanContext]") -> None:
         """Restore the context that :meth:`attach` displaced."""
-        self._state().context = token
-
-    def _state(self) -> _ThreadState:
-        state = getattr(self._local, "state", None)
-        if state is None:
-            state = _ThreadState()
-            self._local.state = state
-        return state
+        self._local.context = token
 
     # -- inspection --------------------------------------------------------
 
     @property
     def current(self) -> "Optional[Span]":
-        stack = self._state().stack
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     def finished_spans(self) -> List[Span]:

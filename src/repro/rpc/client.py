@@ -209,18 +209,18 @@ class RPCClient:
         if metrics is not None:
             self._m_calls = metrics.counter(
                 "rpc_client_calls_total", "RPC calls issued", ("procedure",)
-            )
+            ).by("procedure")
             self._m_latency = metrics.histogram(
                 "rpc_client_call_seconds",
                 "Modelled round-trip latency of successful RPC calls",
                 ("procedure",),
-            )
+            ).by("procedure")
             self._m_timeouts = metrics.counter(
                 "rpc_client_timeouts_total", "Calls that hit their deadline", ("procedure",)
-            )
+            ).by("procedure")
             self._m_errors = metrics.counter(
                 "rpc_client_errors_total", "Structured error replies", ("procedure",)
-            )
+            ).by("procedure")
             self._m_pings = metrics.counter(
                 "rpc_client_keepalive_pings_total", "Keepalive PINGs sent"
             )
@@ -574,7 +574,7 @@ class RPCClient:
                 serial = next(self._serials)
             self.calls_made += 1
         if self.metrics is not None:
-            self._m_calls.labels(procedure=procedure).inc()
+            self._m_calls[procedure].inc()
         request = RPCMessage(number, MessageType.CALL, serial)
         request.body = body
         span: "Optional[Span]" = None
@@ -686,10 +686,10 @@ class RPCClient:
             if not isinstance(reply.body, dict):
                 self._desynchronize(f"malformed error body: {reply.body!r}")
             if self.metrics is not None:
-                self._m_errors.labels(procedure=entry.procedure).inc()
+                self._m_errors[entry.procedure].inc()
             raise VirtError.from_dict(reply.body)
         if self.metrics is not None:
-            self._m_latency.labels(procedure=entry.procedure).observe(
+            self._m_latency[entry.procedure].observe(
                 self._channel.clock.now() - entry.started
             )
         return reply.body
@@ -714,7 +714,7 @@ class RPCClient:
         with self._lock:
             self.timeouts += 1
         if self.metrics is not None:
-            self._m_timeouts.labels(procedure=entry.procedure).inc()
+            self._m_timeouts[entry.procedure].inc()
         raise OperationTimeoutError(
             f"{entry.procedure} got no reply within its {entry.timeout:g}s deadline"
         ) from exc

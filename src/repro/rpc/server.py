@@ -30,6 +30,7 @@ disconnect or daemon crash never leaves one dangling.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from collections import deque
@@ -120,7 +121,8 @@ class RPCServer:
         max_queued_requests: int = DEFAULT_MAX_QUEUED_REQUESTS,
     ) -> None:
         _validate_window(max_client_requests, max_queued_requests)
-        self._procedures: Dict[int, Tuple[Handler, bool, bool]] = {}
+        #: number -> (handler, priority, blocking, wire name)
+        self._procedures: Dict[int, Tuple[Handler, bool, bool, str]] = {}
         self._pool = pool
         self._lock = threading.Lock()
         self._windows: "weakref.WeakKeyDictionary[ServerConnection, _InflightWindow]" = (
@@ -147,31 +149,36 @@ class RPCServer:
         #: (``rpc.end``) — a begin with no end is a dispatch a crash
         #: cut short (see repro.observability.flightrec)
         self.recorder: "Optional[Any]" = None
+        #: dispatch ordinals, the ``call`` of a begin/end pair: serials
+        #: repeat across connections, these do not
+        self._calls = itertools.count(1)
         self.metrics = metrics
         self.tracer = tracer
         #: label value distinguishing server objects sharing one registry
         self.name = name
         if metrics is not None:
-            self._m_calls = metrics.counter(
+            calls = metrics.counter(
                 "rpc_server_calls_total",
                 "Dispatched calls by server, procedure, and outcome",
                 ("server", "procedure", "status"),
             )
+            self._m_served = calls.by("procedure", server=name, status="ok")
+            self._m_failed = calls.by("procedure", server=name, status="error")
             self._m_latency = metrics.histogram(
                 "rpc_server_dispatch_seconds",
                 "Modelled dispatch latency (queue wait + handler service)",
                 ("server", "procedure"),
-            )
+            ).by("procedure", server=name)
             self._m_pings = metrics.counter(
                 "rpc_server_keepalive_pings_total",
                 "Keepalive PINGs answered inline",
                 ("server",),
-            )
+            ).by("server")
             self._m_backpressure = metrics.counter(
                 "rpc_server_backpressure_total",
                 "Calls that hit the per-connection in-flight window",
                 ("server", "outcome"),
-            )
+            ).by("outcome", server=name)
             inflight = metrics.gauge(
                 "rpc_server_inflight_calls",
                 "Calls executing or queued behind the in-flight window",
@@ -182,7 +189,7 @@ class RPCServer:
                 "stream_bytes_total",
                 "Bulk bytes moved over streams by direction (daemon view)",
                 ("server", "direction"),
-            )
+            ).by("direction", server=name)
             stream_active = metrics.gauge(
                 "stream_active",
                 "Streams currently open on the daemon",
@@ -215,7 +222,9 @@ class RPCServer:
         """
         number = procedure_number(name)
         with self._lock:
-            self._procedures[number] = (handler, priority, BY_NAME[name].blocking or not priority)
+            self._procedures[number] = (
+                handler, priority, BY_NAME[name].blocking or not priority, name
+            )
 
     def registered(self, name: str) -> bool:
         return procedure_number(name) in self._procedures
@@ -262,7 +271,7 @@ class RPCServer:
             else:
                 self.calls_rejected += 1
         if self.metrics is not None:
-            self._m_backpressure.labels(server=self.name, outcome=outcome).inc()
+            self._m_backpressure[outcome].inc()
 
     # -- dispatch pipeline ------------------------------------------------
 
@@ -302,7 +311,7 @@ class RPCServer:
                 message.serial,
                 RPCError(f"procedure {message.procedure} not registered"),
             )
-        handler, priority, blocking = entry
+        handler, priority, blocking, label = entry
         trace_ctx = (
             SpanContext.from_wire(message.trace)
             if self.tracer is not None and message.trace is not None
@@ -311,7 +320,7 @@ class RPCServer:
         job = _DispatchJob(
             handler,
             message,
-            self._procedure_label(message.procedure),
+            label,
             priority,
             conn.current_frame_index,
             conn.channel.clock.now(),
@@ -422,28 +431,31 @@ class RPCServer:
         a span attribute.
         """
         message = job.message
+        label = job.label
+        tracer = self.tracer
+        recorder = self.recorder
+        clock = conn.channel.clock
         scope = (
-            self.tracer.span(
+            tracer.span(
                 "rpc.dispatch",
                 parent=job.trace_ctx,
-                procedure=job.label,
+                procedure=label,
                 priority=job.priority,
+                serial=message.serial,
+                queue_wait=clock.now() - job.started,
             )
-            if self.tracer is not None
+            if tracer is not None
             else nullcontext(None)
         )
         with scope as span:
-            if span is not None:
-                span.set_attribute("serial", message.serial)
-                span.set_attribute(
-                    "queue_wait", conn.channel.clock.now() - job.started
-                )
-            if self.recorder is not None:
-                self.recorder.record(
+            if recorder is not None:
+                call = next(self._calls)
+                recorder.record(
                     "rpc.begin",
                     server=self.name,
-                    procedure=job.label,
+                    procedure=label,
                     serial=message.serial,
+                    call=call,
                     start=job.started,
                     span_id=span.span_id if span is not None else None,
                     trace_id=span.trace_id if span is not None else None,
@@ -467,8 +479,9 @@ class RPCServer:
             finally:
                 self._dispatch_ctx.conn = None
                 self._dispatch_ctx.message = None
+            status = "ok" if failure is None else "error"
             if span is not None:
-                span.set_attribute("status", "ok" if failure is None else "error")
+                span.attributes["status"] = status
                 if failure is not None:
                     span.error = repr(failure)
             if failure is not None:
@@ -477,9 +490,7 @@ class RPCServer:
                 with self._lock:
                     self.calls_served += 1
                 if self.metrics is not None:
-                    self._m_calls.labels(
-                        server=self.name, procedure=job.label, status="ok"
-                    ).inc()
+                    self._m_served[label].inc()
                 reply = RPCMessage(
                     message.procedure,
                     MessageType.REPLY,
@@ -488,16 +499,15 @@ class RPCServer:
                     result,
                 ).pack()
             if self.metrics is not None:
-                self._m_latency.labels(server=self.name, procedure=job.label).observe(
-                    conn.channel.clock.now() - job.started
-                )
-            if self.recorder is not None:
-                self.recorder.record(
+                self._m_latency[label].observe(clock.now() - job.started)
+            if recorder is not None:
+                recorder.record(
                     "rpc.end",
                     server=self.name,
-                    procedure=job.label,
+                    procedure=label,
                     serial=message.serial,
-                    status="ok" if failure is None else "error",
+                    call=call,
+                    status=status,
                 )
         return reply
 
@@ -510,7 +520,7 @@ class RPCServer:
         with self._lock:
             self.pings_answered += 1
         if self.metrics is not None:
-            self._m_pings.labels(server=self.name).inc()
+            self._m_pings[self.name].inc()
         if self.on_ping is not None:
             self.on_ping(conn)
         return make_pong(message.serial).pack()
@@ -519,11 +529,7 @@ class RPCServer:
         with self._lock:
             self.calls_failed += 1
         if self.metrics is not None:
-            self._m_calls.labels(
-                server=self.name,
-                procedure=self._procedure_label(procedure),
-                status="error",
-            ).inc()
+            self._m_failed[self._procedure_label(procedure)].inc()
         reply = RPCMessage(
             procedure,
             MessageType.REPLY,
@@ -624,9 +630,7 @@ class RPCServer:
 
     def _count_stream_bytes(self, direction: str, amount: int) -> None:
         if self.metrics is not None:
-            self._m_stream_bytes.labels(server=self.name, direction=direction).inc(
-                amount
-            )
+            self._m_stream_bytes[direction].inc(amount)
 
     def _stream_closed(self, stream: ServerStream, outcome: str) -> None:
         """Bookkeeping for any stream teardown (finish and abort)."""

@@ -622,12 +622,12 @@ class Listener:
                 "transport_bytes_received_total",
                 "Payload bytes received by the daemon",
                 ("transport",),
-            )
+            ).by("transport")
             self._m_bytes_out = metrics.counter(
                 "transport_bytes_sent_total",
                 "Payload bytes sent by the daemon",
                 ("transport",),
-            )
+            ).by("transport")
             self._m_lost = metrics.counter(
                 "transport_frames_lost_total",
                 "Frames that never produced a reply (drops, dead links)",
@@ -645,9 +645,9 @@ class Listener:
         if self.metrics is None:
             return
         if sent:
-            self._m_bytes_out.labels(transport=self.spec.name).inc(sent)
+            self._m_bytes_out[self.spec.name].inc(sent)
         if received:
-            self._m_bytes_in.labels(transport=self.spec.name).inc(received)
+            self._m_bytes_in[self.spec.name].inc(received)
 
     def _record_loss(self) -> None:
         if self.metrics is not None:

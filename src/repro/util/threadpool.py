@@ -69,17 +69,17 @@ class WorkerPool:
                 "workerpool_jobs_total",
                 "Jobs submitted, by pool and lane",
                 ("pool", "lane"),
-            )
+            ).by("lane", pool=name)
             self._m_wait = metrics.histogram(
                 "workerpool_job_wait_seconds",
                 "Modelled time a job spent queued before a worker took it",
                 ("pool",),
-            )
+            ).by("pool")
             self._m_service = metrics.histogram(
                 "workerpool_job_service_seconds",
                 "Modelled time a worker spent executing a job",
                 ("pool",),
-            )
+            ).by("pool")
             # live-view gauges: evaluated at scrape time, never pushed
             depth = metrics.gauge(
                 "workerpool_queue_depth", "Jobs waiting for a worker", ("pool",)
@@ -160,9 +160,7 @@ class WorkerPool:
                 self._prio_parked -= 1
                 self._prio_cond.notify()
         if self.metrics is not None:
-            self._m_jobs.labels(
-                pool=self.name, lane="priority" if priority else "normal"
-            ).inc()
+            self._m_jobs["priority" if priority else "normal"].inc()
         return job.future
 
     def set_parameters(
@@ -297,9 +295,7 @@ class WorkerPool:
             started = 0.0
             if self.metrics is not None:
                 started = self._now()
-                self._m_wait.labels(pool=self.name).observe(
-                    max(0.0, started - job.enqueued_at)
-                )
+                self._m_wait[self.name].observe(max(0.0, started - job.enqueued_at))
             try:
                 result = job.func(*job.args, **job.kwargs)
             except BaseException as exc:  # noqa: BLE001 - forwarded via the future
@@ -307,9 +303,7 @@ class WorkerPool:
             else:
                 _deliver(job.future.set_result, result)
             if self.metrics is not None:
-                self._m_service.labels(pool=self.name).observe(
-                    max(0.0, self._now() - started)
-                )
+                self._m_service[self.name].observe(max(0.0, self._now() - started))
             with self._lock:
                 self._jobs_completed += 1
 

@@ -15,10 +15,12 @@ Four pillars under test:
 """
 
 import math
+import threading
 
 import pytest
 
-from repro.errors import VirtError
+import repro
+from repro.errors import DaemonCrashError, VirtError
 from repro.faults import CrashHarness, CrashPlan, CrashPoint
 from repro.fleet import FleetManager, FleetOrchestrator
 from repro.daemon.libvirtd import Libvirtd
@@ -485,6 +487,29 @@ class TestFlightRecorderUnit:
         # recovery record; only serial 7 is still dangling
         assert [r["serial"] for r in interrupted_dispatches(records)] == [7]
 
+    def test_two_connections_with_one_serial_pair_by_call(self):
+        """Serials are per connection and every client starts at 1: an
+        ``end`` closes the begin of its own dispatch, not whichever begin
+        last carried that serial."""
+        records = [
+            {"kind": "rpc.begin", "server": "s", "serial": 7, "call": 11,
+             "procedure": "domain.create"},
+            {"kind": "rpc.begin", "server": "s", "serial": 7, "call": 12,
+             "procedure": "domain.get_info"},
+            {"kind": "rpc.end", "server": "s", "serial": 7, "call": 12},
+        ]
+        assert [r["procedure"] for r in interrupted_dispatches(records)] == ["domain.create"]
+
+    def test_records_without_a_call_ordinal_pair_by_serial(self):
+        """Tails written before the ``call`` field still close: a record
+        with an ordinal never pairs with one without."""
+        records = [
+            {"kind": "rpc.begin", "server": "s", "serial": 1},
+            {"kind": "rpc.begin", "server": "s", "serial": 1, "call": 1},
+            {"kind": "rpc.end", "server": "s", "serial": 1},
+        ]
+        assert [r.get("call") for r in interrupted_dispatches(records)] == [1]
+
 
 class TestDaemonFlightRecorder:
     def test_rpc_traffic_leaves_paired_records(self, tmp_path):
@@ -529,6 +554,60 @@ class TestDaemonFlightRecorder:
 
 
 class TestCrashFlightDump:
+    def test_crash_under_two_clients_closes_the_dispatch_it_cut_short(self, tmp_path):
+        """Client A's pooled call is parked inside its handler; client B's
+        inline read carries the same serial, begins and ends; the daemon
+        dies.  Recovery must close A's dispatch — B's ``end`` is not A's."""
+        clock = VirtualClock()
+        daemon = Libvirtd(hostname="fr-two", clock=clock, state_dir=str(tmp_path))
+        daemon.listen("unix")
+        parked, released = threading.Event(), threading.Event()
+
+        def park(conn, body):
+            parked.set()
+            released.wait(10)
+            raise DaemonCrashError("killed while parked")  # a dead process writes no end
+
+        daemon.rpc.register("domain.create", park)  # not priority: runs on a worker
+        a = repro.open_connection("qemu+unix://fr-two/system")
+        b = repro.open_connection("qemu+unix://fr-two/system")
+        outcome = []
+
+        def call_a():
+            try:
+                a._driver.domain_create("anything")
+            except VirtError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call_a)
+        caller.start()
+        try:
+            assert parked.wait(10)
+            assert b._driver.ping() == "pong"
+            tail = daemon.flight_recorder.records()
+            begin_a = [r for r in tail if r["kind"] == "rpc.begin"][-2]
+            begin_b, end_b = tail[-2:]
+            assert begin_a["procedure"] == "domain.create"
+            assert (begin_b["kind"], end_b["kind"]) == ("rpc.begin", "rpc.end")
+            assert begin_a["serial"] == begin_b["serial"] == end_b["serial"]
+            daemon.crash()
+        finally:
+            released.set()
+            caller.join(10)
+        assert not caller.is_alive() and len(outcome) == 1
+
+        recovered = Libvirtd(hostname="fr-two", clock=clock, state_dir=str(tmp_path))
+        try:
+            assert recovered.recovery["flightrec"]["interrupted_spans"] == 1
+            (span,) = [
+                s for s in recovered.tracer.export()
+                if s["attributes"].get("status") == "interrupted"
+            ]
+            assert span["attributes"]["procedure"] == "domain.create"
+            assert span["span_id"] == begin_a["span_id"]
+        finally:
+            recovered.shutdown()
+
     def _crashed_harness(self, tmp_path, clock, point, op):
         harness = CrashHarness(str(tmp_path), hostname="fx-s", clock=clock)
         harness.start()
