@@ -11,12 +11,14 @@ that uniformity is the paper's central claim.
 
 from __future__ import annotations
 
+import functools
 import re
 import xml.etree.ElementTree as ET
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import XMLError
 from repro.util import uuidutil
+from repro.util.units import UNIT_MULTIPLIERS
 from repro.util.xmlutil import (
     child_text,
     escape_attr,
@@ -467,7 +469,18 @@ class DomainConfig:
 
     @staticmethod
     def from_xml(text: str) -> "DomainConfig":
-        """Parse and validate a ``<domain>`` document."""
+        """Parse and validate a ``<domain>`` document.
+
+        A text seen before is not parsed again: the result is a private
+        copy of what its first parse produced, so callers may mutate it.
+        """
+        if len(text) > _MEMO_MAX_CHARS:
+            return DomainConfig._parse(text)
+        return _remembered(text)._clone()
+
+    @staticmethod
+    def _parse(text: str) -> "DomainConfig":
+        """One real parse: ``ElementTree``, extraction, construction, ``validate()``."""
         root = parse_xml(text)
         if root.tag != "domain":
             raise XMLError(f"expected <domain> root element, got <{root.tag}>")
@@ -529,35 +542,60 @@ class DomainConfig:
 
     def copy(self, **overrides: object) -> "DomainConfig":
         """A modified copy (used by migration/rename paths)."""
-        config = DomainConfig.from_xml(self.to_xml())
+        config = self._clone()
         for key, value in overrides.items():
-            if not hasattr(config, key):
+            if key not in config.__dict__:
                 raise XMLError(f"unknown domain config field {key!r}")
             setattr(config, key, value)
         config.validate()
         return config
 
+    def _clone(self) -> "DomainConfig":
+        """A copy sharing no mutable object with ``self``; not re-validated
+        (a copy of a validated state is that state)."""
+        return _copy_instance(self)
 
-_MEMORY_UNIT_KIB = {
-    "b": 1.0 / 1024,
-    "bytes": 1.0 / 1024,
-    "kib": 1,
-    "k": 1,
-    "mib": 1024,
-    "m": 1024,
-    "gib": 1024**2,
-    "g": 1024**2,
-    "tib": 1024**3,
-    "t": 1024**3,
-}
+
+# A document is remembered by its text: the same text is the same parse and a
+# changed config is a different text, so an entry is never invalidated, only
+# evicted (least recently used).  What is remembered is a template that never
+# leaves this module; ``from_xml`` hands out ``_clone()``s of it, because
+# ``StatefulDriver`` mutates configs in place.  Both bounds were measured
+# (CHANGES.md, PR 24) and nothing sets them: an entry costs about four bytes a
+# character (text + template; ~4 KiB for the ~1 Ki-character documents of the
+# fixtures, ~4 MiB for a full memo of them), and a text over 8 Ki characters
+# (a ~33-disk guest, a ~0.35 ms parse; the longest document in the corpus or a
+# workload is 1.7 Ki) is parsed every time and not kept, so however large the
+# documents a client sends a full memo pins about 32 MiB at most.
+_MEMO_ENTRIES = 1024
+_MEMO_MAX_CHARS = 8 * 1024
+_remembered = functools.lru_cache(maxsize=_MEMO_ENTRIES)(DomainConfig._parse)
+
+#: leaf values a clone shares with its template
+_IMMUTABLE = frozenset((str, int, bool, type(None)))
+
+
+def _copy_instance(obj: Any) -> Any:
+    """Copy an instance ``__dict__`` by ``__dict__``, so a field added later is
+    copied too: lists and instances are new, immutable leaves are shared."""
+    new = object.__new__(type(obj))
+    fields = new.__dict__
+    for key, value in obj.__dict__.items():
+        if type(value) is list:
+            value = [v if type(v) in _IMMUTABLE else _copy_instance(v) for v in value]
+        elif type(value) not in _IMMUTABLE:
+            value = _copy_instance(value)
+        fields[key] = value
+    return new
 
 
 def _parse_memory_element(root: ET.Element, tag: str) -> Optional[int]:
-    """Read a ``<memory unit=...>`` style element into KiB."""
+    """Read a ``<memory unit=...>`` style element into KiB, rounded up as
+    libvirt rounds (``KiB`` and ``K`` are 1024, ``KB`` is 1000)."""
     elem = root.find(tag)
     if elem is None or not elem.text:
         return None
     unit = elem.get("unit", "KiB").lower()
-    if unit not in _MEMORY_UNIT_KIB:
+    if unit not in UNIT_MULTIPLIERS:
         raise XMLError(f"unknown memory unit {unit!r} on <{tag}>")
-    return int(int_text(elem) * _MEMORY_UNIT_KIB[unit])
+    return -(-int_text(elem) * UNIT_MULTIPLIERS[unit] // 1024)

@@ -29,6 +29,7 @@ from repro.faults import CrashHarness, CrashPlan, CrashPoint
 from repro.observability.flightrec import interrupted_dispatches, read_tail
 from repro.rpc.retry import RetryPolicy
 from repro.state import StateDir
+from repro.util.xmlutil import element_to_string
 from repro.xmlconfig.domain import DiskDevice, DomainConfig
 from repro.xmlconfig.storage import StoragePoolConfig
 
@@ -263,6 +264,41 @@ class TestNonIntrusiveRestart:
         recovered = harness.driver()
         assert "keeper" in recovered.list_defined_domains()
         assert "keeper" not in recovered.list_domains()
+
+
+class TestDocumentRoundTrip:
+    def test_redefining_a_text_sees_the_text_not_what_the_driver_made_of_it(self, tmp_path):
+        """define → ``get_xml_desc`` → journal → ``recover_state``, twice over
+        one text.  The driver mutates the config it parsed in place; the
+        second define parses the same text and must get the document, not
+        that config (``DomainConfig.from_xml`` remembers texts)."""
+        harness = CrashHarness(str(tmp_path / "twice"), hostname="twice")
+        harness.start()
+        drv = harness.connect(**RESILIENT)
+        text = DomainConfig(
+            name="twice", domain_type="kvm", uuid="123e4567-e89b-42d3-a456-426614174000",
+            memory_kib=1024 * 1024, vcpus=1,
+            disks=[DiskDevice("/img/twice.qcow2", "vda", capacity_bytes=8 * GiB)],
+        ).to_xml()
+        drv.domain_define_xml(text)
+        assert drv.domain_get_xml_desc("twice") == text
+        drv.domain_set_memory("twice", 512 * 1024)
+        extra = DiskDevice("/img/extra.qcow2", "vdb", capacity_bytes=GiB)
+        drv.domain_attach_device("twice", element_to_string(extra.to_element()))
+        mutated = drv.domain_get_xml_desc("twice")
+        assert mutated != text and DomainConfig.from_xml(mutated).disks[1] == extra
+        harness.daemon.crash()
+        harness.restart()
+        drv = harness.connect(**RESILIENT)
+        assert drv.domain_get_xml_desc("twice") == mutated
+
+        drv.domain_undefine("twice")
+        drv.domain_define_xml(text)
+        assert drv.domain_get_xml_desc("twice") == text
+        harness.daemon.crash()
+        harness.restart()
+        assert harness.driver().domain_get_xml_desc("twice") == text
+        assert DomainConfig.from_xml(text).to_xml() == text
 
 
 class TestGracefulShutdown:

@@ -202,6 +202,49 @@ class TestParsing:
         with pytest.raises(XMLError, match="unknown memory unit"):
             DomainConfig.from_xml(xml)
 
+    @pytest.mark.parametrize(
+        "unit, value, kib",
+        [
+            # per unit: a value that is a whole number of KiB, and one that is
+            # not (libvirt rounds up to the next KiB)
+            ("b", 2048, 2), ("b", 1000, 1), ("bytes", 1024**3 + 1, 1024**2 + 1),
+            ("KiB", 7, 7), ("k", 7, 7),
+            ("KB", 128, 125), ("KB", 1, 1), ("kb", 1025, 1001),
+            ("MiB", 3, 3 * 1024), ("M", 3, 3 * 1024),
+            ("MB", 128, 125_000), ("MB", 1, 977),
+            ("GiB", 2, 2 * 1024**2), ("G", 2, 2 * 1024**2),
+            ("GB", 128, 125_000_000), ("GB", 1, 976_563),
+            ("TiB", 1, 1024**3), ("T", 1, 1024**3),
+            ("TB", 128, 125_000_000_000), ("TB", 1, 976_562_500),
+            ("PiB", 1, 1024**4), ("PB", 1, 976_562_500_000),
+        ],
+    )
+    def test_memory_units_as_libvirt_reads_them(self, unit, value, kib):
+        xml = (
+            f'<domain type="test"><name>d</name><memory unit="{unit}">{value}</memory>'
+            f'<currentMemory unit="{unit}">{value}</currentMemory></domain>'
+        )
+        cfg = DomainConfig.from_xml(xml)
+        assert (cfg.memory_kib, cfg.current_memory_kib) == (kib, kib)
+        assert f'<memory unit="KiB">{kib}</memory>' in cfg.to_xml()
+        assert f'<currentMemory unit="KiB">{kib}</currentMemory>' in cfg.to_xml()
+
+    def test_current_memory_rounds_up_on_its_own(self):
+        xml = (
+            '<domain type="test"><name>d</name><memory unit="MiB">1</memory>'
+            '<currentMemory unit="b">1048575</currentMemory></domain>'
+        )
+        cfg = DomainConfig.from_xml(xml)
+        assert (cfg.memory_kib, cfg.current_memory_kib) == (1024, 1024)
+
+    def test_unknown_current_memory_unit_rejected(self):
+        xml = (
+            '<domain type="test"><name>d</name><memory>1024</memory>'
+            '<currentMemory unit="KBs">1</currentMemory></domain>'
+        )
+        with pytest.raises(XMLError, match="unknown memory unit 'kbs' on <currentMemory>"):
+            DomainConfig.from_xml(xml)
+
     def test_wrong_root_element_rejected(self):
         with pytest.raises(XMLError, match="expected <domain>"):
             DomainConfig.from_xml("<network><name>n</name></network>")
@@ -246,6 +289,18 @@ class TestCopy:
             full_config().copy(vcpus=0)
         with pytest.raises(XMLError):
             full_config().copy(nonexistent_field=1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"to_xml": lambda: "oops"}, {"validate": None}, {"copy": None}, {"__class__": object}],
+    )
+    def test_copy_overrides_must_name_a_field(self, overrides):
+        """``hasattr`` used to admit methods: ``to_xml=`` replaced the
+        writer and ``validate=None`` died with ``TypeError``."""
+        cfg = full_config()
+        with pytest.raises(XMLError, match="unknown domain config field"):
+            cfg.copy(**overrides)
+        assert cfg == full_config()
 
 
 def _doc(extra="", vcpu='<vcpu current="1">1</vcpu>', devices=""):
