@@ -14,7 +14,7 @@ import threading
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.checkpoint import CheckpointTree, JobEngine
+from repro.checkpoint import CheckpointTree, JobEngine, JobPhase
 from repro.core.driver import Driver
 from repro.core.events import EventBus, EventCallback
 from repro.core.states import (
@@ -103,6 +103,7 @@ class _DomainRecord:
         "managed_save_path",
         "scheduler",
         "last_job",
+        "job",
     )
 
     def __init__(self, config: DomainConfig, persistent: bool) -> None:
@@ -123,6 +124,37 @@ class _DomainRecord:
         }
         #: the most recently completed long-running job (migration/save)
         self.last_job: Optional[Dict[str, Any]] = None
+        #: the running background job the journal's ``job`` record describes
+        self.job: Optional[Any] = None
+
+
+class _Mutation:
+    """One :meth:`StatefulDriver._mutation`: its lock hold and what it changed."""
+
+    __slots__ = ("driver", "touched", "queued")
+
+    def __init__(self, driver: "StatefulDriver") -> None:
+        self.driver = driver
+        #: ``(kind, key)`` records to journal, in order
+        self.touched: List[Tuple[str, str]] = []
+        #: ``(None, emit args)`` or ``(bus record kind, fields)``, in order
+        self.queued: List[Tuple[Optional[str], Any]] = []
+
+    def __enter__(self) -> "_Mutation":
+        self.driver._lock.acquire()
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.driver._commit(self, clean=exc_type is None)
+
+    def touch(self, kind: str, key: str) -> None:
+        self.touched.append((kind, key))
+
+    def emit(self, domain: str, event: DomainEvent, detail: str = "") -> None:
+        self.queued.append((None, (domain, event, detail)))
+
+    def publish(self, kind: str, **fields: Any) -> None:
+        self.queued.append((kind, fields))
 
 
 class StatefulDriver(Driver):
@@ -265,18 +297,17 @@ class StatefulDriver(Driver):
         }
 
     def _assign_id(self, name: str) -> None:
-        with self._lock:
-            self._ids[name] = self._next_id
-            self._next_id += 1
+        """Give a started guest the next id (inside a mutation)."""
+        self._ids[name] = self._next_id
+        self._next_id += 1
 
     def _forget_transient(self, name: str) -> None:
-        """After a transient domain stops it ceases to exist."""
-        with self._lock:
-            record = self._domains.get(name)
-            if record is not None and not record.persistent:
-                self._domains.pop(name, None)
-                if record.config.uuid:
-                    self._uuid_index.pop(record.config.uuid, None)
+        """After a transient domain stops it ceases to exist (inside a mutation)."""
+        record = self._domains.get(name)
+        if record is not None and not record.persistent:
+            self._domains.pop(name, None)
+            if record.config.uuid:
+                self._uuid_index.pop(record.config.uuid, None)
 
     # ==================================================================
     # persistence: write-ahead journaling + non-intrusive recovery
@@ -287,8 +318,38 @@ class StatefulDriver(Driver):
         mutation journals through it before the caller is acknowledged."""
         self._state = journal
 
+    def _mutation(self) -> _Mutation:
+        """The one way driver state changes: ``with self._mutation() as m:``.
+
+        The body checks and writes the bookkeeping under ``self._lock``,
+        naming each changed record (``m.touch``) and what subscribers
+        should hear (``m.emit``/``m.publish``).  On a clean exit the
+        touched records are journalled in order, the lock is released,
+        then the events are delivered in order; a body that raises does
+        neither.  No subscriber hears of a change recovery would not
+        contain, and none runs under the lock.  Backend operations,
+        image-store I/O and ``self.jobs`` calls stay outside the body:
+        the job engine runs its hooks (mutations) under its own lock.
+        """
+        return _Mutation(self)
+
+    def _commit(self, m: _Mutation, clean: bool) -> None:
+        """The funnel's exit: journal, release the lock, then publish."""
+        try:
+            if clean and self._state is not None:
+                for kind, key in m.touched:
+                    self._journal_write(kind, key, getattr(self, "_serialize_" + kind)(key))
+        finally:
+            self._lock.release()
+        if clean:
+            for kind, fields in m.queued:
+                if kind is None:
+                    self.events.emit(*fields)
+                else:
+                    self.events.publish(kind, **fields)
+
     def _journal_write(self, kind: str, key: str, data: Optional[Dict[str, Any]]) -> None:
-        """Single funnel for journal mutations, with crash injection.
+        """One journal append, with crash injection; only the funnel calls it.
 
         A ``MID_JOURNAL`` crash fires *after* backend reality changed
         but tears this very append: only a partial record reaches disk
@@ -296,25 +357,23 @@ class StatefulDriver(Driver):
         reconcile (reality moved, the journal never heard about it).
         """
         journal = self._state
-        if journal is None:
-            return
         plan = self.crash_plan
         if plan is not None and plan.decide(
             CrashPoint.MID_JOURNAL, f"{kind}:{key}", self.backend.clock.now()
         ):
             journal.append_torn(kind, key, data)
-            raise DaemonCrashError(
-                f"daemon crashed tearing the journal write of {kind}:{key}"
-            )
+            raise DaemonCrashError(f"daemon crashed tearing the journal write of {kind}:{key}")
         if data is None:
             journal.delete(kind, key)
         else:
             journal.put(kind, key, data)
 
+    # the funnel's serialisers, ``_serialize_<kind>``: one record's journal
+    # form (None: a tombstone), read while the funnel holds the lock
+
     def _serialize_domain(self, name: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            record = self._domains.get(name)
-            domain_id = self._ids.get(name)
+        record = self._domains.get(name)
+        domain_id = self._ids.get(name)
         if record is None:
             return None
         return {
@@ -330,74 +389,59 @@ class StatefulDriver(Driver):
             "id": domain_id,
         }
 
-    def _journal_domain(self, name: str) -> None:
-        """Journal the domain's full record (or a tombstone if gone)."""
-        self._journal_write("domain", name, self._serialize_domain(name))
-
-    def _journal_network(self, name: str) -> None:
-        with self._lock:
-            config = self._networks.get(name)
-            data = (
-                None
-                if config is None
-                else {
-                    "xml": config.to_xml(),
-                    "active": name in self._active_networks,
-                    "leases": {
-                        mac: dict(info)
-                        for mac, info in self._dhcp_leases.get(name, {}).items()
-                    },
-                }
-            )
-        self._journal_write("network", name, data)
-
-    def _journal_pool(self, name: str) -> None:
-        with self._lock:
-            config = self._pools.get(name)
-            data = (
-                None
-                if config is None
-                else {
-                    "xml": config.to_xml(),
-                    "active": name in self._active_pools,
-                    "volumes": {
-                        vol: vc.to_xml()
-                        for vol, vc in self._pool_volumes.get(name, {}).items()
-                    },
-                }
-            )
-        self._journal_write("pool", name, data)
-
-    def _journal_job(self, name: str, job: Optional[Any] = None) -> None:
-        """Journal an active job's parameters, or its removal."""
-        if job is None:
-            self._journal_write("job", name, None)
-            return
-        self._journal_write(
-            "job",
-            name,
-            {
-                "job_type": job.job_type,
-                "operation": job.operation,
-                "total": job.total_bytes,
-                "bandwidth": job.bandwidth_bytes_s,
-                "extra": dict(job.extra),
-                "started_at": job.started_at,
+    def _serialize_network(self, name: str) -> Optional[Dict[str, Any]]:
+        config = self._networks.get(name)
+        if config is None:
+            return None
+        return {
+            "xml": config.to_xml(),
+            "active": name in self._active_networks,
+            "leases": {
+                mac: dict(info) for mac, info in self._dhcp_leases.get(name, {}).items()
             },
-        )
+        }
+
+    def _serialize_pool(self, name: str) -> Optional[Dict[str, Any]]:
+        config = self._pools.get(name)
+        if config is None:
+            return None
+        return {
+            "xml": config.to_xml(),
+            "active": name in self._active_pools,
+            "volumes": {
+                vol: vc.to_xml() for vol, vc in self._pool_volumes.get(name, {}).items()
+            },
+        }
+
+    def _serialize_job(self, name: str) -> Optional[Dict[str, Any]]:
+        """A running job's parameters, or None once it is over."""
+        job = getattr(self._domains.get(name), "job", None)
+        if job is None:
+            return None
+        return {
+            "job_type": job.job_type,
+            "operation": job.operation,
+            "total": job.total_bytes,
+            "bandwidth": job.bandwidth_bytes_s,
+            "extra": dict(job.extra),
+            "started_at": job.started_at,
+        }
 
     def _backup_job_final(self, record: _DomainRecord, info: Dict[str, Any]) -> None:
         """Terminal-job hook: persist the outcome, drop the job record."""
-        record.last_job = info
-        self.events.publish(
-            "job",
-            domain=record.config.name,
-            event=str(info.get("phase", "completed")),
-            detail=str(info.get("operation", "")),
-            job_id=info.get("job_id"),
-        )
-        self._journal_job(record.config.name)
-        self._journal_domain(record.config.name)
+        name = record.config.name
+        with self._mutation() as m:
+            record.last_job = info
+            record.job = None
+            m.touch("job", name)
+            m.touch("domain", name)
+            m.publish(
+                "job",
+                domain=name,
+                event=str(info.get("phase", "completed")),
+                detail=str(info.get("operation", "")),
+                job_id=info.get("job_id"),
+            )
 
     def flush_state(self) -> None:
         """Collapse the journal into a snapshot (graceful shutdown)."""
@@ -437,83 +481,71 @@ class StatefulDriver(Driver):
             "replayed_records": journal.replayed_records,
         }
         journalled_domains = journal.entries("domain")
-        for name, data in sorted(journal.entries("network").items()):
-            config = NetworkConfig.from_xml(data["xml"])
-            with self._lock:
-                self._networks[name] = config
+        with self._mutation():
+            for name, data in sorted(journal.entries("network").items()):
+                self._networks[name] = NetworkConfig.from_xml(data["xml"])
                 if data.get("active"):
                     self._active_networks.add(name)
                 leases = data.get("leases") or {}
                 if leases:
-                    self._dhcp_leases[name] = {
-                        mac: dict(info) for mac, info in leases.items()
-                    }
-        for name, data in sorted(journal.entries("pool").items()):
-            config = StoragePoolConfig.from_xml(data["xml"])
-            with self._lock:
-                self._pools[name] = config
+                    self._dhcp_leases[name] = {mac: dict(info) for mac, info in leases.items()}
+            for name, data in sorted(journal.entries("pool").items()):
+                self._pools[name] = StoragePoolConfig.from_xml(data["xml"])
                 if data.get("active"):
                     self._active_pools.add(name)
                 self._pool_volumes[name] = {
                     vol: VolumeConfig.from_xml(vol_xml)
                     for vol, vol_xml in sorted((data.get("volumes") or {}).items())
                 }
-        max_id = 0
-        for name, data in sorted(journalled_domains.items()):
-            config = DomainConfig.from_xml(data["xml"])
-            running = self.backend.has_guest(name)
-            persistent = bool(data.get("persistent"))
-            if not running and not persistent:
-                # transient and its guest is gone: it ceased to exist
-                stats["dropped_transient"] += 1
-                continue
-            record = _DomainRecord(config, persistent=persistent)
-            record.autostart = bool(data.get("autostart"))
-            record.snapshots = {
-                snap: dict(body) for snap, body in (data.get("snapshots") or {}).items()
-            }
-            record.checkpoints = CheckpointTree.from_dict(data.get("checkpoints") or {})
-            record.saved_path = data.get("saved_path")
-            record.managed_save_path = data.get("managed_save_path")
-            record.scheduler.update(data.get("scheduler") or {})
-            record.last_job = data.get("last_job")
-            with self._lock:
+            max_id = 0
+            for name, data in sorted(journalled_domains.items()):
+                config = DomainConfig.from_xml(data["xml"])
+                running = self.backend.has_guest(name)
+                persistent = bool(data.get("persistent"))
+                if not running and not persistent:
+                    # transient and its guest is gone: it ceased to exist
+                    stats["dropped_transient"] += 1
+                    continue
+                record = _DomainRecord(config, persistent=persistent)
+                record.autostart = bool(data.get("autostart"))
+                record.snapshots = {
+                    snap: dict(body) for snap, body in (data.get("snapshots") or {}).items()
+                }
+                record.checkpoints = CheckpointTree.from_dict(data.get("checkpoints") or {})
+                record.saved_path = data.get("saved_path")
+                record.managed_save_path = data.get("managed_save_path")
+                record.scheduler.update(data.get("scheduler") or {})
+                record.last_job = data.get("last_job")
                 self._domains[name] = record
                 self._uuid_index[config.uuid] = name
                 if running and data.get("id"):
                     # re-adopt the running guest under its old id
                     self._ids[name] = int(data["id"])
                     max_id = max(max_id, int(data["id"]))
-            stats["domains"] += 1
-        # guests the journal never heard of: reality wins, adopt them
-        for name in self.backend.list_guests():
-            with self._lock:
+                stats["domains"] += 1
+            # guests the journal never heard of: reality wins, adopt them
+            for name in self.backend.list_guests():
                 if name in self._domains:
                     continue
-            runtime = self.backend._get(name)
-            config = DomainConfig(
-                name,
-                domain_type=self.accepted_types[0] if self.accepted_types else "test",
-                uuid=runtime.uuid,
-                memory_kib=runtime.max_memory_kib,
-                current_memory_kib=runtime.memory_kib,
-                vcpus=runtime.vcpus,
-            )
-            with self._lock:
+                runtime = self.backend._get(name)
+                config = DomainConfig(
+                    name,
+                    domain_type=self.accepted_types[0] if self.accepted_types else "test",
+                    uuid=runtime.uuid,
+                    memory_kib=runtime.max_memory_kib,
+                    current_memory_kib=runtime.memory_kib,
+                    vcpus=runtime.vcpus,
+                )
                 self._domains[name] = _DomainRecord(config, persistent=False)
                 self._uuid_index[config.uuid] = name
-            stats["adopted"] += 1
-        with self._lock:
+                stats["adopted"] += 1
             self._next_id = max(self._next_id, max_id + 1)
-        for name in self.backend.list_guests():
-            with self._lock:
-                missing = name not in self._ids
-            if missing:
-                self._assign_id(name)
+            for name in self.backend.list_guests():
+                if name not in self._ids:
+                    self._assign_id(name)
         # interrupted jobs: re-create, then fail — cleanup runs for real
         for name, data in sorted(journal.entries("job").items()):
-            with self._lock:
-                record = self._domains.get(name)
+            record = self._domains.get(name)
             if record is not None and self.backend.has_guest(name):
                 extra = dict(data.get("extra") or {})
                 pool = extra.get("target_pool")
@@ -534,20 +566,18 @@ class StatefulDriver(Driver):
                 )
                 self.jobs.fail_active(name, "backup job interrupted by daemon restart")
                 stats["failed_jobs"].append(name)
-        # the bookkeeping now reflects reality: rewrite every record and
-        # collapse history so the next recovery replays a minimal tail
-        for name in sorted(journal.entries("job")):
-            self._journal_write("job", name, None)
-        with self._lock:
-            live_domains = set(self._domains)
-            networks = sorted(self._networks)
-            pools = sorted(self._pools)
-        for name in sorted(set(journalled_domains) | live_domains):
-            self._journal_domain(name)
-        for name in networks:
-            self._journal_network(name)
-        for name in pools:
-            self._journal_pool(name)
+        # the bookkeeping now reflects reality: rewrite every record (no
+        # job is running any more) and collapse history so the next
+        # recovery replays a minimal tail
+        with self._mutation() as m:
+            for name in sorted(journal.entries("job")):
+                m.touch("job", name)
+            for name in sorted(set(journalled_domains) | set(self._domains)):
+                m.touch("domain", name)
+            for name in sorted(self._networks):
+                m.touch("network", name)
+            for name in sorted(self._pools):
+                m.touch("pool", name)
         journal.checkpoint()
         return stats
 
@@ -682,7 +712,7 @@ class StatefulDriver(Driver):
         # persisting the config costs a (small) backend-dependent write
         self.backend.cost.charge(self.backend.clock, "define")
         config = self._validate_config(xml)
-        with self._lock:
+        with self._mutation() as m:
             existing = self._domains.get(config.name)
             if existing is not None:
                 if existing.config.uuid != config.uuid and self.backend.has_guest(config.name):
@@ -702,50 +732,53 @@ class StatefulDriver(Driver):
                     )
                 self._domains[config.name] = _DomainRecord(config, persistent=True)
                 self._uuid_index[config.uuid] = config.name
-        self.events.emit(config.name, DomainEvent.DEFINED)
-        self._journal_domain(config.name)
+            m.emit(config.name, DomainEvent.DEFINED)
+            m.touch("domain", config.name)
         return self._public_record(config.name)
 
     def domain_undefine(self, name: str) -> None:
         self._count_call()
         self.backend.cost.charge(self.backend.clock, "undefine")
-        record = self._record(name)
-        if self.backend.has_guest(name):
-            raise InvalidOperationError(
-                f"cannot undefine domain {name!r} while it is active"
-            )
-        with self._lock:
+        with self._mutation() as m:
+            record = self._record(name)
+            if self.backend.has_guest(name):
+                raise InvalidOperationError(f"cannot undefine domain {name!r} while it is active")
             self._domains.pop(name, None)
             if record.config.uuid:
                 self._uuid_index.pop(record.config.uuid, None)
-        self.events.emit(name, DomainEvent.UNDEFINED)
-        self._journal_domain(name)
+            m.emit(name, DomainEvent.UNDEFINED)
+            m.touch("domain", name)
 
     def domain_create(self, name: str) -> None:
         self._count_call()
         record = self._record(name)
         self._check_transition(name, "start")
-        if record.managed_save_path is not None:
-            path = record.managed_save_path
+        path = record.managed_save_path
+        if path is not None:
             self._backend_restore(record.config, path)
-            record.managed_save_path = None
-            if record.saved_path == path:
-                record.saved_path = None
-            self._assign_id(name)
-            self._assign_dhcp_leases(record.config)
-            self.events.emit(name, DomainEvent.STARTED, "restored")
-            self._journal_domain(name)
-            return
-        self._backend_start(record.config)
-        self._assign_id(name)
-        self._assign_dhcp_leases(record.config)
-        self.events.emit(name, DomainEvent.STARTED)
-        self._journal_domain(name)
+        else:
+            self._backend_start(record.config)
+        with self._mutation() as m:
+            if path is not None:
+                record.managed_save_path = None
+                if record.saved_path == path:
+                    record.saved_path = None
+            self._started(m, record.config, "" if path is None else "restored")
+
+    def _started(self, m: _Mutation, config: DomainConfig, detail: str) -> None:
+        """Bookkeeping of a guest the backend just started (inside a mutation)."""
+        self._assign_id(config.name)
+        self._assign_dhcp_leases(m, config)
+        m.emit(config.name, DomainEvent.STARTED, detail)
+        m.touch("domain", config.name)
 
     def domain_create_xml(self, xml: str) -> Dict[str, Any]:
         self._count_call()
         config = self._validate_config(xml)
-        with self._lock:
+        # the record is reserved before the guest boots, so a concurrent
+        # define or create of the same name is refused; it is journalled
+        # once the guest runs
+        with self._mutation():
             if config.name in self._domains or self.backend.has_guest(config.name):
                 raise DomainExistsError(f"domain {config.name!r} already exists")
             self._domains[config.name] = _DomainRecord(config, persistent=False)
@@ -753,14 +786,12 @@ class StatefulDriver(Driver):
         try:
             self._backend_start(config)
         except Exception:
-            with self._lock:
+            with self._mutation():
                 self._domains.pop(config.name, None)
                 self._uuid_index.pop(config.uuid, None)
             raise
-        self._assign_id(config.name)
-        self._assign_dhcp_leases(config)
-        self.events.emit(config.name, DomainEvent.STARTED, "booted")
-        self._journal_domain(config.name)
+        with self._mutation() as m:
+            self._started(m, config, "booted")
         return self._public_record(config.name)
 
     def domain_shutdown(self, name: str) -> None:
@@ -769,11 +800,9 @@ class StatefulDriver(Driver):
         self._check_transition(name, "shutdown")
         self._backend_shutdown(name)
         self.jobs.fail_active(name, "domain shut down during job")
-        self._release_dhcp_leases(self._record(name).config)
-        self.events.emit(name, DomainEvent.SHUTDOWN, "guest-initiated")
-        self.events.emit(name, DomainEvent.STOPPED, "shutdown")
-        self._forget_transient(name)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            m.emit(name, DomainEvent.SHUTDOWN, "guest-initiated")
+            self._stopped(m, name, "shutdown")
 
     def domain_destroy(self, name: str) -> None:
         self._count_call()
@@ -781,24 +810,31 @@ class StatefulDriver(Driver):
         self._check_transition(name, "destroy")
         self._backend_destroy(name)
         self.jobs.fail_active(name, "domain destroyed during job")
-        self._release_dhcp_leases(self._record(name).config)
-        self.events.emit(name, DomainEvent.STOPPED, "destroyed")
+        with self._mutation() as m:
+            self._stopped(m, name, "destroyed")
+
+    def _stopped(self, m: _Mutation, name: str, detail: str) -> None:
+        """Bookkeeping of a guest the backend just stopped (inside a mutation)."""
+        self._release_dhcp_leases(m, self._record(name).config)
+        m.emit(name, DomainEvent.STOPPED, detail)
         self._forget_transient(name)
-        self._journal_domain(name)
+        m.touch("domain", name)
 
     def domain_suspend(self, name: str) -> None:
         self._count_call()
         self._record(name)
         self._check_transition(name, "suspend")
         self._backend_suspend(name)
-        self.events.emit(name, DomainEvent.SUSPENDED)
+        with self._mutation() as m:
+            m.emit(name, DomainEvent.SUSPENDED)
 
     def domain_resume(self, name: str) -> None:
         self._count_call()
         self._record(name)
         self._check_transition(name, "resume")
         self._backend_resume(name)
-        self.events.emit(name, DomainEvent.RESUMED)
+        with self._mutation() as m:
+            m.emit(name, DomainEvent.RESUMED)
 
     def domain_reboot(self, name: str) -> None:
         self._count_call()
@@ -832,13 +868,6 @@ class StatefulDriver(Driver):
             "vcpus": record.config.vcpus,
             "cpu_seconds": 0.0,
         }
-
-    #: scheduler parameter fields and their expected wire types
-    SCHEDULER_FIELDS = {
-        "cpu_shares": "ULLONG",
-        "vcpu_period": "ULLONG",
-        "vcpu_quota": "LLONG",
-    }
 
     def domain_get_scheduler_params(self, name: str) -> List[Any]:
         self._count_call()
@@ -879,13 +908,12 @@ class StatefulDriver(Driver):
             raise InvalidArgumentError(
                 f"vcpu_quota must be -1 (unlimited) or >= 1000, got {values['vcpu_quota']}"
             )
-        record.scheduler.update(values)
         if self.backend.has_guest(name):
-            self._apply_scheduler(name, record.scheduler)
-        self.events.publish(
-            "config", domain=name, event="scheduler", detail=",".join(sorted(values))
-        )
-        self._journal_domain(name)
+            self._apply_scheduler(name, {**record.scheduler, **values})
+        with self._mutation() as m:
+            record.scheduler.update(values)
+            m.publish("config", domain=name, event="scheduler", detail=",".join(sorted(values)))
+            m.touch("domain", name)
 
     def _apply_scheduler(self, name: str, scheduler: Dict[str, int]) -> None:
         """Push scheduler tunables to the live instance (driver-specific)."""
@@ -983,11 +1011,10 @@ class StatefulDriver(Driver):
             )
         if self.backend.has_guest(name):
             self._backend_set_memory(name, memory_kib)
-        record.config.current_memory_kib = memory_kib
-        self.events.publish(
-            "config", domain=name, event="memory", memory_kib=memory_kib
-        )
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.config.current_memory_kib = memory_kib
+            m.publish("config", domain=name, event="memory", memory_kib=memory_kib)
+            m.touch("domain", name)
 
     def domain_set_vcpus(self, name: str, vcpus: int) -> None:
         self._count_call()
@@ -1000,9 +1027,10 @@ class StatefulDriver(Driver):
             )
         if self.backend.has_guest(name):
             self._backend_set_vcpus(name, vcpus)
-        record.config.vcpus = vcpus
-        self.events.publish("config", domain=name, event="vcpus", vcpus=vcpus)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.config.vcpus = vcpus
+            m.publish("config", domain=name, event="vcpus", vcpus=vcpus)
+            m.touch("domain", name)
 
     def domain_save(self, name: str, path: str) -> None:
         self._count_call()
@@ -1010,10 +1038,11 @@ class StatefulDriver(Driver):
         self._check_transition(name, "save")
         self._backend_save(name, path)
         self.jobs.fail_active(name, "domain stopped by save")
-        record.saved_path = path
-        record.last_job = {"type": "save", "completed": True, "path": path}
-        self.events.emit(name, DomainEvent.STOPPED, "saved")
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.saved_path = path
+            record.last_job = {"type": "save", "completed": True, "path": path}
+            m.emit(name, DomainEvent.STOPPED, "saved")
+            m.touch("domain", name)
 
     def domain_restore(self, path: str) -> Dict[str, Any]:
         self._count_call()
@@ -1026,10 +1055,11 @@ class StatefulDriver(Driver):
             raise NoDomainError(f"no saved domain image at {path!r}")
         name, record = matches[0]
         self._backend_restore(record.config, path)
-        record.saved_path = None
-        self._assign_id(name)
-        self.events.emit(name, DomainEvent.STARTED, "restored")
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.saved_path = None
+            self._assign_id(name)
+            m.emit(name, DomainEvent.STARTED, "restored")
+            m.touch("domain", name)
         return self._public_record(name)
 
     #: where managed-save images live (libvirt: /var/lib/libvirt/qemu/save)
@@ -1046,24 +1076,24 @@ class StatefulDriver(Driver):
         path = self._managed_save_path(name)
         self._backend_save(name, path)
         self.jobs.fail_active(name, "domain stopped by managed save")
-        record.saved_path = path
-        record.managed_save_path = path
-        record.last_job = {"type": "save", "completed": True, "path": path, "managed": True}
-        self.events.emit(name, DomainEvent.STOPPED, "saved")
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.saved_path = path
+            record.managed_save_path = path
+            record.last_job = {"type": "save", "completed": True, "path": path, "managed": True}
+            m.emit(name, DomainEvent.STOPPED, "saved")
+            m.touch("domain", name)
 
     def domain_managed_save_remove(self, name: str) -> None:
         self._count_call()
         record = self._record(name)
-        if record.managed_save_path is None:
-            raise InvalidOperationError(
-                f"domain {name!r} has no managed save image"
-            )
-        if record.saved_path == record.managed_save_path:
-            record.saved_path = None
-        record.managed_save_path = None
-        self.events.publish("config", domain=name, event="managed-save-removed")
-        self._journal_domain(name)
+        with self._mutation() as m:
+            if record.managed_save_path is None:
+                raise InvalidOperationError(f"domain {name!r} has no managed save image")
+            if record.saved_path == record.managed_save_path:
+                record.saved_path = None
+            record.managed_save_path = None
+            m.publish("config", domain=name, event="managed-save-removed")
+            m.touch("domain", name)
 
     def domain_has_managed_save(self, name: str) -> bool:
         self._count_call()
@@ -1076,16 +1106,17 @@ class StatefulDriver(Driver):
     def domain_set_autostart(self, name: str, autostart: bool) -> None:
         self._count_call()
         record = self._record(name)
-        if not record.persistent:
-            raise InvalidOperationError("transient domains cannot autostart")
-        record.autostart = bool(autostart)
-        self.events.publish(
-            "config",
-            domain=name,
-            event="autostart",
-            detail="enabled" if record.autostart else "disabled",
-        )
-        self._journal_domain(name)
+        with self._mutation() as m:
+            if not record.persistent:
+                raise InvalidOperationError("transient domains cannot autostart")
+            record.autostart = bool(autostart)
+            m.publish(
+                "config",
+                domain=name,
+                event="autostart",
+                detail="enabled" if record.autostart else "disabled",
+            )
+            m.touch("domain", name)
 
     def autostart_all(self) -> List[str]:
         """Start every autostart-flagged inactive domain (daemon boot)."""
@@ -1112,16 +1143,20 @@ class StatefulDriver(Driver):
 
         elem = parse_xml(device_xml)
         if elem.tag == "disk":
-            device = DiskDevice.from_element(elem)
-            record.config.disks.append(device)
+            device, devices = DiskDevice.from_element(elem), record.config.disks
         elif elem.tag == "interface":
-            device = InterfaceDevice.from_element(elem)
-            record.config.interfaces.append(device)
+            device, devices = InterfaceDevice.from_element(elem), record.config.interfaces
         else:
             raise InvalidArgumentError(f"cannot hotplug device <{elem.tag}>")
-        record.config.validate()
-        self.events.publish("device", domain=name, event="attached", detail=elem.tag)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            devices.append(device)
+            try:
+                record.config.validate()
+            except Exception:
+                devices.remove(device)  # a refused device leaves no trace
+                raise
+            m.publish("device", domain=name, event="attached", detail=elem.tag)
+            m.touch("domain", name)
 
     def domain_detach_device(self, name: str, device_xml: str) -> None:
         self._count_call()
@@ -1130,24 +1165,25 @@ class StatefulDriver(Driver):
         from repro.xmlconfig.domain import DiskDevice, InterfaceDevice
 
         elem = parse_xml(device_xml)
-        if elem.tag == "disk":
-            device = DiskDevice.from_element(elem)
-            matches = [d for d in record.config.disks if d.target_dev == device.target_dev]
-            if not matches:
-                raise InvalidArgumentError(
-                    f"no disk with target {device.target_dev!r} on {name!r}"
-                )
-            record.config.disks.remove(matches[0])
-        elif elem.tag == "interface":
-            device = InterfaceDevice.from_element(elem)
-            matches = [i for i in record.config.interfaces if i.mac == device.mac]
-            if not matches:
-                raise InvalidArgumentError(f"no interface with mac {device.mac!r}")
-            record.config.interfaces.remove(matches[0])
-        else:
-            raise InvalidArgumentError(f"cannot detach device <{elem.tag}>")
-        self.events.publish("device", domain=name, event="detached", detail=elem.tag)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            if elem.tag == "disk":
+                device = DiskDevice.from_element(elem)
+                matches = [d for d in record.config.disks if d.target_dev == device.target_dev]
+                if not matches:
+                    raise InvalidArgumentError(
+                        f"no disk with target {device.target_dev!r} on {name!r}"
+                    )
+                record.config.disks.remove(matches[0])
+            elif elem.tag == "interface":
+                device = InterfaceDevice.from_element(elem)
+                matches = [i for i in record.config.interfaces if i.mac == device.mac]
+                if not matches:
+                    raise InvalidArgumentError(f"no interface with mac {device.mac!r}")
+                record.config.interfaces.remove(matches[0])
+            else:
+                raise InvalidArgumentError(f"cannot detach device <{elem.tag}>")
+            m.publish("device", domain=name, event="detached", detail=elem.tag)
+            m.touch("domain", name)
 
     # ==================================================================
     # snapshots
@@ -1174,9 +1210,10 @@ class StatefulDriver(Driver):
             "creation_time": self.backend.clock.now(),
         }
         snapshot["disks"] = self._snapshot_disks(record, snapshot_name)
-        record.snapshots[snapshot_name] = snapshot
-        self.events.publish("snapshot", domain=name, event="created", detail=snapshot_name)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.snapshots[snapshot_name] = snapshot
+            m.publish("snapshot", domain=name, event="created", detail=snapshot_name)
+            m.touch("domain", name)
         return {"name": snapshot_name, "domain": name}
 
     def _snapshot_disks(
@@ -1230,7 +1267,7 @@ class StatefulDriver(Driver):
         )
         if self.backend.has_guest(name):
             self._backend_destroy(name)
-        record.config = DomainConfig.from_xml(snapshot["xml"])
+        config = DomainConfig.from_xml(snapshot["xml"])
         images = self.backend.images
         for entry in snapshot.get("disks", ()):
             source = entry.get("source")
@@ -1241,10 +1278,13 @@ class StatefulDriver(Driver):
             # later incremental backup stays a correct (conservative) superset
             images.mark_all_dirty(source)
         if was_running:
-            self._backend_start(record.config)
-            self._assign_id(name)
-        self.events.emit(name, DomainEvent.STARTED if was_running else DomainEvent.STOPPED, "snapshot-revert")
-        self._journal_domain(name)
+            self._backend_start(config)
+        with self._mutation() as m:
+            record.config = config
+            if was_running:
+                self._assign_id(name)
+            m.emit(name, DomainEvent.STARTED if was_running else DomainEvent.STOPPED, "snapshot-revert")
+            m.touch("domain", name)
 
     def snapshot_delete(self, name: str, snapshot_name: str) -> None:
         self._count_call()
@@ -1260,61 +1300,57 @@ class StatefulDriver(Driver):
                     images.delete(overlay)
                 except ResourceBusyError:
                     pass  # something chained onto the overlay; leave it
-        del record.snapshots[snapshot_name]
-        self.events.publish("snapshot", domain=name, event="deleted", detail=snapshot_name)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.snapshots.pop(snapshot_name, None)
+            m.publish("snapshot", domain=name, event="deleted", detail=snapshot_name)
+            m.touch("domain", name)
 
     # ==================================================================
     # checkpoints & backup jobs
     # ==================================================================
 
-    def _domain_disk_paths(self, record: _DomainRecord) -> List[str]:
-        """Paths of the domain's disks that exist in the image store."""
+    def _live_disks(self, name: str, record: _DomainRecord, verb: str) -> Tuple[DomainState, List[str]]:
+        """A running or paused guest's state and the paths of its disks
+        in the image store; refused (``cannot <verb>``) otherwise."""
+        state = self._domain_state(name)
+        if state not in (DomainState.RUNNING, DomainState.PAUSED):
+            raise InvalidOperationError(
+                f"cannot {verb} domain {name!r}: domain is {DomainState(state).name.lower()}"
+            )
         images = self.backend.images
-        return [
-            disk.source
-            for disk in record.config.disks
-            if disk.source and images.exists(disk.source)
-        ]
+        disks = [d.source for d in record.config.disks if d.source and images.exists(d.source)]
+        if not disks:
+            raise InvalidOperationError(f"domain {name!r} has no disks to {verb}")
+        return state, disks
+
+    def _blocks_since(self, record: _DomainRecord, checkpoint: str, disks: List[str]) -> Dict[str, set]:
+        """Per disk, the blocks dirtied since ``checkpoint``: its frozen
+        bitmaps merged with the live one."""
+        since = record.checkpoints.blocks_since(checkpoint, disks)
+        images = self.backend.images
+        return {path: set(since.get(path, ())).union(images.dirty_blocks(path)) for path in disks}
 
     def checkpoint_create(self, name: str, checkpoint_name: str) -> Dict[str, Any]:
         self._count_call()
         record = self._record(name)
-        state = self._domain_state(name)
-        if state not in (DomainState.RUNNING, DomainState.PAUSED):
-            raise InvalidOperationError(
-                f"cannot checkpoint domain {name!r}: domain is "
-                f"{DomainState(state).name.lower()}"
-            )
+        state, disks = self._live_disks(name, record, "checkpoint")
         if self.jobs.active(name) is not None:
-            raise ResourceBusyError(
-                f"cannot checkpoint domain {name!r} during an active job"
-            )
-        disks = self._domain_disk_paths(record)
-        if not disks:
-            raise InvalidOperationError(
-                f"domain {name!r} has no disks to checkpoint"
-            )
+            raise ResourceBusyError(f"cannot checkpoint domain {name!r} during an active job")
         # checkpoint creation is metadata-only: bitmap handoff, no copy
         self.backend.cost.charge(self.backend.clock, "snapshot", 0.0)
         images = self.backend.images
         frozen = {path: images.reset_dirty(path) for path in disks}
-        checkpoint = record.checkpoints.create(
-            checkpoint_name,
-            creation_time=self.backend.clock.now(),
-            state=DomainState(state).name.lower(),
-            disks=frozen,
-            block_size=images.block_size,
-        )
-        self.events.publish(
-            "checkpoint", domain=name, event="created", detail=checkpoint_name
-        )
-        self._journal_domain(name)
-        return {
-            "name": checkpoint_name,
-            "domain": name,
-            "parent": checkpoint.parent,
-        }
+        with self._mutation() as m:
+            checkpoint = record.checkpoints.create(
+                checkpoint_name,
+                creation_time=self.backend.clock.now(),
+                state=DomainState(state).name.lower(),
+                disks=frozen,
+                block_size=images.block_size,
+            )
+            m.publish("checkpoint", domain=name, event="created", detail=checkpoint_name)
+            m.touch("domain", name)
+        return {"name": checkpoint_name, "domain": name, "parent": checkpoint.parent}
 
     def checkpoint_list(self, name: str) -> List[str]:
         self._count_call()
@@ -1324,21 +1360,18 @@ class StatefulDriver(Driver):
         self._count_call()
         record = self._record(name)
         if self.jobs.active(name) is not None:
-            raise ResourceBusyError(
-                f"cannot delete a checkpoint of {name!r} during an active job"
-            )
-        was_current = record.checkpoints.current == checkpoint_name
-        checkpoint = record.checkpoints.delete(checkpoint_name)
-        if was_current:
+            raise ResourceBusyError(f"cannot delete a checkpoint of {name!r} during an active job")
+        checkpoint = record.checkpoints.get(checkpoint_name)
+        if record.checkpoints.current == checkpoint_name:
             # the leaf's frozen blocks flow back into the active bitmaps
             images = self.backend.images
             for path, blocks in checkpoint.disks.items():
                 if images.exists(path):
                     images.merge_dirty(path, blocks)
-        self.events.publish(
-            "checkpoint", domain=name, event="deleted", detail=checkpoint_name
-        )
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.checkpoints.delete(checkpoint_name)
+            m.publish("checkpoint", domain=name, event="deleted", detail=checkpoint_name)
+            m.touch("domain", name)
 
     def checkpoint_get_xml_desc(self, name: str, checkpoint_name: str) -> str:
         self._count_call()
@@ -1357,63 +1390,48 @@ class StatefulDriver(Driver):
         self._count_call()
         options = dict(options or {})
         record = self._record(name)
-        state = self._domain_state(name)
-        if state not in (DomainState.RUNNING, DomainState.PAUSED):
-            raise InvalidOperationError(
-                f"cannot back up domain {name!r}: domain is "
-                f"{DomainState(state).name.lower()}"
-            )
+        state, disks = self._live_disks(name, record, "back up")
         images = self.backend.images
-        disks = self._domain_disk_paths(record)
-        if not disks:
-            raise InvalidOperationError(f"domain {name!r} has no disks to back up")
         pool = options.get("pool")
         if not pool:
             raise InvalidArgumentError("backup_begin requires a target pool")
         if self.jobs.active(name) is not None:
-            raise ResourceBusyError(
-                f"domain {name!r} already has an active job"
-            )
+            raise ResourceBusyError(f"domain {name!r} already has an active job")
         incremental = options.get("incremental") or None
         if incremental:
-            since = record.checkpoints.blocks_since(incremental, disks)
-            total = 0
-            for path in disks:
-                blocks = set(since.get(path, set()))
-                blocks.update(images.dirty_blocks(path))
-                total += len(blocks) * images.block_size
+            blocks = self._blocks_since(record, incremental, disks)
+            total = sum(len(dirty) for dirty in blocks.values()) * images.block_size
             operation = "backup-incremental"
         else:
             total = sum(images.lookup(path).allocation_bytes for path in disks)
             operation = "backup-full"
-        bandwidth_mib_s = float(
-            options.get("bandwidth_mib_s")
-            or self.backend.cost.bandwidth_gib_s * 1024
-        )
+        bandwidth_mib_s = float(options.get("bandwidth_mib_s") or self.backend.cost.bandwidth_gib_s * 1024)
         if bandwidth_mib_s <= 0:
             raise InvalidArgumentError("backup bandwidth must be positive")
-        volume_name = options.get("volume") or (
-            f"{name}-backup-{'inc' if incremental else 'full'}"
-        )
+        volume_name = options.get("volume") or f"{name}-backup-{'inc' if incremental else 'full'}"
         capacity = max(total, images.block_size)
-        created = self.storage_vol_create_xml(
+        volume, target_path = self._create_volume_image(
             pool, VolumeConfig(volume_name, capacity_bytes=capacity).to_xml()
         )
-        target_path = created["path"]
         try:
             checkpoint_name = options.get("checkpoint")
-            if checkpoint_name:
-                # freeze the bitmaps *after* computing the transfer set:
-                # this backup covers up to now, future incrementals are
-                # relative to the new checkpoint
-                frozen = {path: images.reset_dirty(path) for path in disks}
-                record.checkpoints.create(
-                    checkpoint_name,
-                    creation_time=self.backend.clock.now(),
-                    state=DomainState(state).name.lower(),
-                    disks=frozen,
-                    block_size=images.block_size,
-                )
+            # freeze the bitmaps *after* computing the transfer set: this
+            # backup covers up to now, future incrementals are relative to
+            # the new checkpoint
+            frozen = checkpoint_name and {path: images.reset_dirty(path) for path in disks}
+            # the target volume and the checkpoint exist before the job
+            # does (its cleanup drops the volume); all three are journalled
+            # together once it runs
+            with self._mutation():
+                self._pool_volumes[pool][volume.name] = volume
+                if checkpoint_name:
+                    record.checkpoints.create(
+                        checkpoint_name,
+                        creation_time=self.backend.clock.now(),
+                        state=DomainState(state).name.lower(),
+                        disks=frozen,
+                        block_size=images.block_size,
+                    )
             job = self.jobs.begin(
                 name,
                 "backup",
@@ -1433,28 +1451,30 @@ class StatefulDriver(Driver):
         except Exception:
             self._drop_backup_volume(pool, volume_name)
             raise
-        self.events.publish(
-            "job", domain=name, event="started", detail=operation, job_id=job.job_id
-        )
-        self._journal_job(name, job)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            # a job that already ended (its hook ran first) journals as gone
+            record.job = job if job.phase == JobPhase.RUNNING else None
+            m.touch("pool", pool)
+            m.touch("job", name)
+            m.touch("domain", name)
+            m.publish("storage", event="vol-created", detail=f"{pool}/{volume.name}")
+            m.publish("job", domain=name, event="started", detail=operation, job_id=job.job_id)
         return job.info(self.backend.clock.now())
 
     def _drop_backup_volume(self, pool: str, volume: str) -> None:
         """Remove a backup target volume (cancelled/failed job), best effort."""
-        with self._lock:
-            volumes = self._pool_volumes.get(pool)
-            config = None if volumes is None else volumes.pop(volume, None)
+        with self._mutation() as m:
             pool_config = self._pools.get(pool)
-        if config is None or pool_config is None:
-            return
+            config = self._pool_volumes.get(pool, {}).pop(volume, None)
+            if config is None or pool_config is None:
+                return
+            m.touch("pool", pool)
         path = f"{pool_config.target_path}/{volume}"
         if self.backend.images.exists(path):
             try:
                 self.backend.images.delete(path)
             except (NoStorageVolumeError, ResourceBusyError):
                 pass
-        self._journal_pool(pool)
 
     def backup_begin_pull(
         self, name: str, options: Optional[Dict[str, Any]] = None
@@ -1473,43 +1493,25 @@ class StatefulDriver(Driver):
         self._count_call()
         options = dict(options or {})
         record = self._record(name)
-        state = self._domain_state(name)
-        if state not in (DomainState.RUNNING, DomainState.PAUSED):
-            raise InvalidOperationError(
-                f"cannot back up domain {name!r}: domain is "
-                f"{DomainState(state).name.lower()}"
-            )
+        _, disks = self._live_disks(name, record, "back up")
         images = self.backend.images
-        disks = self._domain_disk_paths(record)
-        if not disks:
-            raise InvalidOperationError(f"domain {name!r} has no disks to back up")
         incremental = options.get("incremental") or None
         manifest: Dict[str, List[int]] = {}
         if incremental:
-            since = record.checkpoints.blocks_since(incremental, disks)
-            for path in disks:
-                blocks = set(since.get(path, set()))
-                blocks.update(images.dirty_blocks(path))
+            for path, blocks in self._blocks_since(record, incremental, disks).items():
                 manifest[path] = sorted(blocks)
         else:
             for path in disks:
                 allocated = images.lookup(path).allocation_bytes
                 manifest[path] = list(range(-(-allocated // images.block_size)))
-        chunks: List[bytes] = []
-        for path in disks:
-            for block in manifest[path]:
-                chunks.append(
-                    images.read_bytes(
-                        path, block * images.block_size, images.block_size
-                    )
-                )
-        data = b"".join(chunks)
-        self.events.publish(
-            "job",
-            domain=name,
-            event="backup-pull",
-            detail="incremental" if incremental else "full",
+        data = b"".join(
+            images.read_bytes(path, block * images.block_size, images.block_size)
+            for path in disks
+            for block in manifest[path]
         )
+        with self._mutation() as m:
+            detail = "incremental" if incremental else "full"
+            m.publish("job", domain=name, event="backup-pull", detail=detail)
         return {
             "domain": name,
             "block_size": images.block_size,
@@ -1532,15 +1534,16 @@ class StatefulDriver(Driver):
     def domain_abort_job(self, name: str) -> Dict[str, Any]:
         self._count_call()
         self._record(name)
+        # the job's own hook already journalled its outcome and the domain
         info = self.jobs.cancel(name)
-        self.events.publish(
-            "job",
-            domain=name,
-            event="aborted",
-            detail=str(info.get("operation", "")),
-            job_id=info.get("job_id"),
-        )
-        self._journal_domain(name)
+        with self._mutation() as m:
+            m.publish(
+                "job",
+                domain=name,
+                event="aborted",
+                detail=str(info.get("operation", "")),
+                job_id=info.get("job_id"),
+            )
         return info
 
     # ==================================================================
@@ -1572,13 +1575,13 @@ class StatefulDriver(Driver):
         if self.backend.has_guest(name):
             raise DomainExistsError(f"domain {name!r} already active on destination")
         config = self._validate_config(description["xml"])
-        with self._lock:
+        self._backend_start(config, paused=True)
+        with self._mutation() as m:
             if name not in self._domains:
                 self._domains[name] = _DomainRecord(config, persistent=False)
                 self._uuid_index[config.uuid] = name
-        self._backend_start(config, paused=True)
-        self.events.publish("migration", domain=name, event="prepared", detail="incoming")
-        self._journal_domain(name)
+            m.publish("migration", domain=name, event="prepared", detail="incoming")
+            m.touch("domain", name)
         return {"name": name, "uuid": config.uuid}
 
     def migrate_perform(
@@ -1625,22 +1628,23 @@ class StatefulDriver(Driver):
         if self.backend.guest_state(name).value == "running":
             self._backend_suspend(name)
         self.backend.clock.sleep(result.downtime_s)
-        self._record(name).last_job = {
-            "type": "migration",
-            "completed": True,
-            "total_time_s": result.total_time_s,
-            "downtime_s": result.downtime_s,
-            "transferred_bytes": result.transferred_bytes,
-            "rounds": result.rounds,
-        }
-        self.events.publish(
-            "migration",
-            domain=name,
-            event="performed",
-            detail="post-copy" if result.post_copy else ("live" if live else "offline"),
-            rounds=result.rounds,
-        )
-        self._journal_domain(name)
+        with self._mutation() as m:
+            self._record(name).last_job = {
+                "type": "migration",
+                "completed": True,
+                "total_time_s": result.total_time_s,
+                "downtime_s": result.downtime_s,
+                "transferred_bytes": result.transferred_bytes,
+                "rounds": result.rounds,
+            }
+            m.publish(
+                "migration",
+                domain=name,
+                event="performed",
+                detail="post-copy" if result.post_copy else ("live" if live else "offline"),
+                rounds=result.rounds,
+            )
+            m.touch("domain", name)
         return {
             "total_time_s": result.total_time_s,
             "downtime_s": result.downtime_s,
@@ -1656,30 +1660,34 @@ class StatefulDriver(Driver):
         self._count_call()
         name = cookie["name"]
         if stats.get("failed"):
+            # the incoming guest is torn down: libvirt's STOPPED_FAILED
             if self.backend.has_guest(name):
                 self._backend_destroy(name)
-            self._forget_transient(name)
-            self._journal_domain(name)
+                with self._mutation() as m:
+                    self._stopped(m, name, "failed")
             return {"name": name, "failed": True}
         self._backend_resume(name)
         record = self._record(name)
-        record.persistent = True
-        self.events.emit(name, DomainEvent.MIGRATED, "incoming")
-        self.events.emit(name, DomainEvent.STARTED, "migrated")
-        self._journal_domain(name)
+        with self._mutation() as m:
+            record.persistent = True
+            m.emit(name, DomainEvent.MIGRATED, "incoming")
+            m.emit(name, DomainEvent.STARTED, "migrated")
+            m.touch("domain", name)
         return self._public_record(name)
 
     def migrate_confirm(self, name: str, cancelled: bool) -> None:
         self._count_call()
         if cancelled:
+            # the source guest paused for the copy runs on: RESUMED_MIGRATED
             if self.backend.has_guest(name) and self.backend.guest_state(name).value == "paused":
                 self._backend_resume(name)
+                with self._mutation() as m:
+                    m.emit(name, DomainEvent.RESUMED, "migrated")
             return
         if self.backend.has_guest(name):
             self._backend_destroy(name)
-        self.events.emit(name, DomainEvent.STOPPED, "migrated")
-        self._forget_transient(name)
-        self._journal_domain(name)
+        with self._mutation() as m:
+            self._stopped(m, name, "migrated")
 
     def migrate_p2p(self, name: str, dest_uri: str, params: Dict[str, Any]) -> Dict[str, Any]:
         """Peer-to-peer mode: this (source) host dials the destination
@@ -1730,12 +1738,12 @@ class StatefulDriver(Driver):
         config = NetworkConfig.from_xml(xml)
         if config.uuid is None:
             config.uuid = uuidutil.generate_uuid(self.backend.rng)
-        with self._lock:
+        with self._mutation() as m:
             if config.name in self._networks:
                 raise NetworkExistsError(f"network {config.name!r} already defined")
             self._networks[config.name] = config
-        self.events.publish("network", event="defined", detail=config.name)
-        self._journal_network(config.name)
+            m.publish("network", event="defined", detail=config.name)
+            m.touch("network", config.name)
         return self._network_record(config.name)
 
     def _get_network(self, name: str) -> NetworkConfig:
@@ -1756,33 +1764,34 @@ class StatefulDriver(Driver):
 
     def network_undefine(self, name: str) -> None:
         self._count_call()
-        self._get_network(name)
-        if name in self._active_networks:
-            raise InvalidOperationError(f"network {name!r} is active")
-        with self._lock:
+        with self._mutation() as m:
+            self._get_network(name)
+            if name in self._active_networks:
+                raise InvalidOperationError(f"network {name!r} is active")
             del self._networks[name]
-        self.events.publish("network", event="undefined", detail=name)
-        self._journal_network(name)
+            m.publish("network", event="undefined", detail=name)
+            m.touch("network", name)
 
     def network_create(self, name: str) -> None:
         self._count_call()
-        self._get_network(name)
-        if name in self._active_networks:
-            raise InvalidOperationError(f"network {name!r} is already active")
-        self._active_networks.add(name)
-        self.events.publish("network", event="started", detail=name)
-        self._journal_network(name)
+        with self._mutation() as m:
+            self._get_network(name)
+            if name in self._active_networks:
+                raise InvalidOperationError(f"network {name!r} is already active")
+            self._active_networks.add(name)
+            m.publish("network", event="started", detail=name)
+            m.touch("network", name)
 
     def network_destroy(self, name: str) -> None:
         self._count_call()
-        self._get_network(name)
-        if name not in self._active_networks:
-            raise InvalidOperationError(f"network {name!r} is not active")
-        self._active_networks.discard(name)
-        with self._lock:
+        with self._mutation() as m:
+            self._get_network(name)
+            if name not in self._active_networks:
+                raise InvalidOperationError(f"network {name!r} is not active")
+            self._active_networks.discard(name)
             self._dhcp_leases.pop(name, None)
-        self.events.publish("network", event="stopped", detail=name)
-        self._journal_network(name)
+            m.publish("network", event="stopped", detail=name)
+            m.touch("network", name)
 
     def network_list(self) -> List[Dict[str, Any]]:
         self._count_call()
@@ -1807,8 +1816,9 @@ class StatefulDriver(Driver):
             {"mac": mac, **info} for mac, info in sorted(leases.items())
         ]
 
-    def _assign_dhcp_leases(self, config: DomainConfig) -> None:
-        """Hand a lease to every NIC attached to an active DHCP network."""
+    def _assign_dhcp_leases(self, m: _Mutation, config: DomainConfig) -> None:
+        """Hand a lease to every NIC attached to an active DHCP network
+        (inside a mutation)."""
         touched = set()
         for iface in config.interfaces:
             if iface.interface_type != "network" or not iface.mac:
@@ -1821,34 +1831,31 @@ class StatefulDriver(Driver):
                 or network.ip.dhcp is None
             ):
                 continue
-            with self._lock:
-                leases = self._dhcp_leases.setdefault(iface.source, {})
-                if iface.mac in leases:
-                    continue
-                used = {entry["ip"] for entry in leases.values()}
-                ip = _next_free_lease(network.ip.dhcp, used)
-                if ip is None:
-                    continue  # range exhausted: the guest simply gets no lease
-                leases[iface.mac] = {
-                    "ip": ip,
-                    "hostname": config.name,
-                    "since": self.backend.clock.now(),
-                }
+            leases = self._dhcp_leases.setdefault(iface.source, {})
+            if iface.mac in leases:
+                continue
+            used = {entry["ip"] for entry in leases.values()}
+            ip = _next_free_lease(network.ip.dhcp, used)
+            if ip is None:
+                continue  # range exhausted: the guest simply gets no lease
+            leases[iface.mac] = {
+                "ip": ip,
+                "hostname": config.name,
+                "since": self.backend.clock.now(),
+            }
             touched.add(iface.source)
         for network_name in sorted(touched):
-            self._journal_network(network_name)
+            m.touch("network", network_name)
 
-    def _release_dhcp_leases(self, config: DomainConfig) -> None:
+    def _release_dhcp_leases(self, m: _Mutation, config: DomainConfig) -> None:
+        """Take back the config's leases (inside a mutation)."""
         touched = set()
         for iface in config.interfaces:
-            if not iface.mac:
-                continue
-            with self._lock:
-                leases = self._dhcp_leases.get(iface.source)
-                if leases is not None and leases.pop(iface.mac, None) is not None:
-                    touched.add(iface.source)
+            leases = self._dhcp_leases.get(iface.source) if iface.mac else None
+            if leases is not None and leases.pop(iface.mac, None) is not None:
+                touched.add(iface.source)
         for network_name in sorted(touched):
-            self._journal_network(network_name)
+            m.touch("network", network_name)
 
     # ==================================================================
     # storage
@@ -1859,13 +1866,13 @@ class StatefulDriver(Driver):
         config = StoragePoolConfig.from_xml(xml)
         if config.uuid is None:
             config.uuid = uuidutil.generate_uuid(self.backend.rng)
-        with self._lock:
+        with self._mutation() as m:
             if config.name in self._pools:
                 raise StoragePoolExistsError(f"pool {config.name!r} already defined")
             self._pools[config.name] = config
             self._pool_volumes[config.name] = {}
-        self.events.publish("storage", event="pool-defined", detail=config.name)
-        self._journal_pool(config.name)
+            m.publish("storage", event="pool-defined", detail=config.name)
+            m.touch("pool", config.name)
         return self._pool_record(config.name)
 
     def _get_pool(self, name: str) -> StoragePoolConfig:
@@ -1885,32 +1892,34 @@ class StatefulDriver(Driver):
 
     def storage_pool_undefine(self, name: str) -> None:
         self._count_call()
-        self._get_pool(name)
-        if name in self._active_pools:
-            raise InvalidOperationError(f"pool {name!r} is active")
-        with self._lock:
+        with self._mutation() as m:
+            self._get_pool(name)
+            if name in self._active_pools:
+                raise InvalidOperationError(f"pool {name!r} is active")
             del self._pools[name]
             del self._pool_volumes[name]
-        self.events.publish("storage", event="pool-undefined", detail=name)
-        self._journal_pool(name)
+            m.publish("storage", event="pool-undefined", detail=name)
+            m.touch("pool", name)
 
     def storage_pool_create(self, name: str) -> None:
         self._count_call()
-        self._get_pool(name)
-        if name in self._active_pools:
-            raise InvalidOperationError(f"pool {name!r} is already active")
-        self._active_pools.add(name)
-        self.events.publish("storage", event="pool-started", detail=name)
-        self._journal_pool(name)
+        with self._mutation() as m:
+            self._get_pool(name)
+            if name in self._active_pools:
+                raise InvalidOperationError(f"pool {name!r} is already active")
+            self._active_pools.add(name)
+            m.publish("storage", event="pool-started", detail=name)
+            m.touch("pool", name)
 
     def storage_pool_destroy(self, name: str) -> None:
         self._count_call()
-        self._get_pool(name)
-        if name not in self._active_pools:
-            raise InvalidOperationError(f"pool {name!r} is not active")
-        self._active_pools.discard(name)
-        self.events.publish("storage", event="pool-stopped", detail=name)
-        self._journal_pool(name)
+        with self._mutation() as m:
+            self._get_pool(name)
+            if name not in self._active_pools:
+                raise InvalidOperationError(f"pool {name!r} is not active")
+            self._active_pools.discard(name)
+            m.publish("storage", event="pool-stopped", detail=name)
+            m.touch("pool", name)
 
     def storage_pool_list(self) -> List[Dict[str, Any]]:
         self._count_call()
@@ -1945,6 +1954,15 @@ class StatefulDriver(Driver):
 
     def storage_vol_create_xml(self, pool: str, xml: str) -> Dict[str, Any]:
         self._count_call()
+        volume, path = self._create_volume_image(pool, xml)
+        with self._mutation() as m:
+            self._pool_volumes[pool][volume.name] = volume
+            m.publish("storage", event="vol-created", detail=f"{pool}/{volume.name}")
+            m.touch("pool", pool)
+        return {"name": volume.name, "path": path}
+
+    def _create_volume_image(self, pool: str, xml: str) -> Tuple[VolumeConfig, str]:
+        """A new volume's checks and its image; the caller records it."""
         pool_config = self._get_pool(pool)
         if pool not in self._active_pools:
             raise InvalidOperationError(f"pool {pool!r} is not active")
@@ -1966,29 +1984,22 @@ class StatefulDriver(Driver):
             volume.volume_format,
             backing_path=volume.backing_store,
         )
-        with self._lock:
-            self._pool_volumes[pool][volume.name] = volume
-        self.events.publish(
-            "storage", event="vol-created", detail=f"{pool}/{volume.name}"
-        )
-        self._journal_pool(pool)
-        return {"name": volume.name, "path": path}
+        return volume, path
 
     def storage_vol_delete(self, pool: str, volume: str) -> None:
         self._count_call()
         pool_config = self._get_pool(pool)
         with self._lock:
             if volume not in self._pool_volumes[pool]:
-                raise NoStorageVolumeError(
-                    f"no volume {volume!r} in pool {pool!r}"
-                )
+                raise NoStorageVolumeError(f"no volume {volume!r} in pool {pool!r}")
         path = f"{pool_config.target_path}/{volume}"
         if self.backend.images.exists(path):
             self.backend.images.delete(path)
-        with self._lock:
-            del self._pool_volumes[pool][volume]
-        self.events.publish("storage", event="vol-deleted", detail=f"{pool}/{volume}")
-        self._journal_pool(pool)
+        with self._mutation() as m:
+            if self._pool_volumes[pool].pop(volume, None) is None:
+                raise NoStorageVolumeError(f"no volume {volume!r} in pool {pool!r}")
+            m.publish("storage", event="vol-deleted", detail=f"{pool}/{volume}")
+            m.touch("pool", pool)
 
     def storage_vol_list(self, pool: str) -> List[str]:
         self._count_call()
@@ -2042,13 +2053,9 @@ class StatefulDriver(Driver):
         if not self.backend.images.exists(path):
             raise NoStorageVolumeError(f"volume image {path!r} not found")
         written = self.backend.images.write_bytes(path, offset, data)
-        self.events.publish(
-            "storage",
-            event="vol-uploaded",
-            detail=f"{pool}/{volume}",
-            bytes=written,
-        )
-        self._journal_pool(pool)
+        with self._mutation() as m:
+            m.publish("storage", event="vol-uploaded", detail=f"{pool}/{volume}", bytes=written)
+            m.touch("pool", pool)
         return self.storage_vol_get_info(pool, volume)
 
     def storage_vol_download(

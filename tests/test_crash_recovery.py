@@ -16,10 +16,15 @@ fresh incarnation over the same state directory converges:
 * a torn final journal record is detected and rolled back.
 """
 
+import json
+import pathlib
+import shutil
+
 import pytest
 
 import repro
 from repro.admin import admin_open
+from repro.core.states import DomainState
 from repro.core.uri import ConnectionURI
 from repro.daemon.libvirtd import Libvirtd
 from repro.daemon.registry import lookup_daemon
@@ -28,13 +33,15 @@ from repro.errors import ConnectionError_, DaemonCrashError, OperationTimeoutErr
 from repro.faults import CrashHarness, CrashPlan, CrashPoint
 from repro.observability.flightrec import interrupted_dispatches, read_tail
 from repro.rpc.retry import RetryPolicy
-from repro.state import StateDir
+from repro.state import StateDir, StateJournal
 from repro.util.xmlutil import element_to_string
 from repro.xmlconfig.domain import DiskDevice, DomainConfig
 from repro.xmlconfig.storage import StoragePoolConfig
 
 MiB = 1024**2
 GiB = 1024**3
+#: the census below, as recorded before journal writes moved ahead of publishing
+CENSUS_FILE = pathlib.Path(__file__).resolve().parent / "data" / "crash_census.json"
 
 #: the PR-1 resilient-client settings used throughout the reconnect tests
 RESILIENT = dict(
@@ -194,6 +201,12 @@ class TestCrashRecoveryProperty:
             harness.shutdown()
             drv.close()
 
+    def test_census_is_unchanged_by_journalling_before_publishing(self, tmp_path):
+        """Every mutation journals the same records in the same order as
+        when it published first: the kill points are the recorded ones."""
+        census = [[point.value, op] for point, op in self._census(tmp_path)]
+        assert census == json.loads(CENSUS_FILE.read_text())
+
     def test_post_journal_crash_preserves_unacknowledged_mutation(self, tmp_path):
         """A POST_JOURNAL kill is the at-least-once corner: the client
         never saw the reply, but the journalled mutation must survive."""
@@ -217,6 +230,65 @@ class TestCrashRecoveryProperty:
         recovered = harness.driver()
         assert "never" not in recovered.list_defined_domains()
         assert recovered.list_domains() == []
+
+
+def replay_journal(state_root, copy):
+    """The driver journal as recovery would replay it, read from a copy
+    (loading truncates a torn tail, and the original is recovery's)."""
+    shutil.copytree(state_root / "qemu", copy)
+    return StateJournal(StateDir(str(copy))).entries("domain")
+
+
+class TestTornMutationIsNeverAnnounced:
+    """A ``MID_JOURNAL`` kill on a domain record tears the mutation before
+    anyone hears of it.  The backend may already have acted (a guest
+    started or stopped), which recovery reconciles against the hypervisor;
+    what it replays from the journal is exactly what subscribers were told."""
+
+    @pytest.mark.parametrize("procedure", ["domain.define_xml", "domain.create", "domain.destroy"])
+    def test_nobody_hears_a_torn_mutation(self, tmp_path, procedure):
+        root = tmp_path / "torn"
+        harness = CrashHarness(str(root), hostname="torn")
+        plan = CrashPlan()
+        harness.start(plan)
+        actor = harness.connect()
+        if procedure != "domain.define_xml":
+            actor.domain_define_xml(plain_xml("g1"))
+        if procedure == "domain.destroy":
+            actor.domain_create("g1")
+        heard = []
+        harness.driver().events.subscribe(heard.append)
+        harness.driver().events.register(lambda *event: heard.append(event))
+        watcher = RemoteDriver(ConnectionURI.parse(harness.uri + "?cache=1"))
+        watcher.event_bus_subscribe(heard.append)
+        told = {} if procedure == "domain.define_xml" else {"g1": watcher.domain_get_state("g1")}
+        invalidations = watcher.cache.invalidations
+        journalled = replay_journal(root, tmp_path / "before")
+
+        plan.crash(CrashPoint.MID_JOURNAL, op="domain:g1")
+        call = {
+            "domain.define_xml": lambda: actor.domain_define_xml(plain_xml("g1")),
+            "domain.create": lambda: actor.domain_create("g1"),
+            "domain.destroy": lambda: actor.domain_destroy("g1"),
+        }[procedure]
+        with pytest.raises(DaemonCrashError):
+            call()
+        assert [(event.point, event.op) for event in plan.injected] == [(CrashPoint.MID_JOURNAL, "domain:g1")]
+
+        # no bus subscriber, legacy callback or cached remote client heard it
+        assert heard == []
+        assert watcher.cache.invalidations == invalidations
+        assert {name: watcher.domain_get_state(name) for name in told} == told
+        # recovery replays what they were told: the journal from before the call
+        assert replay_journal(root, tmp_path / "after") == journalled
+        harness.restart()
+        recovered = harness.driver()
+        assert set(recovered.list_domains()) | set(recovered.list_defined_domains()) == set(told)
+        expected = {"domain.create": DomainState.RUNNING, "domain.destroy": DomainState.SHUTOFF}
+        if procedure in expected:
+            # reality moved before the tear: recovery defers to the hypervisor
+            assert recovered.domain_get_state("g1") == expected[procedure]
+        harness.shutdown()
 
 
 class TestNonIntrusiveRestart:

@@ -1,11 +1,20 @@
-"""Byte identity of what the daemon observes with what PR 21's observer wrote.
+"""Byte identity of what the daemon observes with the recorded golden.
 
-``tests/data/observer_golden.json`` was recorded once from the parent of
-PR 22 (``tools/record_observer_golden.py``), before the observer was made
+``tests/data/observer_golden.json`` was first recorded
+(``tools/record_observer_golden.py``) before the observer was made
 cheaper; the scenario in ``tests/observer_scenario.py`` must still produce
 the same trace export, the same flight-recorder file and the same
 exposition page.  The one allowed difference is additive: ``rpc.begin``
 and ``rpc.end`` records now carry a ``call`` ordinal.
+
+It was re-recorded once, on purpose, when ``StatefulDriver`` started
+journalling a mutation before publishing it: within each of the seven
+journalled mutations the ``journal`` line now precedes its ``event``
+line, the event lines' modelled ``t`` and their ``event.deliver`` spans
+move 50 µs later (the modelled append now comes first), and the journal
+lines' ``t`` move earlier by the modelled delivery they no longer wait
+behind.  The bus-record count (9), the span set and the exposition page
+did not change.
 """
 
 import json

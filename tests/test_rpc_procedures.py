@@ -15,20 +15,28 @@ import inspect
 import json
 import pathlib
 import re
+import sys
+import threading
 
 import pytest
 
 import repro
 from repro.core.driver import Driver
 from repro.daemon import Libvirtd
+from repro.drivers.qemu import QemuDriver
 from repro.drivers.remote import RemoteDriver
 from repro.errors import InvalidArgumentError
+from repro.hypervisors.host import SimHost
+from repro.hypervisors.qemu_backend import QemuBackend
 from repro.hypervisors.timing import model_for
 from repro.rpc.procedures import ADMIN_PROCEDURES, BY_NAME, REMOTE_PROCEDURES, Procedure, index
 from repro.rpc.protocol import PROCEDURES, STREAM_PROCEDURES, MessageType, ReplyStatus, RPCMessage
 from repro.rpc.retry import IDEMPOTENT_PROCEDURES
 from repro.rpc.transport import ASYNC_REPLY
-from repro.xmlconfig.domain import DiskDevice, DomainConfig
+from repro.state import StateDir, StateJournal
+from repro.util.clock import VirtualClock
+from repro.util.typedparams import ParamType, TypedParameter
+from repro.xmlconfig.domain import DiskDevice, DomainConfig, InterfaceDevice
 from repro.xmlconfig.network import DHCPRange, IPConfig, NetworkConfig
 from repro.xmlconfig.storage import StoragePoolConfig, VolumeConfig
 
@@ -199,6 +207,218 @@ class TestBlockingColumn:
             assert daemon.clock.now() - started in (0.0, pytest.approx(charge))
             if (row.name, guest) != ("domain.checkpoint_get_xml_desc", "shutoff"):  # none there
                 assert RPCMessage.unpack(reply).status == ReplyStatus.OK
+
+
+JOURNAL_KINDS = ("domain", "network", "pool", "job")
+
+
+def replayed(qemu):
+    """What recovery would replay: the journal read back from its directory."""
+    journal = StateJournal(StateDir(qemu._state.statedir.root))
+    return {kind: journal.entries(kind) for kind in JOURNAL_KINDS}
+
+
+def live(qemu):
+    """Every record as the driver's own serialisers write it now."""
+    with qemu._lock:
+        keys = {
+            "domain": set(qemu._domains),
+            "network": set(qemu._networks),
+            "pool": set(qemu._pools),
+            "job": {name for name, record in qemu._domains.items() if record.job is not None},
+        }
+        serialised = {
+            kind: {key: getattr(qemu, f"_serialize_{kind}")(key) for key in names} for kind, names in keys.items()
+        }
+    return json.loads(json.dumps(serialised))  # as the journal encodes it
+
+
+def view(qemu):
+    """The uncached reads a ``?cache=1`` client keeps: both lists, and
+    each domain's state and XML."""
+    active, inactive = set(qemu.list_domains()), set(qemu.list_defined_domains())
+    domains = {n: (qemu.domain_get_state(n), qemu.domain_get_xml_desc(n)) for n in active | inactive}
+    return active, inactive, domains
+
+
+@pytest.fixture()
+def mutating(tmp_path):
+    """A ``state_dir`` daemon to mutate, and a peer to migrate from and to."""
+    with Libvirtd(hostname="mutating-peer") as peer, Libvirtd(
+        hostname="mutating", state_dir=str(tmp_path / "state")
+    ) as daemon:
+        peer.listen("tcp")
+        daemon.listen("tcp")
+        other = repro.open_connection("qemu+tcp://mutating-peer/system")._driver
+        other.domain_define_xml(DomainConfig(name="p1", domain_type="kvm", memory_kib=1024 * 1024).to_xml())
+        other.domain_create("p1")
+        conn = repro.open_connection("qemu+tcp://mutating/system")
+        yield daemon, conn._driver, other
+        conn.close()
+        other.close()
+
+
+def mutating_script(drv, other):
+    """(row, call) for every pass-through ``blocking=True`` row plus the
+    stream commit and ``backup_begin``, in an order that makes each legal."""
+    nic = InterfaceDevice("network", "net")
+    pool = StoragePoolConfig(name="pool", capacity_bytes=10 * GiB)
+    # the guest's disk is the uploaded volume: a backup then has bytes to move
+    disk = DiskDevice(f"{pool.target_path}/vol", "vda", capacity_bytes=GiB)
+    m1 = DomainConfig(
+        name="m1", domain_type="kvm", memory_kib=1024 * 1024, vcpus=2, disks=[disk], interfaces=[nic]
+    ).to_xml()
+    extra = '<disk type="file" device="disk"><source file="/img/m1-extra.qcow2"/><target dev="vdb"/></disk>'
+    dhcp = DHCPRange("10.1.0.2", "10.1.0.50")
+    net = NetworkConfig(name="net", ip=IPConfig("10.1.0.1", "255.255.255.0", dhcp)).to_xml()
+    shares = [TypedParameter("cpu_shares", ParamType.ULLONG, 2048)]
+    t1 = DomainConfig(name="t1", domain_type="kvm", memory_kib=1024 * 1024).to_xml()
+    incoming = {}
+    return [
+        ("network.define_xml", lambda: drv.network_define_xml(net)),
+        ("network.create", lambda: drv.network_create("net")),
+        ("storage.pool_define_xml", lambda: drv.storage_pool_define_xml(pool.to_xml())),
+        ("storage.pool_create", lambda: drv.storage_pool_create("pool")),
+        ("storage.vol_create_xml", lambda: drv.storage_vol_create_xml(
+            "pool", VolumeConfig(name="vol", capacity_bytes=GiB).to_xml())),
+        ("storage.vol_upload", lambda: drv.storage_vol_upload("pool", "vol", bytes(range(256)) * 256)),
+        ("domain.define_xml", lambda: drv.domain_define_xml(m1)),
+        ("domain.create", lambda: drv.domain_create("m1")),
+        ("domain.suspend", lambda: drv.domain_suspend("m1")),
+        ("domain.resume", lambda: drv.domain_resume("m1")),
+        ("domain.reboot", lambda: drv.domain_reboot("m1")),
+        ("domain.set_memory", lambda: drv.domain_set_memory("m1", 512 * 1024)),
+        ("domain.set_vcpus", lambda: drv.domain_set_vcpus("m1", 1)),
+        ("domain.set_scheduler_params", lambda: drv.domain_set_scheduler_params("m1", shares)),
+        ("domain.set_autostart", lambda: drv.domain_set_autostart("m1", True)),
+        ("domain.attach_device", lambda: drv.domain_attach_device("m1", extra)),
+        ("domain.detach_device", lambda: drv.domain_detach_device("m1", extra)),
+        ("domain.snapshot_create", lambda: drv.snapshot_create("m1", "s1")),
+        ("domain.snapshot_revert", lambda: drv.snapshot_revert("m1", "s1")),
+        ("domain.snapshot_delete", lambda: drv.snapshot_delete("m1", "s1")),
+        ("domain.checkpoint_create", lambda: drv.checkpoint_create("m1", "c1")),
+        ("domain.backup_begin", lambda: drv.backup_begin("m1", {"pool": "pool", "bandwidth_mib_s": 0.01})),
+        ("domain.abort_job", lambda: drv.domain_abort_job("m1")),
+        ("domain.checkpoint_delete", lambda: drv.checkpoint_delete("m1", "c1")),
+        ("domain.save", lambda: drv.domain_save("m1", "/saves/m1.img")),
+        ("domain.restore", lambda: drv.domain_restore("/saves/m1.img")),
+        ("domain.managed_save", lambda: drv.domain_managed_save("m1")),
+        ("domain.managed_save_remove", lambda: drv.domain_managed_save_remove("m1")),
+        ("domain.create_xml", lambda: drv.domain_create_xml(t1)),
+        ("domain.shutdown", lambda: drv.domain_shutdown("t1")),
+        ("domain.create", lambda: drv.domain_create("m1")),
+        ("domain.migrate_begin", lambda: drv.migrate_begin("m1")),
+        ("domain.migrate_perform", lambda: drv.migrate_perform("m1", {"name": "m1"}, {"live": True})),
+        ("domain.migrate_confirm", lambda: drv.migrate_confirm("m1", True)),
+        ("domain.migrate_prepare", lambda: incoming.update(drv.migrate_prepare(other.migrate_begin("p1")))),
+        ("domain.migrate_finish", lambda: drv.migrate_finish(incoming, {"failed": True})),
+        ("connect.get_all_domain_stats", lambda: drv.get_all_domain_stats(None)),
+        ("domain.migrate_p2p", lambda: drv.migrate_p2p("m1", "qemu+tcp://mutating-peer/system", {})),
+        ("domain.create", lambda: drv.domain_create("m1")),
+        ("domain.destroy", lambda: drv.domain_destroy("m1")),
+        ("domain.undefine", lambda: drv.domain_undefine("m1")),
+        ("storage.vol_delete", lambda: drv.storage_vol_delete("pool", "vol")),
+        ("storage.pool_destroy", lambda: drv.storage_pool_destroy("pool")),
+        ("storage.pool_undefine", lambda: drv.storage_pool_undefine("pool")),
+        ("network.destroy", lambda: drv.network_destroy("net")),
+        ("network.undefine", lambda: drv.network_undefine("net")),
+    ]
+
+
+class TestMutatingRows:
+    """What replaced the publish-on-mutate and journal-on-mutate lints:
+    the outcome of every mutating row, checked after each call."""
+
+    def test_the_script_covers_every_mutating_row(self):
+        rows = {row.name for row in PASS_THROUGH if row.blocking}
+        named = {name for name, _ in mutating_script(None, None)}
+        assert named == rows | {"storage.vol_upload", "domain.backup_begin"}
+
+    def test_journalled_before_published_and_published_when_changed(self, mutating):
+        daemon, drv, other = mutating
+        qemu = daemon.drivers["qemu"]
+        bus = qemu.events
+        locked = []
+        bus.subscribe(lambda record: locked.append(qemu._lock._is_owned()))
+        for row, call in mutating_script(drv, other):
+            before, seq, written = view(qemu), bus.published, daemon.flight_recorder.records_total
+            call()
+            # (a) live state is what recovery would replay
+            assert live(qemu) == replayed(qemu), row
+            # (b) each domain whose reads or list membership changed was named
+            after = view(qemu)
+            changed = (before[0] ^ after[0]) | (before[1] ^ after[1])
+            changed |= {n for n in before[2].keys() | after[2].keys() if before[2].get(n) != after[2].get(n)}
+            named = {r["domain"] for r in bus.record_history if r["seq"] > seq}
+            assert changed <= named, (row, changed - named)
+            # (c) the call journalled every record before it published any
+            fresh = daemon.flight_recorder.records()[-(daemon.flight_recorder.records_total - written):]
+            kinds = "".join(r["kind"][0] for r in fresh if r["kind"] in ("journal", "event"))
+            # p2p is two mutations on this host: the perform, then the confirm
+            assert re.fullmatch("(j+e+){2}" if row == "domain.migrate_p2p" else "j*e*", kinds), (row, kinds)
+        # (d) no subscriber ever ran under the driver lock
+        assert locked and not any(locked)
+
+
+class TestJobHookLockOrder:
+    def test_lazy_job_completion_beside_a_checkpoint_finishes(self, tmp_path):
+        """The job engine runs a finished backup's hook (a mutation)
+        under its own lock; a mutator must never hold the driver lock
+        while it asks the engine anything, or these two deadlock."""
+        clock = VirtualClock()
+        qemu = QemuDriver(QemuBackend(host=SimHost(hostname="lockorder", clock=clock), clock=clock))
+        qemu.attach_state(StateJournal(StateDir(str(tmp_path / "state")), clock=clock))
+        for name in ("g1", "g2"):
+            disk = DiskDevice(f"/img/{name}.qcow2", "vda", capacity_bytes=GiB, driver_format="qcow2")
+            qemu.domain_define_xml(
+                DomainConfig(name=name, domain_type="kvm", memory_kib=1024 * 1024, disks=[disk]).to_xml()
+            )
+            qemu.domain_create(name)
+        qemu.backend.images.write("/img/g1.qcow2", 64 * 1024 * 1024)
+        qemu.storage_pool_define_xml(StoragePoolConfig(name="pool", capacity_bytes=10 * GiB).to_xml())
+        qemu.storage_pool_create("pool")
+
+        # the order itself, checked on every entry into the engine
+        entered_locked = []
+        for method in ("active", "begin", "cancel", "fail_active", "info"):
+            def spy(*args, original=getattr(qemu.jobs, method), **kwargs):
+                entered_locked.append(qemu._lock._is_owned())
+                return original(*args, **kwargs)
+
+            setattr(qemu.jobs, method, spy)
+
+        def poll(start):
+            start.wait(timeout=5)
+            while qemu.domain_get_job_info("g1").get("phase") == "running":
+                pass
+
+        def checkpoints(start, trial):
+            start.wait(timeout=5)
+            for n in range(5):
+                qemu.checkpoint_create("g2", f"c{trial}.{n}")
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                qemu.backup_begin("g1", {"pool": "pool", "volume": f"b{trial}"})
+                clock.advance(3600.0)  # the job is over; nobody has looked yet
+                start = threading.Barrier(2)
+                threads = [
+                    threading.Thread(target=poll, args=(start,)),
+                    threading.Thread(target=checkpoints, args=(start, trial)),
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads), f"deadlocked in trial {trial}"
+                assert qemu.domain_get_job_info("g1")["phase"] == "completed"
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(qemu.checkpoint_list("g2")) == 100
+        assert entered_locked and not any(entered_locked)
+        assert live(qemu) == replayed(qemu)
 
 
 class TestGeneratedStubs:
