@@ -478,9 +478,16 @@ class Driver:
 
     def storage_vol_download(
         self, pool: str, volume: str, offset: int = 0, length: "Optional[int]" = None
-    ) -> bytes:
+    ) -> "bytes | Sequence[bytes | memoryview]":
         """Read ``length`` bytes (default: to end of capacity) from a
-        volume starting at ``offset``."""
+        volume starting at ``offset``.
+
+        Returns one buffer or a sequence (list/tuple) of buffers laid
+        back to back — the shape :meth:`storage_vol_upload` accepts.  A
+        sequence is a snapshot: later writes to the volume never show
+        through it, and its views may be held for as long as needed.
+        ``Volume.download`` joins it into one ``bytes``.
+        """
         raise self._unsupported("storage_vol_download")
 
 

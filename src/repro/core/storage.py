@@ -80,9 +80,10 @@ class Volume:
 
     def download(self, offset: int = 0, length: Optional[int] = None) -> bytes:
         """``virStorageVolDownload``: read ``length`` bytes from ``offset``."""
-        return self._pool._conn._driver.storage_vol_download(
+        data = self._pool._conn._driver.storage_vol_download(
             self._pool.name, self._name, offset, length
         )
+        return b"".join(data) if isinstance(data, (list, tuple)) else bytes(data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Volume({self._name!r} in pool {self._pool.name!r})"

@@ -10,8 +10,9 @@ lane, and fans lifecycle events out to subscribed clients.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.states import DomainEvent
 from repro.core.uri import ConnectionURI
@@ -97,20 +98,32 @@ _PASSTHROUGH = {
 }
 
 
-def _cursor(data: Any) -> Callable[[int], Any]:
-    """A stream source that reads ``data`` front to back without copying."""
-    view = memoryview(data)
-    pos = 0
+def _cursor(data: Any) -> Tuple[Callable[[int], Any], int]:
+    """A stream source over ``data`` — one buffer or a sequence laid
+    back to back — and its length in bytes.
+
+    Each chunk is a view of the one buffer it lies in; only a chunk that
+    straddles two buffers is joined.  The chunks cut the same bytes at
+    the same places as one flat buffer would.
+    """
+    buffers = data if isinstance(data, (list, tuple)) else (data,)
+    pending = deque(view for view in (memoryview(b).cast("B") for b in buffers) if view.nbytes)
+    length = sum(view.nbytes for view in pending)
 
     def read(max_bytes: int) -> Any:
-        nonlocal pos
-        if pos >= len(view):
-            return None
-        chunk = view[pos : pos + max_bytes]
-        pos += len(chunk)
-        return chunk
+        parts = []
+        while pending and max_bytes:
+            view = pending.popleft()
+            if view.nbytes > max_bytes:
+                view, rest = view[:max_bytes], view[max_bytes:]
+                pending.appendleft(rest)
+            parts.append(view)
+            max_bytes -= view.nbytes
+        if len(parts) > 1:
+            return b"".join(parts)
+        return parts[0] if parts else None
 
-    return read
+    return read, length
 
 
 class Libvirtd:
@@ -1165,10 +1178,10 @@ class Libvirtd:
         def handler(conn: ServerConnection, body: Any) -> Any:
             pool, volume = _unpack(row, body)
             offset = int(body.get("offset") or 0)
-            data = fetch(conn, (pool, volume, offset, body.get("length")))
+            read, length = _cursor(fetch(conn, (pool, volume, offset, body.get("length"))))
             stream = self.rpc.open_stream()
-            stream.set_source(_cursor(data), result={"length": len(data)})
-            return {"pool": pool, "volume": volume, "length": len(data)}
+            stream.set_source(read, result={"length": length})
+            return {"pool": pool, "volume": volume, "length": length}
 
         return handler
 
@@ -1216,9 +1229,9 @@ class Libvirtd:
             result = base(conn, body)
             # the block payload travels on the stream; the manifest
             # (disks -> dirty block lists) is the opening reply
-            data = bytes(result.pop("data", b"") or b"")
+            read, length = _cursor(result.pop("data", b"") or b"")
             stream = self.rpc.open_stream()
-            stream.set_source(_cursor(data), result={"total_bytes": len(data)})
+            stream.set_source(read, result={"total_bytes": length})
             return result
 
         return handler

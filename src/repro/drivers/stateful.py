@@ -1504,11 +1504,14 @@ class StatefulDriver(Driver):
             for path in disks:
                 allocated = images.lookup(path).allocation_bytes
                 manifest[path] = list(range(-(-allocated // images.block_size)))
-        data = b"".join(
-            images.read_bytes(path, block * images.block_size, images.block_size)
-            for path in disks
-            for block in manifest[path]
-        )
+        # one snapshot per disk, one join of every block's views
+        views: List[memoryview] = []
+        for path in disks:
+            blocks = manifest[path]
+            if blocks:
+                snapshot = images.snapshot(path, 0, (blocks[-1] + 1) * images.block_size)
+                views += _block_views(snapshot, blocks, images.block_size)
+        data = b"".join(views)
         with self._mutation() as m:
             detail = "incremental" if incremental else "full"
             m.publish("job", domain=name, event="backup-pull", detail=detail)
@@ -2060,18 +2063,21 @@ class StatefulDriver(Driver):
 
     def storage_vol_download(
         self, pool: str, volume: str, offset: int = 0, length: Optional[int] = None
-    ) -> bytes:
+    ) -> List[memoryview]:
         """Read volume content back (``virStorageVolDownload``).
 
         Read-only: ``length`` defaults to the allocated extent past
         ``offset`` (not capacity — a thin volume downloads only what
-        was ever written, like sparse-file aware tooling).
+        was ever written, like sparse-file aware tooling).  Returns the
+        image store's snapshot, views laid back to back that later
+        writes never show through: nothing is copied until the caller
+        joins them or the daemon frames them.
         """
         self._count_call()
         info = self.storage_vol_get_info(pool, volume)
         if length is None:
             length = max(0, info["allocation_bytes"] - offset)
-        return self.backend.images.read_bytes(info["path"], offset, length)
+        return self.backend.images.snapshot(info["path"], offset, length)
 
 
 def from_run_state_str(state: str) -> DomainState:
@@ -2082,6 +2088,27 @@ def from_run_state_str(state: str) -> DomainState:
         "shutoff": DomainState.SHUTOFF,
         "crashed": DomainState.CRASHED,
     }[state]
+
+
+def _block_views(snapshot: List[memoryview], blocks: List[int], block_size: int) -> List[memoryview]:
+    """The parts of ``snapshot`` (views laid back to back from offset 0)
+    that cover each of the ascending ``blocks``, in order; a block past
+    the snapshot's end is cut short or left out, as a read would."""
+    picked: List[memoryview] = []
+    views = iter(snapshot)
+    view, base = memoryview(b""), 0
+    for block in blocks:
+        start, stop = block * block_size, (block + 1) * block_size
+        while start < stop:
+            while base + view.nbytes <= start:
+                base += view.nbytes
+                view = next(views, None)
+                if view is None:
+                    return picked
+            piece = view[start - base : stop - base]
+            picked.append(piece)
+            start += piece.nbytes
+    return picked
 
 
 def _next_free_lease(dhcp, used: set) -> "str | None":

@@ -9,8 +9,11 @@ on), all in memory.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     InvalidArgumentError,
@@ -19,6 +22,36 @@ from repro.errors import (
     ResourceBusyError,
     StorageVolumeExistsError,
 )
+from repro.util.units import DEFAULT_CHUNK
+
+#: content is kept in immutable clusters of one stream chunk each
+CLUSTER = DEFAULT_CHUNK
+#: a ``bytes`` this much larger than the cluster it would back is copied,
+#: not referenced: a received chunk's frame header fits, a caller's
+#: multi-cluster buffer does not, so a stored cluster never pins more
+#: than itself plus a frame header
+PIN_SLACK = 64
+#: a cluster never written
+_EMPTY = memoryview(b"")
+
+
+@functools.cache
+def _zeros() -> memoryview:
+    """What every hole reads as: one cluster of zeroes, allocated the
+    first time a hole is read, not by every process that imports this."""
+    return memoryview(bytes(CLUSTER))
+
+
+def _cut(views: Sequence[memoryview], offset: int) -> Iterator[Tuple[int, memoryview]]:
+    """``views`` laid back to back from ``offset``, cut at cluster
+    boundaries: ``(cluster index, piece)`` pairs in order."""
+    pos = offset
+    for view in views:
+        while view.nbytes:
+            room = CLUSTER - pos % CLUSTER
+            piece, view = view[:room], view[room:]
+            yield pos // CLUSTER, piece
+            pos += piece.nbytes
 
 
 class DiskImage:
@@ -65,9 +98,11 @@ class ImageStore:
         #: per-image dirty-block bitmap: block indices written since the
         #: last ``reset_dirty`` (i.e. since the most recent checkpoint)
         self._dirty: Dict[str, Set[int]] = {}
-        #: per-image byte contents, grown lazily by ``write_bytes`` —
-        #: only images touched by the bulk-data plane carry any
-        self._content: Dict[str, bytearray] = {}
+        #: per-image byte contents by cluster index, filled lazily by
+        #: ``write_bytes`` — only images touched by the bulk-data plane
+        #: carry any.  A cluster is never mutated, only replaced, so a
+        #: view handed out by :meth:`snapshot` stays what it was
+        self._clusters: Dict[str, Dict[int, memoryview]] = {}
         #: per-image write cursor — ``write()`` has no offset, so writes
         #: advance a cursor and wrap modulo capacity, like a log device
         self._cursor: Dict[str, int] = {}
@@ -124,7 +159,7 @@ class ImageStore:
             del self._images[path]
             self._dirty.pop(path, None)
             self._cursor.pop(path, None)
-            self._content.pop(path, None)
+            self._clusters.pop(path, None)
 
     def clone(self, source_path: str, dest_path: str, shallow: bool = True) -> DiskImage:
         """Copy an image: shallow = new COW overlay, deep = full copy."""
@@ -219,12 +254,18 @@ class ImageStore:
         """Write actual bytes at ``offset`` (the vol-upload data path).
 
         ``data`` is one buffer or a sequence (list/tuple) of buffers laid
-        back to back, each taken as raw bytes and copied exactly once.
-        Unlike :meth:`write` — which only *models* allocation growth —
-        this stores content, so a later :meth:`read_bytes` returns what
-        was written.  The span's blocks are marked dirty at offset
-        granularity (no cursor), allocation grows to cover the written
-        extent, and writes past capacity are refused.
+        back to back, each taken as raw bytes.  Unlike :meth:`write` —
+        which only *models* allocation growth — this stores content, so a
+        later :meth:`read_bytes` returns what was written.  The span's
+        blocks are marked dirty at offset granularity (no cursor),
+        allocation grows to cover the written extent, and writes past
+        capacity are refused.
+
+        Every cluster the span touches is replaced, never changed in
+        place.  A cluster that one ``bytes`` covers whole, when that
+        ``bytes`` is at most :data:`PIN_SLACK` larger than the cluster (a
+        received stream chunk's frame), is stored by reference; any other
+        is assembled into one new ``bytes``.
         """
         if offset < 0:
             raise InvalidArgumentError("write offset must be non-negative")
@@ -248,15 +289,25 @@ class ImageStore:
             growth = new_alloc - image.allocation_bytes
             if growth > 0 and self._allocated_locked() + growth > self.capacity_bytes:
                 raise InvalidOperationError("image store full")
-            content = self._content.setdefault(path, bytearray())
-            if len(content) < end:
-                content.extend(b"\x00" * (end - len(content)))
-            # released on exit: an exported view makes the next ``extend`` raise BufferError
-            with memoryview(content) as target:
-                pos = offset
-                for view in views:
-                    target[pos : pos + view.nbytes] = view
-                    pos += view.nbytes
+            clusters = self._clusters.setdefault(path, {})
+            for index, cut in groupby(_cut(views, offset), key=itemgetter(0)):
+                pieces = [piece for _, piece in cut]
+                only = pieces[0]
+                if (
+                    len(pieces) == 1
+                    and only.nbytes == CLUSTER
+                    and type(only.obj) is bytes
+                    and len(only.obj) <= CLUSTER + PIN_SLACK
+                ):
+                    clusters[index] = only
+                    continue
+                old = clusters.get(index, _EMPTY)
+                lo = max(offset, index * CLUSTER) - index * CLUSTER
+                hi = lo + sum(piece.nbytes for piece in pieces)
+                head = old[:lo]
+                clusters[index] = memoryview(
+                    b"".join((head, _zeros()[: lo - head.nbytes], *pieces, old[hi:]))
+                )
             image.allocation_bytes = new_alloc
             if size:
                 blocks = self._dirty.setdefault(path, set())
@@ -267,12 +318,15 @@ class ImageStore:
                     blocks.add(block % total)
         return size
 
-    def read_bytes(self, path: str, offset: int = 0, length: "Optional[int]" = None) -> bytes:
-        """Read stored content (the vol-download data path).
+    def snapshot(self, path: str, offset: int = 0, length: "Optional[int]" = None) -> List[memoryview]:
+        """Stored content as it is now: views laid back to back.
 
-        Extents never written read back as zeroes, like a sparse file;
-        ``length`` defaults to the rest of the image's capacity.  The
-        result is an independent copy: later writes never show through it.
+        Taken under the store lock and copying nothing: each view is a
+        stored cluster, part of one, or part of the shared zero buffer
+        for a hole (extents never written read as zeroes, like a sparse
+        file).  Clusters are only ever replaced, so later writes never
+        show through.  ``length`` defaults to the rest of the image's
+        capacity; a range past capacity is cut short.
         """
         if offset < 0:
             raise InvalidArgumentError("read offset must be non-negative")
@@ -285,12 +339,24 @@ class ImageStore:
             if length < 0:
                 raise InvalidArgumentError("read length must be non-negative")
             end = min(offset + length, image.capacity_bytes)
-            if end <= offset:
-                return b""
-            with memoryview(self._content.get(path, b"")) as view:
-                stored = bytes(view[offset:end])
-        short = (end - offset) - len(stored)
-        return stored + bytes(short) if short else stored
+            clusters = self._clusters.get(path, {})
+            views = []
+            pos = offset
+            while pos < end:
+                index, lo = divmod(pos, CLUSTER)
+                hi = min(CLUSTER, end - index * CLUSTER)
+                stored = clusters.get(index, _EMPTY)[lo:hi]
+                if stored.nbytes:
+                    views.append(stored)
+                if stored.nbytes < hi - lo:
+                    views.append(_zeros()[: hi - lo - stored.nbytes])
+                pos += hi - lo
+        return views
+
+    def read_bytes(self, path: str, offset: int = 0, length: "Optional[int]" = None) -> bytes:
+        """Read stored content (the vol-download data path): the one join
+        of :meth:`snapshot`, an independent ``bytes``."""
+        return b"".join(self.snapshot(path, offset, length))
 
     def set_allocation(self, path: str, allocation_bytes: int) -> None:
         """Force an image's allocation (snapshot revert / backup finish)."""

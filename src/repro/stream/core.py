@@ -44,11 +44,10 @@ from repro.errors import (
     VirtError,
 )
 from repro.rpc.protocol import MessageType, ReplyStatus, RPCMessage
+from repro.util.units import DEFAULT_CHUNK
 
 #: flow-control window: max unacknowledged chunks toward the peer
 DEFAULT_WINDOW = 4
-#: data chunk ceiling — comfortably under MAX_MESSAGE
-DEFAULT_CHUNK = 256 * 1024
 #: server-side outbound buffer bound; past it a slow reader is cut off
 MAX_OUTBOX = 64
 

@@ -36,6 +36,10 @@ UNIT_MULTIPLIERS = {
     "pb": _DECIMAL**5,
 }
 
+#: the bulk-data grain: one stream chunk on the wire, one cluster in the
+#: image store, so a received chunk can become a stored cluster as it is
+DEFAULT_CHUNK = 256 * _BINARY
+
 _SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([A-Za-z]*)\s*$")
 
 

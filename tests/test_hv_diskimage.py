@@ -1,6 +1,10 @@
 """Tests for the simulated image store (repro.hypervisors.diskimage)."""
 
 import array
+import random
+import sys
+import threading
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -13,7 +17,7 @@ from repro.errors import (
     ResourceBusyError,
     StorageVolumeExistsError,
 )
-from repro.hypervisors.diskimage import ImageStore
+from repro.hypervisors.diskimage import CLUSTER, PIN_SLACK, ImageStore
 
 GiB = 1024**3
 
@@ -268,11 +272,8 @@ store_ops = st.lists(
 
 
 def _state(store):
-    return (
-        bytes(store._content.get(PATH, b"")),
-        store.lookup(PATH).allocation_bytes,
-        store.dirty_blocks(PATH),
-    )
+    allocation = store.lookup(PATH).allocation_bytes
+    return (store.read_bytes(PATH, 0, allocation), allocation, store.dirty_blocks(PATH))
 
 
 def _attempt(call):
@@ -339,3 +340,158 @@ class TestStoreAgainstModel:
     @settings(max_examples=2000, deadline=None)
     def test_byte_path_matches_a_bytearray_model_soak(self, ops):
         check_store_against_model(ops)
+
+
+# clusters: what a stored byte keeps alive, and what a snapshot sees
+
+MiB = 1024**2
+
+
+def _traced_bytes(size):
+    return b"\x01" * size  # the only line whose allocations the pin test counts
+
+
+def test_a_multi_cluster_bytes_is_copied_not_pinned():
+    store = ImageStore(capacity_bytes=GiB)
+    store.create(PATH, 16 * MiB)
+    line = _traced_bytes.__code__.co_firstlineno + 1
+    tracemalloc.start()
+    try:
+        data = _traced_bytes(8 * MiB)
+        store.write_bytes(PATH, 0, data)
+        del data
+        # every cluster but the first is replaced
+        store.write_bytes(PATH, CLUSTER, bytes(8 * MiB - CLUSTER))
+        traces = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, __file__, line)])
+    finally:
+        tracemalloc.stop()
+    alive = sum(stat.size for stat in traces.statistics("lineno"))
+    assert alive < CLUSTER + PIN_SLACK
+    assert store.read_bytes(PATH, 0, CLUSTER + 1) == b"\x01" * CLUSTER + b"\x00"
+
+
+SNAP_CAPACITY = 3 * CLUSTER + 1000
+
+#: a buffer: small, or about one cluster long (so whole clusters get covered)
+snap_buffers = st.tuples(
+    st.one_of(
+        st.binary(max_size=200),
+        st.builds(
+            lambda seed, size: random.Random(seed).randbytes(size),
+            st.integers(0, 2**16),
+            st.sampled_from([CLUSTER - 1, CLUSTER, CLUSTER + 1]),
+        ),
+    ),
+    st.sampled_from(sorted(SHAPES)),
+)
+#: offsets at and around cluster boundaries
+snap_offsets = st.builds(
+    lambda index, delta: max(0, index * CLUSTER + delta),
+    st.integers(0, 4),
+    st.one_of(st.just(0), st.integers(-300, 300)),
+)
+snap_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            snap_offsets,
+            st.lists(snap_buffers, min_size=1, max_size=4),
+            st.sampled_from(["single", "list", "tuple"]),
+        ),
+        st.tuples(st.just("snapshot"), snap_offsets, st.one_of(st.none(), st.integers(0, 2 * CLUSTER))),
+    ),
+    max_size=16,
+)
+
+
+def _scribble(buffer):
+    """Overwrite a mutable buffer the store was handed: it must have copied."""
+    view = memoryview(buffer).cast("B")
+    if not view.readonly:
+        view[:] = b"\xff" * view.nbytes
+
+
+def check_snapshots_against_model(ops):
+    store = ImageStore(capacity_bytes=GiB)
+    store.create(PATH, SNAP_CAPACITY)
+    model = bytearray(SNAP_CAPACITY)
+    taken = []
+    for op in ops:
+        if op[0] == "snapshot":
+            _, offset, length = op
+            views = store.snapshot(PATH, offset, length)
+            want = bytes(model[offset:] if length is None else model[offset : offset + length])
+            assert b"".join(views) == want
+            taken.append((views, want))
+            continue
+        _, offset, drawn, container = op
+        shaped = [SHAPES[shape](data) for data, shape in drawn]
+        if container == "single":
+            drawn, shaped = drawn[:1], shaped[:1]
+            given_data = shaped[0]
+        else:
+            given_data = list(shaped) if container == "list" else tuple(shaped)
+        flat = b"".join(data for data, _ in drawn)
+        end = offset + len(flat)
+        if end > SNAP_CAPACITY:
+            with pytest.raises(InvalidOperationError, match="exceeds"):
+                store.write_bytes(PATH, offset, given_data)
+        else:
+            assert store.write_bytes(PATH, offset, given_data) == len(flat)
+            model[offset:end] = flat
+        for buffer in shaped:
+            _scribble(buffer)
+    for views, want in taken:
+        assert b"".join(views) == want
+    assert store.read_bytes(PATH) == model
+
+
+class TestSnapshotsAgainstModel:
+    @given(snap_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_a_snapshot_keeps_what_the_model_held_when_it_was_taken(self, ops):
+        check_snapshots_against_model(ops)
+
+    @pytest.mark.slow
+    @given(snap_ops)
+    @settings(max_examples=2000, deadline=None)
+    def test_a_snapshot_keeps_what_the_model_held_when_it_was_taken_soak(self, ops):
+        check_snapshots_against_model(ops)
+
+
+def test_a_snapshot_never_sees_half_a_write():
+    """Writers replace the whole image with one byte value, as one
+    buffer (assembled clusters) or as cluster-sized ``bytes`` (stored by
+    reference); every snapshot a reader takes must hold one value."""
+    store = ImageStore(capacity_bytes=GiB)
+    store.create(PATH, 4 * CLUSTER)
+    torn, stop = [], threading.Event()
+
+    def writer(value):
+        whole = bytes([value]) * (4 * CLUSTER)
+        pieces = [bytes([value]) * CLUSTER for _ in range(4)]
+        while not stop.is_set():
+            store.write_bytes(PATH, 0, whole)
+            store.write_bytes(PATH, 0, pieces)
+
+    def reader():
+        while not stop.is_set():
+            content = b"".join(store.snapshot(PATH))
+            if content.count(content[:1]) != len(content):
+                torn.append(sorted(set(content)))
+
+    threads = [threading.Thread(target=writer, args=(v,)) for v in (1, 2, 3)]
+    threads += [threading.Thread(target=reader) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        stop.wait(1.0)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert torn == []

@@ -765,6 +765,84 @@ class TestBulkCopies:
         assert got[12345 + len(data) :] == b"\xee" * (4 * DEFAULT_CHUNK - 12345 - len(data))
 
 
+# -- three copies of a streamed byte: the image store keeps what it received --
+
+
+def allocated_by(call):
+    """``call()``'s result and the peak bytes it allocated on the way."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture()
+def local_conn():
+    connection = repro.open_connection("qemu:///system")
+    pool = connection.define_storage_pool(StoragePoolConfig(name="default", capacity_bytes=10 * GiB))
+    pool.start()
+    pool.create_volume(VolumeConfig(name="v.qcow2", capacity_bytes=64 * MiB))
+    yield connection
+    connection.close()
+
+
+class TestThreeCopiesPerByte:
+    def test_download_hands_out_the_stored_clusters(self, local_conn):
+        driver = local_conn._driver
+        data = payload_bytes(4 * MiB)
+        driver.storage_vol_upload("default", "v.qcow2", data)
+        snapshot, allocated = allocated_by(
+            lambda: driver.storage_vol_download("default", "v.qcow2", 0, len(data))
+        )
+        assert allocated < 64 * KiB  # the parent copied the 4 MiB here
+        assert b"".join(snapshot) == data
+
+    def test_a_full_chunk_upload_commits_its_frames_by_reference(self, local_conn):
+        driver = local_conn._driver
+        data = payload_bytes(4 * MiB)
+        # what the daemon stages: each chunk decoded as a view of its frame
+        staged = [
+            RPCMessage.unpack(
+                memoryview(stream_frame(UPLOAD_NUM, 1, ReplyStatus.CONTINUE, data[i : i + DEFAULT_CHUNK]))
+            ).body
+            for i in range(0, len(data), DEFAULT_CHUNK)
+        ]
+        info, allocated = allocated_by(lambda: driver.storage_vol_upload("default", "v.qcow2", staged, 0))
+        assert allocated < 64 * KiB  # the parent copied the 4 MiB into the image
+        assert info["allocation_bytes"] == len(data)
+        assert local_conn.lookup_storage_pool("default").lookup_volume("v.qcow2").download() == data
+
+    def test_backup_pull_joins_its_blocks_once(self, local_conn):
+        running_domain(local_conn)
+        driver = local_conn._driver
+        data = payload_bytes(4 * MiB)
+        driver.backend.images.write_bytes("/img/web1.qcow2", 0, data)
+        result, allocated = allocated_by(lambda: driver.backup_begin_pull("web1", {}))
+        assert result["data"] == data and result["total_bytes"] == len(data)
+        # one payload-sized allocation, where the parent made two
+        assert allocated < 1.5 * len(data)
+
+    def test_an_unaligned_download_cuts_chunks_where_a_flat_buffer_would(self, conn, daemon, volume):
+        data = payload_bytes(3 * DEFAULT_CHUNK + 100)
+        volume.upload(data)
+        stream = conn._driver.client.open_stream(
+            "storage.vol_download",
+            {"pool": "default", "volume": "disk0.qcow2", "offset": 1000, "length": None},
+        )
+        chunks = []
+        while chunk := bytes(stream.recv()):
+            chunks.append(chunk)
+        assert stream.state == "finished"
+        assert [len(chunk) for chunk in chunks] == [DEFAULT_CHUNK, DEFAULT_CHUNK, DEFAULT_CHUNK - 900]
+        assert b"".join(chunks) == data[1000:]
+        assert stream.result == {"length": len(data) - 1000}
+        assert_no_dangling(conn, daemon)
+
+
 # -- observability (satellite) -----------------------------------------------
 
 

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Print the measured trajectory: parent and change medians per PR.
+
+Every ``BENCH_<pr>.json`` at the repo root holds one JSON object a line,
+one line a run of ``benchmarks/perf/run.py``, tagged with the ``side``
+(``parent`` or ``change``) it measured.  For each file, in PR order, and
+each workload in it, this prints the median of each end-to-end metric
+named in ``BENCHMARK.json`` on both sides, and the change against the
+parent.  Only untraced ``parent``/``change`` runs count: a ``--trace 1``
+run measures the tracer too, and a row tagged ``experiment`` measured
+something other than the PR's parent against its change.
+
+    python tools/bench_trajectory.py            # the files beside this repo's BENCHMARK.json
+    python tools/bench_trajectory.py DIR        # the files in DIR (with DIR/BENCHMARK.json)
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import re
+import statistics
+import sys
+from typing import Dict, List, Optional
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+#: {file name: {workload: {side: {metric: (median, runs)}}}}
+Trajectory = Dict[str, Dict[str, Dict[str, Dict[str, "tuple[float, int]"]]]]
+
+
+def _pr_number(path: pathlib.Path) -> int:
+    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(match.group(1)) if match else -1
+
+
+def end_to_end_metrics(root: pathlib.Path) -> List[str]:
+    """The end-to-end metric names, in ``BENCHMARK.json``'s order."""
+    contract = json.loads((root / "BENCHMARK.json").read_text())
+    return [metric["name"] for metric in contract["end_to_end"]]
+
+
+def trajectory(root: pathlib.Path = REPO) -> Trajectory:
+    """Per file, workload and side: each metric's median and run count."""
+    metrics = end_to_end_metrics(root)
+    result: Trajectory = {}
+    for path in sorted(root.glob("BENCH_*.json"), key=_pr_number):
+        samples: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
+        for line in path.read_text().splitlines():
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if row.get("side") not in SIDES or row.get("trace") or "experiment" in row:
+                continue
+            by_metric = samples.setdefault(row["workload"], {}).setdefault(row["side"], {})
+            for name in metrics:
+                if name in row.get("metrics", {}):
+                    by_metric.setdefault(name, []).append(float(row["metrics"][name]["value"]))
+        result[path.name] = {
+            workload: {
+                side: {name: (statistics.median(values), len(values)) for name, values in by_metric.items()}
+                for side, by_metric in sides.items()
+            }
+            for workload, sides in samples.items()
+        }
+    return result
+
+
+def _change(parent: float, change: float) -> str:
+    return f"{(change - parent) / parent * 100:+.1f} %" if parent else ""
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
+def render(table: Trajectory, metrics: List[str]) -> List[str]:
+    lines = [f"{'file':<14}{'workload':<19}{'metric':<21}{'parent':>14}{'change':>14}{'delta':>10}  runs"]
+    for name, workloads in table.items():
+        for workload, sides in workloads.items():
+            for metric in metrics:
+                cells: List[Optional[tuple]] = [sides.get(side, {}).get(metric) for side in SIDES]
+                if cells == [None, None]:
+                    continue
+                shown = [f"{_fmt(cell[0]) if cell else '-':>14}" for cell in cells]
+                delta = _change(cells[0][0], cells[1][0]) if all(cells) else ""
+                runs = "/".join(str(cell[1]) if cell else "0" for cell in cells)
+                lines.append(f"{name:<14}{workload:<19}{metric:<21}{shown[0]}{shown[1]}{delta:>10}  {runs}")
+    return lines
+
+
+def main(argv: "Optional[List[str]]" = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    root = pathlib.Path(args[0]) if args else REPO
+    print("\n".join(render(trajectory(root), end_to_end_metrics(root))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
