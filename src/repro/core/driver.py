@@ -6,18 +6,20 @@ connection URI to the driver able to serve it.  Drivers come in two
 flavours (the paper's stateless/stateful split):
 
 * *stateless* drivers run entirely client-side and talk to a
-  hypervisor that manages its own state (ESX, the test driver);
+  hypervisor that manages its own state (ESX);
 * *stateful* drivers keep domain configurations themselves and
   normally live inside the libvirtd daemon (qemu/kvm, xen, lxc);
   clients reach them through the *remote* driver.
 
 Any method a driver does not implement raises
-:class:`~repro.errors.UnsupportedError` — that graceful degradation is
-what the capability matrix (experiment E1) queries.
+:class:`~repro.errors.UnsupportedError`, and a driver claims a feature
+only when it implements every method of it — so the capability matrix
+(experiment E1) is derived from what each driver implements.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -25,7 +27,9 @@ from repro.core.events import EventCallback
 from repro.core.uri import ConnectionURI
 from repro.errors import InvalidURIError, NoDomainError, UnsupportedError
 
-#: optional capabilities a driver can advertise (drives experiment E1)
+#: optional capabilities a driver can claim (drives experiment E1), in
+#: the order ``Driver.features`` lists them.  A feature's methods are the
+#: ``method`` of every procedure row whose ``feature`` names it
 FEATURES = (
     "lifecycle",  # define/start/stop/destroy
     "pause_resume",
@@ -43,89 +47,9 @@ FEATURES = (
     "storage",
     "events",
     "device_hotplug",
-    "remote",  # reachable through the remote protocol
+    "remote",  # reachable through the remote protocol: no methods, claimed iff not stateless
     "autostart",
 )
-
-#: which driver methods each optional capability promises.  A driver
-#: that advertises a feature must implement every method in its group;
-#: a driver that implements a method outside its advertised features
-#: must list it in ``unsupported_ops`` (it exists but refuses at
-#: runtime).  ``tools/lint_driver_surface.py`` enforces both rules.
-FEATURE_METHODS: Dict[str, Tuple[str, ...]] = {
-    "lifecycle": (
-        "domain_define_xml",
-        "domain_undefine",
-        "domain_create",
-        "domain_create_xml",
-        "domain_shutdown",
-        "domain_destroy",
-    ),
-    "pause_resume": ("domain_suspend", "domain_resume"),
-    "reboot": ("domain_reboot",),
-    "save_restore": ("domain_save", "domain_restore"),
-    "managed_save": (
-        "domain_managed_save",
-        "domain_managed_save_remove",
-        "domain_has_managed_save",
-    ),
-    "set_memory": ("domain_set_memory",),
-    "set_vcpus": ("domain_set_vcpus",),
-    "snapshots": (
-        "snapshot_create",
-        "snapshot_list",
-        "snapshot_revert",
-        "snapshot_delete",
-    ),
-    "checkpoints": (
-        "checkpoint_create",
-        "checkpoint_list",
-        "checkpoint_delete",
-        "checkpoint_get_xml_desc",
-    ),
-    "backup": ("backup_begin", "backup_begin_pull", "domain_abort_job"),
-    "bulk_streams": (
-        "storage_vol_upload",
-        "storage_vol_download",
-        "domain_open_console",
-    ),
-    "migration": (
-        "migrate_begin",
-        "migrate_prepare",
-        "migrate_perform",
-        "migrate_finish",
-        "migrate_confirm",
-        "migrate_p2p",
-    ),
-    "networks": (
-        "network_define_xml",
-        "network_undefine",
-        "network_create",
-        "network_destroy",
-        "network_list",
-        "network_lookup_by_name",
-        "network_get_xml_desc",
-        "network_dhcp_leases",
-    ),
-    "storage": (
-        "storage_pool_define_xml",
-        "storage_pool_undefine",
-        "storage_pool_create",
-        "storage_pool_destroy",
-        "storage_pool_list",
-        "storage_pool_lookup_by_name",
-        "storage_pool_get_info",
-        "storage_pool_get_xml_desc",
-        "storage_vol_create_xml",
-        "storage_vol_delete",
-        "storage_vol_list",
-        "storage_vol_get_info",
-    ),
-    "events": ("domain_event_register", "domain_event_deregister"),
-    "device_hotplug": ("domain_attach_device", "domain_detach_device"),
-    "autostart": ("domain_get_autostart", "domain_set_autostart"),
-    "remote": (),
-}
 
 
 class Driver:
@@ -144,9 +68,9 @@ class Driver:
     name = "abstract"
     #: True when the driver runs client-side against a self-managing hypervisor
     stateless = False
-    #: methods this driver deliberately leaves unimplemented (or
-    #: implements only to raise) even though related features exist —
-    #: the honest-capability declaration ``lint_driver_surface`` checks
+    #: methods this driver overrides only to refuse (an inherited body
+    #: its backend cannot serve, or a stub that raises): the features
+    #: they belong to are not claimed
     unsupported_ops: FrozenSet[str] = frozenset()
 
     def _unsupported(self, what: str) -> "UnsupportedError":
@@ -170,8 +94,12 @@ class Driver:
         raise self._unsupported("get_version")
 
     def features(self) -> List[str]:
-        """The optional capabilities this driver implements."""
-        return []
+        """The optional capabilities this driver implements, in
+        :data:`FEATURES` order: those whose every method the class
+        overrides below ``Driver`` and none of which is in
+        ``unsupported_ops``; and ``remote``, which has no methods, unless
+        the driver is ``stateless``.  Derived once per class."""
+        return list(_claimed(type(self)))
 
     def supports_feature(self, feature: str) -> bool:
         return feature in self.features()
@@ -489,6 +417,24 @@ class Driver:
         ``Volume.download`` joins it into one ``bytes``.
         """
         raise self._unsupported("storage_vol_download")
+
+
+@functools.lru_cache(maxsize=None)
+def _claimed(cls: "type[Driver]") -> Tuple[str, ...]:
+    # imported on first use: at the top of this module it loads the whole
+    # ``repro.rpc`` package ahead of ``repro.core``, which measured ≈ 1 MiB
+    # more peak RSS per process when modules compile from source
+    from repro.rpc.procedures import REMOTE_PROCEDURES
+
+    missing = {
+        row.feature
+        for row in REMOTE_PROCEDURES
+        if row.feature is not None
+        and (getattr(cls, row.method) is getattr(Driver, row.method) or row.method in cls.unsupported_ops)
+    }
+    if cls.stateless:
+        missing.add("remote")
+    return tuple(feature for feature in FEATURES if feature not in missing)
 
 
 # -- driver registry ---------------------------------------------------------

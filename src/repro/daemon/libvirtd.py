@@ -9,6 +9,7 @@ lane, and fans lifecycle events out to subscribed clients.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import deque
 from contextlib import nullcontext
@@ -72,12 +73,14 @@ def _unpack(row: Procedure, body: Any) -> List[Any]:
         raise _bad_arguments(row, body) from None
 
 
+@functools.lru_cache(maxsize=None)
 def _passthrough(row: Procedure) -> Callable[[Any, Any], Any]:
     """The handler body of a row that forwards to one driver method.
 
-    Compiled from a template, so the path taken by a well-formed CALL is
-    what a hand-written ``lambda d, b: d.method(b["name"])`` runs; the
-    ``try`` covers the body look-ups only, never the driver call.
+    Compiled from a template, once per process and not once per daemon,
+    so the path taken by a well-formed CALL is what a hand-written
+    ``lambda d, b: d.method(b["name"])`` runs; the ``try`` covers the
+    body look-ups only, never the driver call.
     """
     names = [f"a{i}" for i in range(len(row.args))]
     lines = ["def fn(driver, body):"]
@@ -90,12 +93,6 @@ def _passthrough(row: Procedure) -> Callable[[Any, Any], Any]:
     namespace = {"row": row, "bad_arguments": _bad_arguments}
     exec(compile("\n".join(lines), f"<handler {row.name}>", "exec"), namespace)
     return namespace["fn"]
-
-
-#: compiled once per process, not once per daemon
-_PASSTHROUGH = {
-    row.name: _passthrough(row) for row in REMOTE_PROCEDURES if row.method is not None
-}
 
 
 def _cursor(data: Any) -> Tuple[Callable[[int], Any], int]:
@@ -1260,10 +1257,11 @@ class Libvirtd:
             "domain.backup_begin_pull": self._h_backup_begin_pull,
         }
         for row in REMOTE_PROCEDURES:
-            if row.name in _PASSTHROUGH:
-                handler = self._wrap(_PASSTHROUGH[row.name], row.name)
+            # a hand-written handler wins over the row's pass-through
+            if row.name in handlers:
+                handler = handlers[row.name]
             elif row.name in builders:
                 handler = builders[row.name](row)
             else:
-                handler = handlers[row.name]
+                handler = self._wrap(_passthrough(row), row.name)
             self.rpc.register(row.name, handler, priority=row.priority)

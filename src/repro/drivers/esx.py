@@ -32,16 +32,6 @@ class EsxDriver(Driver):
 
     name = "esx"
     stateless = True
-    #: core introspection calls the ESX remote API has no analogue for
-    unsupported_ops = frozenset(
-        {
-            "domain_lookup_by_id",
-            "domain_get_stats",
-            "domain_get_scheduler_params",
-            "domain_set_scheduler_params",
-            "domain_get_job_info",
-        }
-    )
 
     def __init__(
         self,
@@ -77,9 +67,6 @@ class EsxDriver(Driver):
 
     def get_version(self) -> Tuple[int, int, int]:
         return (4, 0, 0)  # the vSphere generation contemporary to the paper
-
-    def features(self) -> List[str]:
-        return ["lifecycle", "pause_resume", "reboot", "set_memory", "set_vcpus"]
 
     # -- enumeration --------------------------------------------------------------
 

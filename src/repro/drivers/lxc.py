@@ -1,12 +1,10 @@
 """The LXC driver: uniform API → container engine verbs and cgroup writes.
 
 Containers of the paper's era cannot be checkpointed or live-migrated,
-so this driver honestly drops ``save_restore``, ``managed_save``,
-``migration``, ``checkpoints`` and ``backup`` from its feature set —
+so the methods behind ``save_restore``, ``managed_save``, ``migration``,
+``checkpoints`` and ``backup`` refuse, and are listed in
+``unsupported_ops``: the derived feature set leaves those five out, and
 the capability matrix shows the gap rather than papering over it.
-Every method behind a dropped feature is listed in
-``unsupported_ops`` so ``tools/lint_driver_surface.py`` can verify the
-declaration matches the implementation.
 """
 
 from __future__ import annotations
@@ -24,41 +22,18 @@ class LxcDriver(StatefulDriver):
 
     name = "lxc"
     accepted_types = ("lxc",)
-    unsupported_ops = frozenset(
-        {
-            "domain_save",
-            "domain_restore",
-            "domain_managed_save",
-            "domain_managed_save_remove",
-            "domain_has_managed_save",
-            "migrate_begin",
-            "migrate_prepare",
-            "migrate_perform",
-            "migrate_finish",
-            "migrate_confirm",
-            "migrate_p2p",
-            "checkpoint_create",
-            "checkpoint_list",
-            "checkpoint_delete",
-            "checkpoint_get_xml_desc",
-            "backup_begin",
-            "backup_begin_pull",
-            "domain_abort_job",
-        }
-    )
+    #: one line per feature containers lack: save_restore, managed_save,
+    #: migration, checkpoints, backup
+    unsupported_ops = frozenset({
+        "domain_save", "domain_restore",
+        "domain_managed_save", "domain_managed_save_remove", "domain_has_managed_save",
+        "migrate_begin", "migrate_prepare", "migrate_perform", "migrate_finish", "migrate_confirm", "migrate_p2p",
+        "checkpoint_create", "checkpoint_list", "checkpoint_delete", "checkpoint_get_xml_desc",
+        "backup_begin", "backup_begin_pull", "domain_abort_job",
+    })
 
     def __init__(self, backend: "Optional[ContainerBackend]" = None) -> None:
         super().__init__(backend or ContainerBackend(host=SimHost(hostname="lxchost")))
-
-    def features(self) -> List[str]:
-        unsupported = {
-            "save_restore",
-            "managed_save",
-            "migration",
-            "checkpoints",
-            "backup",
-        }
-        return [f for f in super().features() if f not in unsupported]
 
     # -- backend adapter -----------------------------------------------------
 

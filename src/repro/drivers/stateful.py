@@ -615,28 +615,6 @@ class StatefulDriver(Driver):
         self._count_call()
         return VERSION
 
-    def features(self) -> List[str]:
-        return [
-            "lifecycle",
-            "pause_resume",
-            "reboot",
-            "save_restore",
-            "managed_save",
-            "set_memory",
-            "set_vcpus",
-            "snapshots",
-            "checkpoints",
-            "backup",
-            "bulk_streams",
-            "migration",
-            "networks",
-            "storage",
-            "events",
-            "device_hotplug",
-            "remote",
-            "autostart",
-        ]
-
     # ==================================================================
     # domain enumeration / lookup
     # ==================================================================

@@ -9,6 +9,8 @@ exported sample rise by exactly what they rose by at PR 21.  The observer
 got cheaper per fact, not by recording fewer facts.
 """
 
+import time
+
 import pytest
 
 import repro
@@ -42,6 +44,19 @@ def _workload(conn, xml, reads, pairs, pooled):
         driver.get_all_domain_stats(None)
 
 
+def _quiesce(pool):
+    """Wait until every worker is parked and nothing is queued: a worker
+    sends its reply before it records the job's service time and parks."""
+    deadline = time.monotonic() + 30.0
+    while True:
+        with pool._lock:
+            parked = pool._free_workers == pool._n_workers and pool._prio_parked == pool._n_prio_workers
+            if parked and not pool._queue and not pool._prio_queue:
+                return
+        assert time.monotonic() < deadline, f"worker pool never went quiet: {pool.stats()}"
+        time.sleep(0.001)
+
+
 @pytest.fixture(scope="module")
 def measured():
     daemon = Libvirtd(hostname=HOSTNAME, clock=VirtualClock())
@@ -66,6 +81,7 @@ def measured():
         conn.define_domain(DomainConfig(name="kept", domain_type="kvm", memory_kib=65536))
         xml = DomainConfig(name="cycled", domain_type="kvm", memory_kib=65536).to_xml()
         _workload(conn, xml, 1, 1, 1)  # warm-up: every procedure once
+        _quiesce(daemon.pool)
         before = {
             "spans": daemon.tracer.spans_started,
             "records": daemon.flight_recorder.records_total,
@@ -81,6 +97,7 @@ def measured():
             for name, fn in originals.items():
                 setattr(MetricsRegistry, name, fn)
             MetricFamily.labels = labels
+        _quiesce(daemon.pool)
         after = _samples(daemon.metrics)
         yield {
             "counts": counts,

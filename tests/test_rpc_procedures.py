@@ -21,7 +21,7 @@ import threading
 import pytest
 
 import repro
-from repro.core.driver import Driver
+from repro.core.driver import FEATURES, Driver
 from repro.daemon import Libvirtd
 from repro.drivers.qemu import QemuDriver
 from repro.drivers.remote import RemoteDriver
@@ -42,7 +42,14 @@ from repro.xmlconfig.storage import StoragePoolConfig, VolumeConfig
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PARENT = json.loads((REPO / "tests" / "data" / "procedures_parent.json").read_text())
-PASS_THROUGH = [row for row in REMOTE_PROCEDURES if row.method is not None]
+#: rows the daemon answers with a handler written by hand; every other
+#: row that names a method is a compiled pass-through to it
+HAND_WRITTEN = {
+    "connect.domain_event_register", "connect.domain_event_deregister", "domain.backup_begin",
+    "connect.event_subscribe", "connect.event_unsubscribe", "storage.vol_upload",
+    "storage.vol_download", "domain.open_console", "domain.backup_begin_pull",
+}
+PASS_THROUGH = [row for row in REMOTE_PROCEDURES if row.method is not None and row.name not in HAND_WRITTEN]
 GiB = 1024**3
 
 
@@ -99,6 +106,33 @@ class TestTableInvariants:
 
     def test_only_reads_are_cached(self):
         assert all(row.idempotent and row.method for row in REMOTE_PROCEDURES if row.cache)
+
+
+class TestFeatureColumn:
+    """``Driver.features`` reads a feature's methods off these rows."""
+
+    def test_every_feature_but_remote_has_rows_and_every_row_a_known_feature(self):
+        carried = {row.feature for row in REMOTE_PROCEDURES if row.feature is not None}
+        assert carried == set(FEATURES) - {"remote"}
+        assert all(row.method for row in REMOTE_PROCEDURES if row.feature)
+
+    def test_the_hand_written_rows_carry_their_features(self):
+        by_feature = {}
+        for row in REMOTE_PROCEDURES:
+            if row.feature:
+                by_feature.setdefault(row.feature, []).append(row.method)
+        assert by_feature["backup"] == ["domain_abort_job", "backup_begin", "backup_begin_pull"]
+        assert by_feature["events"] == ["domain_event_register", "domain_event_deregister"]
+        assert by_feature["bulk_streams"] == ["storage_vol_upload", "storage_vol_download", "domain_open_console"]
+        assert sum(map(len, by_feature.values())) == 62
+
+    def test_the_remote_driver_serves_every_driver_method(self):
+        """Each public ``Driver`` method is a row's stub or written in the
+        ``RemoteDriver`` body; ``supports_feature`` rides ``features``."""
+        methods = {row.method for row in REMOTE_PROCEDURES if row.method}
+        surface = {name for name, value in vars(Driver).items() if callable(value) and not name.startswith("_")}
+        assert methods <= surface and methods <= set(vars(RemoteDriver))
+        assert surface - methods - set(vars(RemoteDriver)) == {"supports_feature"}
 
 
 def call_frame(row, serial, body=None):
