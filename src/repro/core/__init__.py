@@ -10,7 +10,6 @@ from repro.core.driver import (
     register_remote_driver,
     registered_schemes,
 )
-from repro.core.events import EventBroker
 from repro.core.network import Network
 from repro.core.states import ACTIVE_STATES, DomainEvent, DomainState, state_name
 from repro.core.storage import PoolInfo, StoragePool, Volume, VolumeInfo
@@ -27,7 +26,6 @@ __all__ = [
     "register_remote_driver",
     "registered_schemes",
     "open_driver",
-    "EventBroker",
     "Network",
     "StoragePool",
     "Volume",

@@ -1,9 +1,11 @@
-"""Domain lifecycle event delivery.
+"""Domain event delivery: one sequenced bus, and lifecycle views over it.
 
-Management applications register callbacks on a connection and receive
-``(domain_name, event, detail)`` notifications for every lifecycle
-transition — the mechanism monitoring tools build on instead of
-polling every domain (the non-intrusive monitoring story).
+Management applications subscribe to a driver's typed event records, or
+register a callback receiving ``(domain_name, event, detail)`` for every
+lifecycle transition — the mechanism monitoring tools build on instead
+of polling every domain (the non-intrusive monitoring story).  Such a
+callback is a bus subscription to ``kinds=LIFECYCLE`` whose handler is
+its :func:`lifecycle_view`, on both ends of the wire.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.core.states import DomainEvent
 from repro.errors import InvalidArgumentError
@@ -20,6 +22,48 @@ EventCallback = Callable[[str, DomainEvent, str], None]
 
 #: a bus subscriber receives the full event record
 BusCallback = Callable[[Dict[str, Any]], None]
+
+#: the record kinds a legacy lifecycle callback subscribes to
+LIFECYCLE = frozenset({"lifecycle"})
+
+#: a lifecycle record's ``event`` string for each DomainEvent, and back:
+#: the one place the two spellings of a lifecycle event are translated
+_EVENT_NAMES = {event: event.name.lower() for event in DomainEvent}
+_EVENTS_BY_NAME = {name: event for event, name in _EVENT_NAMES.items()}
+
+
+def lifecycle_fields(domain: str, event: DomainEvent, detail: str = "") -> Dict[str, Any]:
+    """The lifecycle record announcing ``event``, but its ``seq`` and ``kind``."""
+    return {"domain": domain, "event": _EVENT_NAMES[event], "detail": detail}
+
+
+def lifecycle_view(callback: EventCallback) -> BusCallback:
+    """A bus handler that hands each lifecycle record to a legacy
+    callback as ``(domain, DomainEvent, detail)``; subscribe it with
+    ``kinds=LIFECYCLE``."""
+    if not callable(callback):
+        raise InvalidArgumentError("event callback must be callable")
+
+    def view(record: Dict[str, Any]) -> None:
+        callback(record["domain"], _EVENTS_BY_NAME[record["event"]], record["detail"])
+
+    return view
+
+
+def check_kinds(kinds: Any) -> "Optional[frozenset]":
+    """A subscriber's ``kinds`` filter, checked: None means every kind, an
+    empty collection none.  ``kinds`` is outside input (it arrives over
+    the wire), so a bare string — which would name its characters — a
+    non-iterable and a non-string element raise InvalidArgumentError."""
+    if kinds is None:
+        return None
+    try:
+        kindset = None if isinstance(kinds, (str, bytes)) else frozenset(kinds)
+    except TypeError:  # not iterable, or an unhashable element
+        kindset = None
+    if kindset is None or not all(isinstance(kind, str) for kind in kindset):
+        raise InvalidArgumentError(f"kinds must be a collection of record kind names, got {kinds!r}")
+    return kindset
 
 
 class ConnectionResetEvent:
@@ -57,121 +101,6 @@ class ConnectionResetEvent:
         )
 
 
-class EventBroker:
-    """Callback registry with stable registration ids.
-
-    ``logger`` and ``metrics`` are zero-arg suppliers (late-attach: the
-    daemon wires observability after the driver — and its broker — are
-    built).  Either may return ``None``; the broker then stays silent
-    about callback failures beyond its own ``callback_errors`` counter.
-    """
-
-    def __init__(
-        self,
-        logger: "Optional[Callable[[], Any]]" = None,
-        metrics: "Optional[Callable[[], Any]]" = None,
-    ) -> None:
-        self._callbacks: Dict[int, EventCallback] = {}
-        self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._logger = logger or (lambda: None)
-        self._metrics = metrics or (lambda: None)
-        #: counters this broker has emitted into, by name (see ``_counter``)
-        self._counters: Dict[str, Any] = {}
-        self.delivered = 0
-        #: callbacks that raised during delivery (the broken-subscriber count)
-        self.callback_errors = 0
-        #: log of every event ever emitted (bounded), for introspection
-        self.history: List[Tuple[str, DomainEvent, str]] = []
-        self._history_limit = 1000
-
-    def attach_observability(
-        self,
-        logger: "Optional[Callable[[], Any]]" = None,
-        metrics: "Optional[Callable[[], Any]]" = None,
-    ) -> None:
-        """Late-bind the logger/metrics suppliers (daemon start-up order)."""
-        if logger is not None:
-            self._logger = logger
-        if metrics is not None:
-            self._metrics = metrics
-
-    def _counter(self, name: str, help_text: str, label: "Optional[str]" = None) -> Any:
-        """The registry's counter ``name`` — keyed by its ``label``'s
-        values if it has one — or None without a registry.  Registered by
-        the first emission (the family must not exist before it) and held."""
-        counter = self._counters.get(name)
-        if counter is None:
-            metrics = self._metrics()
-            if metrics is None:
-                return None
-            if label is None:
-                counter = metrics.counter(name, help_text)
-            else:
-                counter = metrics.counter(name, help_text, (label,)).by(label)
-            self._counters[name] = counter
-        return counter
-
-    def _count_callback_error(self, callback_id: Any, exc: Exception) -> None:
-        """A subscriber raised: make it visible instead of swallowing it."""
-        with self._lock:
-            self.callback_errors += 1
-        log = self._logger()
-        if log is not None:
-            log.error(
-                "events",
-                f"event callback {callback_id} raised "
-                f"{type(exc).__name__}: {exc}",
-            )
-        errors = self._counter(
-            "event_callback_errors_total", "Event callbacks that raised during delivery"
-        )
-        if errors is not None:
-            errors.inc()
-
-    def register(self, callback: EventCallback) -> int:
-        """Register a callback; returns the id used for deregistration."""
-        if not callable(callback):
-            raise InvalidArgumentError("event callback must be callable")
-        with self._lock:
-            callback_id = next(self._ids)
-            self._callbacks[callback_id] = callback
-            return callback_id
-
-    def deregister(self, callback_id: int) -> None:
-        with self._lock:
-            if callback_id not in self._callbacks:
-                raise InvalidArgumentError(f"no event callback with id {callback_id}")
-            del self._callbacks[callback_id]
-
-    def emit(self, domain: str, event: DomainEvent, detail: str = "") -> int:
-        """Deliver an event to every registered callback.
-
-        Returns the number of callbacks invoked.  A callback raising
-        must not prevent delivery to the others.
-        """
-        with self._lock:
-            callbacks = list(self._callbacks.items())
-            self.history.append((domain, event, detail))
-            if len(self.history) > self._history_limit:
-                del self.history[: -self._history_limit]
-        count = 0
-        for callback_id, callback in callbacks:
-            try:
-                callback(domain, event, detail)
-                count += 1
-            except Exception as exc:  # noqa: BLE001 - one bad consumer must not break others
-                self._count_callback_error(callback_id, exc)
-        with self._lock:
-            self.delivered += count
-        return count
-
-    @property
-    def callback_count(self) -> int:
-        with self._lock:
-            return len(self._callbacks)
-
-
 class _BusSubscription:
     """One bus subscriber: a handler plus its bounded pending queue."""
 
@@ -196,26 +125,26 @@ class _BusSubscription:
         #: (bounded, drop-oldest) until ``resume`` drains them
         self.paused = False
 
-    def wants(self, kind: str) -> bool:
-        return self.kinds is None or kind in self.kinds
 
-
-class EventBus(EventBroker):
+class EventBus:
     """The daemon-wide event fabric behind the push-based control plane.
 
-    Extends :class:`EventBroker` (which keeps the legacy per-connection
-    lifecycle callbacks working untouched) with typed, sequenced event
-    *records* fanned out to bus subscribers:
+    Typed, sequenced event *records* fanned out to subscribers:
 
     - every record carries a global monotonically increasing ``seq``
       plus ``kind`` (lifecycle/config/device/snapshot/checkpoint/job/
       migration/network/storage), so consumers can dedupe and order;
+      ``seq`` is assigned under the lock but fan-out runs after it, so
+      concurrent publishers may deliver out of ``seq`` order;
+    - subscribers are served in registration order, and a legacy
+      lifecycle callback is one of them (:func:`lifecycle_view`);
     - each subscriber owns a bounded pending queue — a slow consumer
       (``pause``/``resume``) accumulates records up to ``max_queue`` and
-      then drops the oldest, with per-subscriber drop accounting;
-    - ``emit`` (the legacy lifecycle entry point) also publishes a
-      ``kind="lifecycle"`` record, so bus subscribers see everything the
-      old broker callbacks see.
+      then drops the oldest, with per-subscriber drop accounting.
+
+    ``logger``, ``metrics`` and ``tracer`` are zero-arg suppliers, so the
+    daemon can wire observability after the driver is built; any may
+    return ``None``, leaving only ``callback_errors`` to count failures.
     """
 
     DEFAULT_MAX_QUEUE = 256
@@ -226,16 +155,23 @@ class EventBus(EventBroker):
         metrics: "Optional[Callable[[], Any]]" = None,
         tracer: "Optional[Callable[[], Any]]" = None,
     ) -> None:
-        super().__init__(logger=logger, metrics=metrics)
+        self._lock = threading.Lock()
+        self._logger = logger or (lambda: None)
+        self._metrics = metrics or (lambda: None)
         self._tracer = tracer or (lambda: None)
+        #: counters this bus has emitted into, by name (see ``_counter``)
+        self._counters: Dict[str, Any] = {}
         self._subs: Dict[int, _BusSubscription] = {}
         self._sub_ids = itertools.count(1)
         self._seq = itertools.count(1)
         self.published = 0
         self.bus_delivered = 0
         self.dropped = 0
+        #: handlers that raised during delivery (the broken-subscriber count)
+        self.callback_errors = 0
         #: bounded log of published records, for introspection and tests
         self.record_history: List[Dict[str, Any]] = []
+        self._history_limit = 1000
         #: synchronous observer fed every published record.  Unlike a
         #: subscription it has no queue, can't pause, never drops, and
         #: does not count in ``subscription_count`` — the slot the
@@ -249,9 +185,45 @@ class EventBus(EventBroker):
         metrics: "Optional[Callable[[], Any]]" = None,
         tracer: "Optional[Callable[[], Any]]" = None,
     ) -> None:
-        super().attach_observability(logger=logger, metrics=metrics)
+        """Late-bind the observability suppliers (daemon start-up order)."""
+        if logger is not None:
+            self._logger = logger
+        if metrics is not None:
+            self._metrics = metrics
         if tracer is not None:
             self._tracer = tracer
+
+    def _counter(self, name: str, help_text: str, label: "Optional[str]" = None) -> Any:
+        """The registry's counter ``name`` — keyed by its ``label``'s
+        values if it has one — or None without a registry.  Registered by
+        the first emission (the family must not exist before it) and held."""
+        counter = self._counters.get(name)
+        if counter is None:
+            metrics = self._metrics()
+            if metrics is None:
+                return None
+            if label is None:
+                counter = metrics.counter(name, help_text)
+            else:
+                counter = metrics.counter(name, help_text, (label,)).by(label)
+            self._counters[name] = counter
+        return counter
+
+    def _count_callback_error(self, sub_id: int, exc: Exception) -> None:
+        """A subscriber raised: make it visible instead of swallowing it."""
+        with self._lock:
+            self.callback_errors += 1
+        log = self._logger()
+        if log is not None:
+            log.error(
+                "events",
+                f"event callback {sub_id} raised {type(exc).__name__}: {exc}",
+            )
+        errors = self._counter(
+            "event_callback_errors_total", "Event callbacks that raised during delivery"
+        )
+        if errors is not None:
+            errors.inc()
 
     # -- subscription management ------------------------------------------
 
@@ -268,7 +240,7 @@ class EventBus(EventBroker):
             max_queue = self.DEFAULT_MAX_QUEUE
         if max_queue < 1:
             raise InvalidArgumentError("max_queue must be >= 1")
-        kindset = None if kinds is None else frozenset(kinds)
+        kindset = check_kinds(kinds)
         with self._lock:
             sub_id = next(self._sub_ids)
             self._subs[sub_id] = _BusSubscription(sub_id, handler, kindset, max_queue)
@@ -343,7 +315,7 @@ class EventBus(EventBroker):
             self.record_history.append(record)
             if len(self.record_history) > self._history_limit:
                 del self.record_history[: -self._history_limit]
-            subs = [s for s in self._subs.values() if s.wants(kind)]
+            subs = [s for s in self._subs.values() if s.kinds is None or kind in s.kinds]
         if self.tap is not None:
             self.tap(dict(record))
         published = self._counter(
@@ -388,7 +360,7 @@ class EventBus(EventBroker):
             try:
                 sub.handler(dict(record))
             except Exception as exc:  # noqa: BLE001 - one bad consumer must not break others
-                self._count_callback_error(f"bus:{sub.id}", exc)
+                self._count_callback_error(sub.id, exc)
                 continue
             sub.delivered += 1
             count += 1
@@ -408,12 +380,7 @@ class EventBus(EventBroker):
             subs = list(self._subs.values())
         return sum(self._drain(sub) for sub in subs)
 
-    # -- the legacy lifecycle entry point ---------------------------------
-
-    def emit(self, domain: str, event: DomainEvent, detail: str = "") -> int:
-        """Lifecycle emit: broker callbacks first, then a bus record."""
-        count = super().emit(domain, event, detail)
-        self.publish(
-            "lifecycle", domain=domain, event=event.name.lower(), detail=detail
-        )
-        return count
+    def emit(self, domain: str, event: DomainEvent, detail: str = "") -> Dict[str, Any]:
+        """Publish the lifecycle record announcing ``event``: ``publish``
+        with a typed event, as a driver mutation queues it."""
+        return self.publish("lifecycle", **lifecycle_fields(domain, event, detail))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from contextlib import suppress
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.errors import VirtError
 from repro.rpc.transport import ServerConnection
 
 
@@ -26,14 +28,20 @@ class ClientRecord:
         self.last_activity = connected_since
         #: which local driver this client's connect.open bound it to
         self.driver: Optional[object] = None
-        #: broker callback id, set while the client subscribes to events
-        self.event_callback_id: Optional[int] = None
-        #: event-bus subscription id (typed record push), if armed
-        self.bus_subscription_id: Optional[int] = None
+        #: pushed EVENT frame id -> (driver subscription id, the driver
+        #: method ending it), for each kind of push this client armed
+        self.push: Dict[int, Tuple[int, Callable[[int], None]]] = {}
         #: domains whose background jobs this client started; an unclean
         #: disconnect fails these so the domain is not left wedged
         self.owned_jobs: set = set()
         self.calls = 0
+
+    def release(self, event_id: int) -> None:
+        """End this client's ``event_id`` push subscription, if it holds one."""
+        sub_id, unsubscribe = self.push.pop(event_id, (None, None))
+        if unsubscribe is not None:
+            with suppress(VirtError):
+                unsubscribe(sub_id)
 
     @property
     def transport(self) -> str:

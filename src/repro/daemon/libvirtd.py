@@ -15,7 +15,6 @@ from collections import deque
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.states import DomainEvent
 from repro.core.uri import ConnectionURI
 from repro.daemon.client import ClientRecord
 from repro.daemon.registry import register_daemon, unregister_daemon
@@ -33,11 +32,12 @@ from repro.observability.export import log_metrics, render_prometheus
 from repro.observability.flightrec import FlightRecorder, interrupted_dispatches
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
-from repro.rpc.procedures import REMOTE_PROCEDURES, Procedure
+from repro.rpc.procedures import BY_NAME, REMOTE_PROCEDURES, Procedure
 from repro.rpc.protocol import (
     EVENT_BUS_RECORD,
     EVENT_DAEMON_SHUTDOWN,
     EVENT_DOMAIN_LIFECYCLE,
+    PUSH_PROCEDURES,
 )
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import Listener, ServerConnection
@@ -45,6 +45,19 @@ from repro.stream.core import DEFAULT_CHUNK
 from repro.util.clock import Clock, VirtualClock
 from repro.util.threadpool import WorkerPool
 from repro.util.virtlog import LOG_ERROR, LOG_INFO, Logger
+
+
+#: per kind of pushed EVENT frame: the body of the frame one delivery
+#: becomes (a lifecycle callback's arguments on the legacy frame, the bus
+#: record itself on the other) and the optional CALL body keys arming
+#: hands to the driver
+_PUSH_FRAMES = {
+    EVENT_DOMAIN_LIFECYCLE: (
+        lambda domain, event, detail: {"domain": domain, "event": int(event), "detail": detail},
+        (),
+    ),
+    EVENT_BUS_RECORD: (lambda record: record, ("kinds",)),
+}
 
 
 def _not_a_map(procedure: str, body: Any) -> InvalidArgumentError:
@@ -165,14 +178,13 @@ class Libvirtd:
                 driver.metrics = self.metrics
             if getattr(driver, "tracer", None) is None:
                 driver.tracer = self.tracer
-            # broken event subscribers surface in the daemon's log
             events = getattr(driver, "events", None)
-            if events is not None and hasattr(events, "attach_observability"):
+            if events is not None:
+                # broken event subscribers surface in the daemon's log
                 events.attach_observability(logger=lambda: self.logger)
-            # the flight recorder shadows the event bus through the tap
-            # slot: every published record leaves a black-box line, but
-            # client subscription accounting stays untouched
-            if events is not None and hasattr(events, "tap"):
+                # the flight recorder shadows the event bus through the tap
+                # slot: every published record leaves a black-box line, but
+                # client subscription accounting stays untouched
                 events.tap = self._record_bus_event
         self.pool = WorkerPool(
             min_workers=min_workers,
@@ -602,18 +614,8 @@ class Libvirtd:
             self._cleanup_client(record)
 
     def _cleanup_client(self, record: ClientRecord, clean: bool = False) -> None:
-        if record.event_callback_id is not None and record.driver is not None:
-            try:
-                record.driver.domain_event_deregister(record.event_callback_id)
-            except VirtError:
-                pass
-            record.event_callback_id = None
-        if record.bus_subscription_id is not None and record.driver is not None:
-            try:
-                record.driver.event_bus_unsubscribe(record.bus_subscription_id)
-            except VirtError:
-                pass
-            record.bus_subscription_id = None
+        for event_id in list(record.push):
+            record.release(event_id)
         if not clean and record.owned_jobs and record.driver is not None:
             # a severed transport must not wedge the domain: fail any
             # background job this client started so its cleanup runs
@@ -899,7 +901,7 @@ class Libvirtd:
             # push out any event records still queued for slow subscribers
             # while the client links are up — the drain half of the bus
             events = getattr(driver, "events", None)
-            if events is not None and hasattr(events, "drain_all"):
+            if events is not None:
                 events.drain_all()
             flush = getattr(driver, "flush_state", None)
             if flush is not None:
@@ -1017,71 +1019,53 @@ class Libvirtd:
         self._cleanup_client(record, clean=True)
         return None
 
-    def _h_event_register(self, conn: ServerConnection, body: Any) -> Any:
-        record = self._record_of(conn)
-        driver = self._driver_of(conn)
-        if record.event_callback_id is not None:
-            return record.event_callback_id
+    def _h_push(
+        self,
+        event_id: int,
+        arm_row: Procedure,
+        disarm_row: Procedure,
+        frame_body: Callable[..., Any],
+        optional: Tuple[str, ...],
+    ) -> "Tuple[Callable[[ServerConnection, Any], Any], Callable[[ServerConnection, Any], Any]]":
+        """The handlers arming and disarming one kind of pushed EVENT frame.
 
-        def forward(domain: str, event: DomainEvent, detail: str) -> None:
-            try:
-                self.rpc.emit_event(
-                    conn,
-                    EVENT_DOMAIN_LIFECYCLE,
-                    {"domain": domain, "event": int(event), "detail": detail},
-                )
-            except VirtError:
-                # client went away: stop forwarding
-                if record.event_callback_id is not None:
-                    try:
-                        driver.domain_event_deregister(record.event_callback_id)
-                    except VirtError:
-                        pass
-                    record.event_callback_id = None
+        Arming subscribes a forwarder through the driver method
+        ``arm_row`` names, passing on the ``optional`` keys the CALL body
+        carries; each delivery becomes one ``event_id`` frame whose body
+        is ``frame_body(*delivered)``.  A client holds at most
+        one subscription per frame kind (re-arming returns its id), ended
+        by disarming, by ``_cleanup_client``, or by the first forward that
+        finds the client gone.
+        """
 
-        record.event_callback_id = driver.domain_event_register(forward)
-        return record.event_callback_id
+        def arm(conn: ServerConnection, body: Any) -> Any:
+            record = self._record_of(conn)
+            driver = self._driver_of(conn)
+            held = record.push.get(event_id)
+            if held is not None:
+                return held[0]
+            body = body or {}
+            if not isinstance(body, dict):
+                raise _not_a_map(arm_row.name, body)
+            options = {key: body[key] for key in optional if key in body}
 
-    def _h_event_deregister(self, conn: ServerConnection, body: Any) -> Any:
-        record = self._record_of(conn)
-        driver = self._driver_of(conn)
-        if record.event_callback_id is not None:
-            driver.domain_event_deregister(record.event_callback_id)
-            record.event_callback_id = None
-        return None
+            def forward(*delivered: Any) -> None:
+                try:
+                    self.rpc.emit_event(conn, event_id, frame_body(*delivered))
+                except VirtError:
+                    record.release(event_id)  # client went away: stop forwarding
 
-    def _h_event_subscribe(self, conn: ServerConnection, body: Any) -> Any:
-        """Arm bus-record push: every matching record becomes an EVENT frame."""
-        record = self._record_of(conn)
-        driver = self._driver_of(conn)
-        if record.bus_subscription_id is not None:
-            return record.bus_subscription_id
-        if body and not isinstance(body, dict):
-            raise _not_a_map("connect.event_subscribe", body)
-        kinds = (body or {}).get("kinds") or None
+            sub_id = getattr(driver, arm_row.method)(forward, **options)
+            record.push[event_id] = (sub_id, getattr(driver, disarm_row.method))
+            return sub_id
 
-        def forward(bus_record: Dict[str, Any]) -> None:
-            try:
-                self.rpc.emit_event(conn, EVENT_BUS_RECORD, bus_record)
-            except VirtError:
-                # client went away: stop forwarding
-                if record.bus_subscription_id is not None:
-                    try:
-                        driver.event_bus_unsubscribe(record.bus_subscription_id)
-                    except VirtError:
-                        pass
-                    record.bus_subscription_id = None
+        def disarm(conn: ServerConnection, body: Any) -> Any:
+            record = self._record_of(conn)
+            self._driver_of(conn)
+            record.release(event_id)
+            return None
 
-        record.bus_subscription_id = driver.event_bus_subscribe(forward, kinds=kinds)
-        return record.bus_subscription_id
-
-    def _h_event_unsubscribe(self, conn: ServerConnection, body: Any) -> Any:
-        record = self._record_of(conn)
-        driver = self._driver_of(conn)
-        if record.bus_subscription_id is not None:
-            driver.event_bus_unsubscribe(record.bus_subscription_id)
-            record.bus_subscription_id = None
-        return None
+        return arm, disarm
 
     def _h_supports_feature(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
         def supports(d: Any, b: Any) -> Any:
@@ -1240,11 +1224,12 @@ class Libvirtd:
             "connect.open": self._h_open,
             "connect.close": self._h_close,
             "connect.ping": self._h_ping,
-            "connect.domain_event_register": self._h_event_register,
-            "connect.domain_event_deregister": self._h_event_deregister,
-            "connect.event_subscribe": self._h_event_subscribe,
-            "connect.event_unsubscribe": self._h_event_unsubscribe,
         }
+        # the arming procedures' rows name the driver method pair behind them
+        for event_id, (arm, disarm) in PUSH_PROCEDURES.items():
+            handlers[arm], handlers[disarm] = self._h_push(
+                event_id, BY_NAME[arm], BY_NAME[disarm], *_PUSH_FRAMES[event_id]
+            )
         #: driver procedures that do more than forward their arguments
         builders = {
             "connect.supports_feature": self._h_supports_feature,

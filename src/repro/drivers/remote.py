@@ -11,12 +11,16 @@ indistinguishable to applications.
 
 from __future__ import annotations
 
+import functools
 import inspect
+import itertools
+import threading
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.cache import InvalidationCache
 from repro.core.driver import Driver
-from repro.core.events import BusCallback, ConnectionResetEvent, EventBroker, EventCallback
+from repro.core.events import LIFECYCLE, BusCallback, ConnectionResetEvent, EventCallback
+from repro.core.events import check_kinds, lifecycle_fields, lifecycle_view
 from repro.core.states import DomainEvent
 from repro.core.uri import ConnectionURI
 from repro.daemon.registry import lookup_daemon
@@ -34,6 +38,7 @@ from repro.rpc.protocol import (
     EVENT_BUS_RECORD,
     EVENT_DAEMON_SHUTDOWN,
     EVENT_DOMAIN_LIFECYCLE,
+    PUSH_PROCEDURES,
 )
 from repro.rpc.retry import CircuitBreaker, RetryPolicy, is_idempotent
 from repro.stream import StreamConsole
@@ -55,6 +60,10 @@ RESILIENCE_URI_PARAMS = frozenset(
 
 #: all client-side URI parameters (resilience + the read cache toggle)
 CLIENT_URI_PARAMS = RESILIENCE_URI_PARAMS | {"cache"}
+
+#: how many of the latest bus ``seq`` numbers a client remembers, to hand
+#: a handler no record twice when pushes overlap or arrive out of order
+SEEN_SEQS = 1024
 
 
 class ResilienceConfig:
@@ -165,18 +174,19 @@ class RemoteDriver(Driver):
         self.remote_uri = ConnectionURI(
             driver=uri.driver, path=uri.path, params=forwarded
         ).format()
-        self.events = EventBroker()
-        self._remote_events_armed = False
         #: invalidation-driven read cache (?cache=1); it only serves
         #: entries while the bus push keeps it coherent
         cache_requested = uri.params.get("cache", "0") not in ("0", "no", "off")
         self.cache = InvalidationCache(enabled=False)
-        self._cache_requested = cache_requested
-        self._bus_armed = False
-        self._bus_handlers: "Dict[int, Tuple[Optional[frozenset], BusCallback]]" = {}
-        self._bus_handler_ids = 0
-        self._last_bus_seq = 0
-        #: local bus handlers that raised (mirrors the daemon-side metric)
+        #: armed frame id -> {handler id -> (kinds, bus handler)}: every
+        #: local listener, a lifecycle callback being a view of the records
+        self._handlers: "Dict[int, Dict[int, Tuple[Optional[frozenset], BusCallback]]]" = {}
+        self._handler_ids = {event_id: itertools.count(1) for event_id in PUSH_PROCEDURES}
+        #: the latest bus seqs handed to handlers, oldest first (concurrent
+        #: publishes reach this client on concurrent threads)
+        self._seen_seqs: "Dict[int, None]" = {}
+        self._seen_lock = threading.Lock()
+        #: local handlers that raised (mirrors the daemon-side metric)
         self.bus_callback_errors = 0
         self._features: "Optional[List[str]]" = None
         #: every disconnect this driver handled, oldest first
@@ -205,7 +215,7 @@ class RemoteDriver(Driver):
             )
         self.client = self._dial()
         if cache_requested:
-            self._arm_bus(self.client)
+            self._armed(EVENT_BUS_RECORD)
             self.cache.enabled = True
 
     # -- resilient call path ---------------------------------------------------
@@ -340,14 +350,12 @@ class RemoteDriver(Driver):
             clock.sleep(cfg.reconnect_delay(attempt))
             try:
                 client = self._dial()
-                if self._remote_events_armed:
-                    client.on_event(EVENT_DOMAIN_LIFECYCLE, self._on_remote_event)
-                    client.call("connect.domain_event_register")
-                if self._bus_armed:
-                    # events during the outage are gone; the fresh
-                    # subscription must not replay into stale dedupe state
-                    self._last_bus_seq = 0
-                    self._arm_bus(client)
+                # events during the outage are gone, and a restarted
+                # daemon restarts its seq: forget the dead session's
+                with self._seen_lock:
+                    self._seen_seqs.clear()
+                for event_id in sorted(self._handlers):
+                    self._arm(client, event_id, client.call)
             except VirtError as exc:
                 last_exc = exc
                 breaker.record_failure()
@@ -459,45 +467,10 @@ class RemoteDriver(Driver):
     # -- events -------------------------------------------------------------------------------
 
     def domain_event_register(self, callback: EventCallback) -> int:
-        if not self._remote_events_armed:
-            self.client.on_event(EVENT_DOMAIN_LIFECYCLE, self._on_remote_event)
-            self._call("connect.domain_event_register")
-            self._remote_events_armed = True
-        return self.events.register(callback)
+        return self._listen(EVENT_DOMAIN_LIFECYCLE, lifecycle_view(callback), LIFECYCLE)
 
     def domain_event_deregister(self, callback_id: int) -> None:
-        self.events.deregister(callback_id)
-        if self.events.callback_count == 0 and self._remote_events_armed:
-            self._call("connect.domain_event_deregister")
-            self.client.remove_event_handler(EVENT_DOMAIN_LIFECYCLE)
-            self._remote_events_armed = False
-
-    def _on_remote_event(self, body: Any) -> None:
-        self.events.emit(
-            body["domain"], DomainEvent(body["event"]), body.get("detail", "")
-        )
-
-    def _arm_bus(self, client: RPCClient) -> None:
-        """Arm typed-record push on ``client`` (idempotent daemon-side)."""
-        client.on_event(EVENT_BUS_RECORD, self._on_bus_record)
-        client.call("connect.event_subscribe")
-        self._bus_armed = True
-
-    def _on_bus_record(self, body: Any) -> None:
-        record = dict(body or {})
-        seq = record.get("seq", 0)
-        if isinstance(seq, int) and seq > 0:
-            if seq <= self._last_bus_seq:
-                return  # duplicate push (re-subscription overlap)
-            self._last_bus_seq = seq
-        self.cache.on_event(record)
-        for kinds, handler in list(self._bus_handlers.values()):
-            if kinds is not None and record.get("kind") not in kinds:
-                continue
-            try:
-                handler(dict(record))
-            except Exception:  # noqa: BLE001 - one bad consumer must not break others
-                self.bus_callback_errors += 1
+        self._unlisten(EVENT_DOMAIN_LIFECYCLE, callback_id)
 
     def event_bus_subscribe(
         self,
@@ -508,22 +481,76 @@ class RemoteDriver(Driver):
         """Subscribe to pushed bus records; kinds filter applies locally."""
         if not callable(handler):
             raise InvalidArgumentError("bus handler must be callable")
-        if not self._bus_armed:
-            self._arm_bus(self.client)
-        self._bus_handler_ids += 1
-        kindset = None if kinds is None else frozenset(kinds)
-        self._bus_handlers[self._bus_handler_ids] = (kindset, handler)
-        return self._bus_handler_ids
+        return self._listen(EVENT_BUS_RECORD, handler, check_kinds(kinds))
 
     def event_bus_unsubscribe(self, sub_id: int) -> None:
-        if sub_id not in self._bus_handlers:
-            raise InvalidArgumentError(f"no bus subscription with id {sub_id}")
-        del self._bus_handlers[sub_id]
-        if not self._bus_handlers and not self.cache.enabled and self._bus_armed:
-            # nothing client-side needs the push stream any more
-            self._call("connect.event_unsubscribe")
-            self.client.remove_event_handler(EVENT_BUS_RECORD)
-            self._bus_armed = False
+        self._unlisten(EVENT_BUS_RECORD, sub_id)
+
+    def _listen(self, event_id: int, handler: BusCallback, kinds: "Optional[frozenset]") -> int:
+        """Add a local handler of ``event_id`` frames; returns its id."""
+        handler_id = next(self._handler_ids[event_id])
+        self._armed(event_id)[handler_id] = (kinds, handler)
+        return handler_id
+
+    def _unlisten(self, event_id: int, handler_id: int) -> None:
+        handlers = self._handlers.get(event_id, {})
+        if handlers.pop(handler_id, None) is None:
+            raise InvalidArgumentError(f"no event subscription with id {handler_id}")
+        if not handlers and not (event_id == EVENT_BUS_RECORD and self.cache.enabled):
+            # nothing client-side needs this push stream any more
+            self._call(PUSH_PROCEDURES[event_id][1])
+            self.client.remove_event_handler(event_id)
+            del self._handlers[event_id]
+
+    def _armed(self, event_id: int) -> "Dict[int, Tuple[Optional[frozenset], BusCallback]]":
+        """The handlers of ``event_id`` frames, arming their push first if need be."""
+        handlers = self._handlers.get(event_id)
+        if handlers is None:
+            handlers = self._handlers[event_id] = {}  # a reconnect inside the call re-arms it
+            try:
+                self._arm(self.client, event_id, self._call)
+            except VirtError:
+                del self._handlers[event_id]
+                raise
+        return handlers
+
+    def _arm(self, client: RPCClient, event_id: int, call: Callable[[str], Any]) -> None:
+        """Route ``client``'s ``event_id`` frames here and have the daemon
+        push them (idempotent daemon-side)."""
+        client.on_event(event_id, functools.partial(self._on_bus_record, event_id=event_id))
+        call(PUSH_PROCEDURES[event_id][0])
+
+    def _on_bus_record(self, body: Any, event_id: int = EVENT_BUS_RECORD) -> None:
+        """The one delivery function, for pushed frames of both kinds.
+
+        Every record (a lifecycle frame becomes the record it mirrors)
+        reaches the idempotent cache invalidation *before* any handler,
+        so no handler reads an answer its record replaced.  Handlers are
+        spared only a bus ``seq`` already handed over: a window, not a
+        high-water mark, as concurrent publishes may arrive out of order.
+        """
+        if event_id == EVENT_DOMAIN_LIFECYCLE:
+            event = DomainEvent(body["event"])
+            record = {"kind": "lifecycle", **lifecycle_fields(body["domain"], event, body.get("detail", ""))}
+        else:
+            record = dict(body or {})
+        self.cache.on_event(record)
+        seq = record.get("seq")
+        if seq is not None:
+            with self._seen_lock:
+                if seq in self._seen_seqs:
+                    return  # duplicate push (re-subscription overlap)
+                self._seen_seqs[seq] = None
+                if len(self._seen_seqs) > SEEN_SEQS:
+                    del self._seen_seqs[next(iter(self._seen_seqs))]
+        kind = record.get("kind")
+        for kinds, handler in list(self._handlers.get(event_id, {}).values()):
+            if kinds is not None and kind not in kinds:
+                continue
+            try:
+                handler(dict(record))
+            except Exception:  # noqa: BLE001 - one bad consumer must not break others
+                self.bus_callback_errors += 1
 
     def _on_daemon_shutdown(self, body: Any) -> None:
         self.shutdown_notices.append(dict(body or {}))

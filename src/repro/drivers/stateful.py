@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import CheckpointTree, JobEngine, JobPhase
 from repro.core.driver import Driver
-from repro.core.events import EventBus, EventCallback
+from repro.core.events import LIFECYCLE, EventBus, EventCallback, lifecycle_fields, lifecycle_view
 from repro.core.states import (
     VALID_TRANSITIONS,
     DomainEvent,
@@ -137,8 +137,8 @@ class _Mutation:
         self.driver = driver
         #: ``(kind, key)`` records to journal, in order
         self.touched: List[Tuple[str, str]] = []
-        #: ``(None, emit args)`` or ``(bus record kind, fields)``, in order
-        self.queued: List[Tuple[Optional[str], Any]] = []
+        #: ``(bus record kind, fields)`` to publish, in order
+        self.queued: List[Tuple[str, Dict[str, Any]]] = []
 
     def __enter__(self) -> "_Mutation":
         self.driver._lock.acquire()
@@ -151,7 +151,8 @@ class _Mutation:
         self.touched.append((kind, key))
 
     def emit(self, domain: str, event: DomainEvent, detail: str = "") -> None:
-        self.queued.append((None, (domain, event, detail)))
+        """Queue the lifecycle record announcing ``event``."""
+        self.queued.append(("lifecycle", lifecycle_fields(domain, event, detail)))
 
     def publish(self, kind: str, **fields: Any) -> None:
         self.queued.append((kind, fields))
@@ -343,10 +344,7 @@ class StatefulDriver(Driver):
             self._lock.release()
         if clean:
             for kind, fields in m.queued:
-                if kind is None:
-                    self.events.emit(*fields)
-                else:
-                    self.events.publish(kind, **fields)
+                self.events.publish(kind, **fields)
 
     def _journal_write(self, kind: str, key: str, data: Optional[Dict[str, Any]]) -> None:
         """One journal append, with crash injection; only the funnel calls it.
@@ -1694,12 +1692,13 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def domain_event_register(self, callback: EventCallback) -> int:
+        """A lifecycle-filtered bus subscription calling ``callback``."""
         self._count_call()
-        return self.events.register(callback)
+        return self.events.subscribe(lifecycle_view(callback), kinds=LIFECYCLE)
 
     def domain_event_deregister(self, callback_id: int) -> None:
         self._count_call()
-        self.events.deregister(callback_id)
+        self.events.unsubscribe(callback_id)
 
     def event_bus_subscribe(self, handler, kinds=None, max_queue=None) -> int:
         """Subscribe to typed bus records; returns the subscription id."""

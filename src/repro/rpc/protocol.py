@@ -90,6 +90,13 @@ EVENT_DAEMON_SHUTDOWN = 1001
 #: one typed event-bus record ({"seq", "kind", "domain", "event", "detail", ...})
 EVENT_BUS_RECORD = 1002
 
+#: each pushed EVENT frame a client can arm: the procedures that arm and
+#: disarm its push for the calling connection
+PUSH_PROCEDURES = {
+    EVENT_DOMAIN_LIFECYCLE: ("connect.domain_event_register", "connect.domain_event_deregister"),
+    EVENT_BUS_RECORD: ("connect.event_subscribe", "connect.event_unsubscribe"),
+}
+
 
 def procedure_number(name: str) -> int:
     try:

@@ -1,8 +1,8 @@
-"""Tests for the event broker and state mappings (repro.core)."""
+"""Tests for lifecycle callbacks over the event bus and state mappings (repro.core)."""
 
 import pytest
 
-from repro.core.events import EventBroker
+from repro.core.events import LIFECYCLE, EventBus, lifecycle_fields
 from repro.core.states import (
     ACTIVE_STATES,
     VALID_TRANSITIONS,
@@ -12,6 +12,7 @@ from repro.core.states import (
     state_name,
 )
 from repro.errors import InvalidArgumentError
+from repro.drivers.test import TestDriver
 from repro.hypervisors.base import RunState
 
 
@@ -44,19 +45,45 @@ class TestStates:
         assert state_name(DomainState.SHUTOFF) == "shut off"
 
 
-class TestEventBroker:
+def announce(bus, domain, event, detail=""):
+    """Publish the lifecycle record a driver mutation would."""
+    return bus.publish("lifecycle", **lifecycle_fields(domain, event, detail))
+
+
+def lifecycle_history(bus):
+    """The bus's record history as legacy callbacks saw it."""
+    return [
+        (r["domain"], DomainEvent[r["event"].upper()], r["detail"])
+        for r in bus.record_history
+        if r["kind"] in LIFECYCLE
+    ]
+
+
+class TestLifecycleView:
+    """A legacy lifecycle callback is a lifecycle-filtered bus subscription."""
+
     def test_register_emit_deregister(self):
-        broker = EventBroker()
+        driver = TestDriver(seed_default=False)
         seen = []
-        cb_id = broker.register(lambda d, e, detail: seen.append((d, e, detail)))
-        assert broker.emit("web1", DomainEvent.STARTED, "booted") == 1
+        cb_id = driver.domain_event_register(lambda d, e, detail: seen.append((d, e, detail)))
+        announce(driver.events, "web1", DomainEvent.STARTED, "booted")
         assert seen == [("web1", DomainEvent.STARTED, "booted")]
-        broker.deregister(cb_id)
-        broker.emit("web1", DomainEvent.STOPPED)
+        driver.domain_event_deregister(cb_id)
+        announce(driver.events, "web1", DomainEvent.STOPPED)
         assert len(seen) == 1
 
+    def test_only_lifecycle_records_reach_a_callback(self):
+        driver = TestDriver(seed_default=False)
+        seen = []
+        cb_id = driver.domain_event_register(lambda *event: seen.append(event))
+        driver.events.publish("config", domain="web1", event="memory")
+        announce(driver.events, "web1", DomainEvent.DEFINED)
+        assert seen == [("web1", DomainEvent.DEFINED, "")]
+        (stats,) = driver.events.subscription_stats()
+        assert stats["id"] == cb_id and stats["kinds"] == ["lifecycle"]
+
     def test_multiple_callbacks_all_called(self):
-        broker = EventBroker()
+        driver = TestDriver(seed_default=False)
         counts = [0, 0, 0]
 
         def make(i):
@@ -66,48 +93,52 @@ class TestEventBroker:
             return cb
 
         for i in range(3):
-            broker.register(make(i))
-        assert broker.emit("d", DomainEvent.DEFINED) == 3
+            driver.domain_event_register(make(i))
+        announce(driver.events, "d", DomainEvent.DEFINED)
         assert counts == [1, 1, 1]
-        assert broker.delivered == 3
+        assert driver.events.bus_delivered == 3
 
     def test_raising_callback_does_not_block_others(self):
-        broker = EventBroker()
+        driver = TestDriver(seed_default=False)
         seen = []
-        broker.register(lambda *a: (_ for _ in ()).throw(RuntimeError("boom")))
-        broker.register(lambda d, e, detail: seen.append(d))
-        assert broker.emit("d", DomainEvent.STARTED) == 1
+        driver.domain_event_register(lambda *a: (_ for _ in ()).throw(RuntimeError("boom")))
+        driver.domain_event_register(lambda d, e, detail: seen.append(d))
+        announce(driver.events, "d", DomainEvent.STARTED)
         assert seen == ["d"]
+        assert driver.events.callback_errors == 1
 
     def test_deregister_unknown_id(self):
         with pytest.raises(InvalidArgumentError):
-            EventBroker().deregister(42)
+            TestDriver(seed_default=False).domain_event_deregister(42)
 
     def test_non_callable_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            EventBroker().register("not callable")
+            TestDriver(seed_default=False).domain_event_register("not callable")
 
     def test_history_recorded(self):
-        broker = EventBroker()
-        broker.emit("a", DomainEvent.DEFINED)
-        broker.emit("a", DomainEvent.STARTED, "booted")
-        assert broker.history == [
+        """What the deleted per-callback history held, ``record_history``
+        holds: the lifecycle records, projected to callback arguments."""
+        bus = EventBus()
+        announce(bus, "a", DomainEvent.DEFINED)
+        bus.publish("config", domain="a", event="memory")
+        announce(bus, "a", DomainEvent.STARTED, "booted")
+        assert lifecycle_history(bus) == [
             ("a", DomainEvent.DEFINED, ""),
             ("a", DomainEvent.STARTED, "booted"),
         ]
 
     def test_history_bounded(self):
-        broker = EventBroker()
-        broker._history_limit = 10
+        bus = EventBus()
+        bus._history_limit = 10
         for i in range(25):
-            broker.emit(f"d{i}", DomainEvent.DEFINED)
-        assert len(broker.history) == 10
-        assert broker.history[-1][0] == "d24"
+            announce(bus, f"d{i}", DomainEvent.DEFINED)
+        assert len(bus.record_history) == 10
+        assert lifecycle_history(bus)[-1][0] == "d24"
 
     def test_callback_count(self):
-        broker = EventBroker()
-        assert broker.callback_count == 0
-        cb_id = broker.register(lambda *a: None)
-        assert broker.callback_count == 1
-        broker.deregister(cb_id)
-        assert broker.callback_count == 0
+        driver = TestDriver(seed_default=False)
+        assert driver.events.subscription_count == 0
+        cb_id = driver.domain_event_register(lambda *a: None)
+        assert driver.events.subscription_count == 1
+        driver.domain_event_deregister(cb_id)
+        assert driver.events.subscription_count == 0

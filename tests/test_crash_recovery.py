@@ -258,7 +258,7 @@ class TestTornMutationIsNeverAnnounced:
             actor.domain_create("g1")
         heard = []
         harness.driver().events.subscribe(heard.append)
-        harness.driver().events.register(lambda *event: heard.append(event))
+        harness.driver().domain_event_register(lambda *event: heard.append(event))
         watcher = RemoteDriver(ConnectionURI.parse(harness.uri + "?cache=1"))
         watcher.event_bus_subscribe(heard.append)
         told = {} if procedure == "domain.define_xml" else {"g1": watcher.domain_get_state("g1")}

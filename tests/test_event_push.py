@@ -10,20 +10,24 @@ double delivery) and PR-6 crash/restart recovery.
 """
 
 import io
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro.core.events import EventBroker, EventBus
-from repro.core.states import DomainEvent
+from repro.core.events import LIFECYCLE, EventBus, lifecycle_fields, lifecycle_view
+from repro.core.states import DomainEvent, DomainState
 from repro.core.uri import ConnectionURI
 from repro.daemon import Libvirtd
 from repro.drivers.remote import RemoteDriver, ResilienceConfig
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, VirtError
 from repro.faults import CrashHarness
 from repro.observability.metrics import MetricsRegistry
+from repro.rpc.protocol import EVENT_BUS_RECORD
 from repro.rpc.retry import RetryPolicy
 from repro.xmlconfig.domain import DomainConfig
 
@@ -43,6 +47,11 @@ def plain_xml(name, domain_type="kvm"):
     return DomainConfig(
         name=name, domain_type=domain_type, memory_kib=GiB_KIB, vcpus=1
     ).to_xml()
+
+
+def announce(bus, domain, event, detail=""):
+    """Publish the lifecycle record a driver mutation would."""
+    return bus.publish("lifecycle", **lifecycle_fields(domain, event, detail))
 
 
 def make_driver(hostname, cache=False, **resilience):
@@ -93,14 +102,14 @@ class TestBusSemantics:
             bus.unsubscribe(sub)
 
     def test_legacy_emit_mirrors_onto_the_bus(self):
-        """Old-style lifecycle emits reach bus subscribers as records —
-        the broker callbacks and the bus see the same stream."""
+        """A legacy lifecycle callback is a view over the bus: it and a
+        lifecycle subscriber see the same records, in the same order."""
         bus = EventBus()
         legacy = []
         records = []
-        bus.register(lambda name, event, detail: legacy.append((name, event)))
+        bus.subscribe(lifecycle_view(lambda name, event, detail: legacy.append((name, event))), kinds=LIFECYCLE)
         bus.subscribe(records.append, kinds={"lifecycle"})
-        bus.emit("web1", DomainEvent.STARTED, "booted")
+        announce(bus, "web1", DomainEvent.STARTED, "booted")
         assert legacy == [("web1", DomainEvent.STARTED)]
         assert records[0]["kind"] == "lifecycle"
         assert records[0]["event"] == "started"
@@ -183,18 +192,18 @@ class TestCallbackErrors:
     def test_broker_counts_and_logs_raising_callback(self):
         log = _Logger()
         metrics = MetricsRegistry()
-        broker = EventBroker(logger=lambda: log, metrics=lambda: metrics)
+        bus = EventBus(logger=lambda: log, metrics=lambda: metrics)
         seen = []
 
         def bad(name, event, detail):
             raise RuntimeError("subscriber bug")
 
-        broker.register(bad)
-        broker.register(lambda name, event, detail: seen.append(name))
-        assert broker.emit("web1", DomainEvent.STARTED) == 1
+        bus.subscribe(lifecycle_view(bad), kinds=LIFECYCLE)
+        bus.subscribe(lifecycle_view(lambda name, event, detail: seen.append(name)), kinds=LIFECYCLE)
+        announce(bus, "web1", DomainEvent.STARTED)
         # the healthy callback still got the event
         assert seen == ["web1"]
-        assert broker.callback_errors == 1
+        assert bus.callback_errors == 1
         assert metrics.get("event_callback_errors_total").value == 1
         ((source, message),) = log.errors
         assert source == "events"
@@ -212,15 +221,66 @@ class TestCallbackErrors:
     def test_observability_attaches_late(self):
         """The daemon wires logger/metrics after driver construction;
         errors before that still count, errors after also log."""
-        broker = EventBroker()
-        broker.register(lambda *a: (_ for _ in ()).throw(KeyError("x")))
-        broker.emit("a", DomainEvent.DEFINED)
-        assert broker.callback_errors == 1
+        bus = EventBus()
+        bus.subscribe(lifecycle_view(lambda *a: (_ for _ in ()).throw(KeyError("x"))), kinds=LIFECYCLE)
+        announce(bus, "a", DomainEvent.DEFINED)
+        assert bus.callback_errors == 1
         log = _Logger()
-        broker.attach_observability(logger=lambda: log)
-        broker.emit("a", DomainEvent.DEFINED)
-        assert broker.callback_errors == 2
+        metrics = MetricsRegistry()
+        bus.attach_observability(logger=lambda: log, metrics=lambda: metrics)
+        announce(bus, "a", DomainEvent.DEFINED)
+        assert bus.callback_errors == 2
         assert len(log.errors) == 1
+        assert metrics.get("event_callback_errors_total").value == 1
+
+
+class TestKindsAreChecked:
+    """``kinds`` is outside input: one validator, on the bus and on the
+    remote driver, and the daemon hands it over unchanged."""
+
+    @pytest.mark.parametrize("kinds", ["lifecycle", b"lifecycle", 7, [1], [["config"]]])
+    def test_bus_rejects_malformed_kinds(self, kinds):
+        bus = EventBus()
+        with pytest.raises(InvalidArgumentError, match="kinds must be"):
+            bus.subscribe(lambda record: None, kinds=kinds)
+        assert bus.subscription_count == 0
+
+    def test_bus_reads_an_empty_collection_as_nothing(self):
+        bus = EventBus()
+        heard = []
+        bus.subscribe(heard.append, kinds=[])
+        bus.subscribe(heard.append, kinds=("config",))
+        bus.publish("lifecycle", domain="a", event="defined")
+        bus.publish("config", domain="a", event="memory")
+        assert [r["kind"] for r in heard] == ["config"]
+
+    def test_remote_driver_rejects_a_bare_string(self, daemon):
+        driver = make_driver("evt1")
+        with pytest.raises(InvalidArgumentError, match="kinds must be"):
+            driver.event_bus_subscribe(lambda record: None, kinds="lifecycle")
+
+    @pytest.mark.parametrize("kinds", [7, "lifecycle", [1]])
+    def test_daemon_rejects_malformed_kinds_on_the_wire(self, daemon, kinds):
+        driver = make_driver("evt1")
+        with pytest.raises(InvalidArgumentError, match="kinds must be"):
+            driver.client.call("connect.event_subscribe", {"kinds": kinds})
+        assert daemon.drivers["qemu"].events.subscription_count == 0
+
+    def test_lifecycle_arming_reads_no_kinds(self, daemon):
+        driver = make_driver("evt1")
+        driver.client.call("connect.domain_event_register", {"kinds": ["config"]})
+        (stats,) = daemon.drivers["qemu"].events.subscription_stats()
+        assert stats["kinds"] == ["lifecycle"]
+
+    def test_daemon_passes_an_empty_collection_unchanged(self, daemon):
+        driver = make_driver("evt1")
+        pushed = []
+        driver.client.on_event(EVENT_BUS_RECORD, pushed.append)
+        driver.client.call("connect.event_subscribe", {"kinds": []})
+        (stats,) = daemon.drivers["qemu"].events.subscription_stats()
+        assert stats["kinds"] == []
+        driver.domain_define_xml(plain_xml("k1"))
+        assert pushed == []
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +420,69 @@ class TestClientCache:
         assert qemu.api_calls - before == 2
         assert not driver.cache.enabled
 
+    def test_cached_callback_reads_the_state_its_event_announced(self, daemon):
+        """A lifecycle callback on a cached connection is told STARTED and
+        reads RUNNING: the pushed record reaches the cache before any
+        callback runs, whichever frame carries it."""
+        driver = make_driver("evt1", cache=True)
+        driver.domain_define_xml(plain_xml("cb1"))
+        assert driver.domain_get_state("cb1") == DomainState.SHUTOFF  # now cached
+        seen = []
+        driver.domain_event_register(
+            lambda name, event, detail: seen.append((event, driver.domain_get_state(name)))
+        )
+        driver.domain_create("cb1")
+        assert seen == [(DomainEvent.STARTED, DomainState.RUNNING)]
+
+    def test_a_reordered_record_still_invalidates(self, daemon):
+        """Concurrent publishers may deliver seq n+2 before n+1: the late
+        record must still reach the cache and the handlers."""
+        driver = make_driver("evt1", cache=True)
+        driver.domain_define_xml(plain_xml("ro1"))
+        driver.domain_define_xml(plain_xml("ro2"))
+        records = []
+        driver.event_bus_subscribe(records.append)
+        driver.domain_get_state("ro1")
+        assert ("state", "ro1") in driver.cache.keys()
+        seq = daemon.drivers["qemu"].events.published
+        driver._on_bus_record({"seq": seq + 2, "kind": "config", "domain": "ro2", "event": "memory", "detail": ""})
+        driver._on_bus_record({"seq": seq + 1, "kind": "config", "domain": "ro1", "event": "memory", "detail": ""})
+        assert ("state", "ro1") not in driver.cache.keys()
+        assert [r["seq"] for r in records] == [seq + 2, seq + 1]
+        # a record already handed over is not handed over twice
+        driver._on_bus_record({"seq": seq + 1, "kind": "config", "domain": "ro1", "event": "memory", "detail": ""})
+        assert len(records) == 2
+
+    @pytest.mark.stress
+    def test_concurrent_deliveries_hand_each_seq_over_once(self, daemon):
+        """Concurrent publishes reach a client on concurrent threads: the
+        seen-window stays consistent while it evicts, and each seq
+        reaches a handler exactly once."""
+        driver = make_driver("evt1")
+        seen, errors = [], []
+        driver.event_bus_subscribe(lambda record: seen.append(record["seq"]))
+
+        def feed(first):
+            try:
+                for seq in range(first, first + 3000):
+                    driver._on_bus_record({"seq": seq, "kind": "config", "domain": "", "event": "x", "detail": ""})
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        feeders = [threading.Thread(target=feed, args=(1 + 3000 * i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for feeder in feeders:
+                feeder.start()
+            for feeder in feeders:
+                feeder.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(feeder.is_alive() for feeder in feeders)
+        assert errors == []
+        assert sorted(seen) == list(range(1, 12001))
+
     def test_connection_surface_exposes_cache_stats(self, daemon):
         conn = repro.open_connection("qemu+tcp://evt1/system?cache=1")
         conn.num_of_domains()
@@ -407,6 +530,21 @@ class TestReconnectSeam:
         assert sorted(defined) == ["d1", "d2"]  # each exactly once
 
 
+    def test_cached_callback_reads_fresh_state_after_reconnect(self, daemon):
+        driver = make_driver("evt1", cache=True, **RESILIENT)
+        driver.domain_define_xml(plain_xml("cb2"))
+        seen = []
+        driver.domain_event_register(
+            lambda name, event, detail: seen.append((event, driver.domain_get_state(name)))
+        )
+        driver.client._channel.sever()
+        driver.num_of_domains()
+        assert driver.reconnects == 1
+        assert driver.domain_get_state("cb2") == DomainState.SHUTOFF  # cached again
+        driver.domain_create("cb2")
+        assert seen == [(DomainEvent.STARTED, DomainState.RUNNING)]
+
+
 class TestCrashRestartSeam:
     """PR-6 recovery: the daemon dies and a fresh incarnation takes
     over the hostname; the subscribed client re-arms against it and no
@@ -451,6 +589,71 @@ class TestCrashRestartSeam:
         assert driver.reconnects == 1
         assert driver.cache.flush_reasons.get("reconnect") == 1
         assert "vmA" in driver.list_defined_domains()
+
+
+# ---------------------------------------------------------------------------
+# the legacy callback is a lossless view of the lifecycle records
+# ---------------------------------------------------------------------------
+
+GUESTS = ("p1", "p2")
+
+
+def _apply(driver, op, name):
+    if op == "define":
+        driver.domain_define_xml(plain_xml(name))
+    elif op == "start":
+        driver.domain_create(name)
+    elif op == "suspend":
+        driver.domain_suspend(name)
+    elif op == "resume":
+        driver.domain_resume(name)
+    elif op == "destroy":
+        driver.domain_destroy(name)
+    elif op == "undefine":
+        driver.domain_undefine(name)
+    elif op == "save":
+        driver.domain_save(name, f"/saves/{name}")
+    else:
+        driver.domain_restore(f"/saves/{name}")
+
+
+OPS = st.lists(
+    st.tuples(
+        # "start" twice: most other operations need a running guest
+        st.sampled_from(["define", "start", "start", "suspend", "resume", "destroy", "undefine", "save", "restore"]),
+        st.sampled_from(GUESTS),
+    ),
+    max_size=30,
+)
+
+
+class TestViewLosesNothing:
+    @settings(max_examples=50, deadline=None)
+    @given(ops=OPS)
+    def test_callbacks_equal_the_lifecycle_records(self, ops):
+        """Locally and over RPC, the callback stream is exactly the
+        lifecycle-filtered ``record_history``, as callback arguments."""
+        with Libvirtd(hostname="view1") as daemon:
+            daemon.listen("tcp")
+            qemu = daemon.drivers["qemu"]
+            local, remote = [], []
+            qemu.domain_event_register(lambda *event: local.append(event))
+            driver = make_driver("view1")
+            driver.domain_event_register(lambda *event: remote.append(event))
+            first = qemu.events.published
+            for op, name in [("define", name) for name in GUESTS] + ops:
+                try:
+                    _apply(driver, op, name)
+                except VirtError:
+                    pass  # refused in this state: nothing published
+            driver.close()
+            expected = [
+                (r["domain"], DomainEvent[r["event"].upper()], r["detail"])
+                for r in qemu.events.record_history
+                if r["seq"] > first and r["kind"] == "lifecycle"
+            ]
+            assert local == expected
+            assert remote == expected
 
 
 # ---------------------------------------------------------------------------

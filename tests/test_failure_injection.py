@@ -169,10 +169,10 @@ class TestConnectionDrops:
             conn = repro.open_connection("qemu+tcp://evtnode/system")
             conn.register_domain_event(lambda *a: None)
             driver = daemon.drivers["qemu"]
-            assert driver.events.callback_count == 1
+            assert driver.events.subscription_count == 1
             client_id = daemon.list_clients()[0]["id"]
             daemon.disconnect_client(client_id)
-            assert driver.events.callback_count == 0
+            assert driver.events.subscription_count == 0
 
 
 class TestMigrationFailures:
