@@ -172,12 +172,6 @@ class EventBus:
         #: bounded log of published records, for introspection and tests
         self.record_history: List[Dict[str, Any]] = []
         self._history_limit = 1000
-        #: synchronous observer fed every published record.  Unlike a
-        #: subscription it has no queue, can't pause, never drops, and
-        #: does not count in ``subscription_count`` — the slot the
-        #: daemon's flight recorder rides without perturbing the
-        #: per-client subscription bookkeeping it is meant to observe
-        self.tap: "Optional[Callable[[Dict[str, Any]], None]]" = None
 
     def attach_observability(
         self,
@@ -316,8 +310,6 @@ class EventBus:
             if len(self.record_history) > self._history_limit:
                 del self.record_history[: -self._history_limit]
             subs = [s for s in self._subs.values() if s.kinds is None or kind in s.kinds]
-        if self.tap is not None:
-            self.tap(dict(record))
         published = self._counter(
             "events_published_total", "Event records published on the daemon bus", "kind"
         )

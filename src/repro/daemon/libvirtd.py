@@ -182,10 +182,6 @@ class Libvirtd:
             if events is not None:
                 # broken event subscribers surface in the daemon's log
                 events.attach_observability(logger=lambda: self.logger)
-                # the flight recorder shadows the event bus through the tap
-                # slot: every published record leaves a black-box line, but
-                # client subscription accounting stays untouched
-                events.tap = self._record_bus_event
         self.pool = WorkerPool(
             min_workers=min_workers,
             max_workers=max_workers,
@@ -233,6 +229,11 @@ class Libvirtd:
         self._state_dirs: List[Any] = []
         if state_dir is not None:
             self._attach_persistence(state_dir)
+        for driver in self._unique_drivers():
+            # armed after recovery, whose rewrite of every record its
+            # ``recovery`` stats summarise: the inherited ring stays whole
+            if hasattr(driver, "recorder") and driver.recorder is None:
+                driver.recorder = self.flight_recorder
         self.rpc.on_ping = self._on_keepalive_ping
         self.rpc.recorder = self.flight_recorder
         self._register_handlers()
@@ -247,17 +248,6 @@ class Libvirtd:
                 for r in self._clients.values()
                 if not r.conn.closed and r.server == server
             )
-        )
-
-    def _record_bus_event(self, record: Dict[str, Any]) -> None:
-        """Event-bus subscriber feeding the flight recorder: every record
-        the bus delivers leaves one line in the crash-surviving tail."""
-        self.flight_recorder.record(
-            "event",
-            seq=record.get("seq"),
-            event_kind=record.get("kind"),
-            domain=record.get("domain"),
-            event=record.get("event"),
         )
 
     def _on_keepalive_ping(self, conn: ServerConnection) -> None:
@@ -357,11 +347,6 @@ class Libvirtd:
             statedir = StateDir(os.path.join(root, driver.name))
             self._state_dirs.append(statedir)
             journal = StateJournal(statedir, clock=self.clock)
-            journal.on_append = (
-                lambda kind, key, lsn, name=driver.name: self.flight_recorder.record(
-                    "journal", driver=name, record_kind=kind, key=key, lsn=lsn
-                )
-            )
             journal_lag.labels(driver=driver.name).set_function(
                 lambda j=journal: float(j.tail_records)
             )

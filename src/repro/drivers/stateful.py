@@ -198,6 +198,9 @@ class StatefulDriver(Driver):
         self._m_api_calls = None
         #: optional tracer, attached by a hosting daemon
         self.tracer = None
+        #: optional flight recorder, attached by a hosting daemon once
+        #: recovery is over; the funnel reports each commit to it
+        self.recorder = None
         #: cancellable background jobs (backups); lazy getters so the
         #: engine sees metrics/tracer attached after construction
         self.jobs = JobEngine(
@@ -326,27 +329,41 @@ class StatefulDriver(Driver):
         naming each changed record (``m.touch``) and what subscribers
         should hear (``m.emit``/``m.publish``).  On a clean exit the
         touched records are journalled in order, the lock is released,
-        then the events are delivered in order; a body that raises does
-        neither.  No subscriber hears of a change recovery would not
-        contain, and none runs under the lock.  Backend operations,
+        then the events are delivered in order, and one ``mutation``
+        flight record names both; a body that raises does none of it.
+        No subscriber hears of a change recovery would not contain, and
+        none runs under the lock.  Backend operations,
         image-store I/O and ``self.jobs`` calls stay outside the body:
         the job engine runs its hooks (mutations) under its own lock.
         """
         return _Mutation(self)
 
     def _commit(self, m: _Mutation, clean: bool) -> None:
-        """The funnel's exit: journal, release the lock, then publish."""
+        """The funnel's exit: journal, release the lock, publish, then
+        report what was committed in one flight record."""
+        journalled = []
         try:
             if clean and self._state is not None:
                 for kind, key in m.touched:
-                    self._journal_write(kind, key, getattr(self, "_serialize_" + kind)(key))
+                    lsn = self._journal_write(kind, key, getattr(self, "_serialize_" + kind)(key))
+                    journalled.append((kind, key, lsn))
         finally:
             self._lock.release()
-        if clean:
-            for kind, fields in m.queued:
-                self.events.publish(kind, **fields)
+        if not clean:
+            return
+        published = [self.events.publish(kind, **fields) for kind, fields in m.queued]
+        recorder = self.recorder
+        if recorder is not None and (journalled or published):
+            # tuples of str/int: the collector stops tracking them, so a
+            # full ring does not raise the bar for a full collection
+            recorder.record(
+                "mutation",
+                driver=self.name,
+                journal=tuple(journalled),
+                events=tuple((r["seq"], r["kind"], r["domain"], r["event"]) for r in published),
+            )
 
-    def _journal_write(self, kind: str, key: str, data: Optional[Dict[str, Any]]) -> None:
+    def _journal_write(self, kind: str, key: str, data: Optional[Dict[str, Any]]) -> int:
         """One journal append, with crash injection; only the funnel calls it.
 
         A ``MID_JOURNAL`` crash fires *after* backend reality changed
@@ -362,9 +379,8 @@ class StatefulDriver(Driver):
             journal.append_torn(kind, key, data)
             raise DaemonCrashError(f"daemon crashed tearing the journal write of {kind}:{key}")
         if data is None:
-            journal.delete(kind, key)
-        else:
-            journal.put(kind, key, data)
+            return journal.delete(kind, key)
+        return journal.put(kind, key, data)
 
     # the funnel's serialisers, ``_serialize_<kind>``: one record's journal
     # form (None: a tombstone), read while the funnel holds the lock

@@ -1,10 +1,10 @@
 """The daemon's flight recorder: a crash-surviving black box.
 
 Every daemon keeps a bounded ring of the most recent control-plane
-facts — RPC frame headers, event-bus records, journal appends, crash-
-plan hits — each stamped with the virtual clock.  The ring answers the
-question every post-mortem starts with: *what was the daemon doing
-right before it died?*
+facts — RPC frame headers, committed driver mutations (the journal
+records and bus records of each), crash-plan hits — each stamped with
+the virtual clock.  The ring answers the question every post-mortem
+starts with: *what was the daemon doing right before it died?*
 
 Durability comes in two strengths, mirroring the PR-6 shutdown model:
 
@@ -14,7 +14,8 @@ Durability comes in two strengths, mirroring the PR-6 shutdown model:
 * **``kill -9``** leaves whatever the incremental append path already
   wrote: every record is appended to the recorder file *as it is
   recorded*, one JSON line per record, and a crash never un-writes an
-  append.  The last line may be torn; recovery tolerates it.
+  append.  The last line may be torn; recovery cuts it away before
+  the next life appends.
 
 On restart the new incarnation reads the tail, seeds its ring with the
 previous life's records (marked with the incarnation that wrote them),
@@ -47,8 +48,7 @@ COMPACT_FACTOR = 4
 #: record kinds (the ``kind`` field of every record)
 KIND_RPC_BEGIN = "rpc.begin"
 KIND_RPC_END = "rpc.end"
-KIND_EVENT = "event"
-KIND_JOURNAL = "journal"
+KIND_MUTATION = "mutation"
 KIND_CRASH = "crash"
 KIND_SHUTDOWN = "shutdown"
 KIND_RECOVERY = "recovery"
@@ -69,9 +69,10 @@ def read_tail(statedir: StateDir) -> "List[Dict[str, Any]]":
     line that fails to parse — a black box that refuses to open is
     worse than one missing its last word.
     """
-    raw = statedir.read_bytes(FLIGHT_FILE)
-    if not raw:
-        return []
+    return _parse(statedir.read_bytes(FLIGHT_FILE) or b"")
+
+
+def _parse(raw: bytes) -> "List[Dict[str, Any]]":
     records: "List[Dict[str, Any]]" = []
     for line in raw.split(b"\n"):
         if not line.strip():
@@ -192,10 +193,18 @@ class FlightRecorder:
         mine them — e.g. for dispatches to close as interrupted.  The
         recorder keeps them in the ring, so a post-restart
         ``flight-dump`` still shows the moments before the crash.
+
+        A torn last line is cut off the file first, as the journal cuts
+        its torn tail: this life's first append must start a line of its
+        own, not complete the fragment into one no reader can parse.
         """
         if self.statedir is None:
             return []
-        tail = read_tail(self.statedir)
+        raw = self.statedir.read_bytes(FLIGHT_FILE) or b""
+        whole = raw.rfind(b"\n") + 1
+        if whole != len(raw):
+            self.statedir.truncate(FLIGHT_FILE, whole)
+        tail = _parse(raw[:whole])
         with self._lock:
             for record in tail[-self.capacity :]:
                 self._ring.append(record)

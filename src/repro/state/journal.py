@@ -65,9 +65,6 @@ class StateJournal:
         self.statedir = statedir
         self.clock = clock
         self.checkpoint_every = checkpoint_every
-        #: optional observer called as ``on_append(kind, key, lsn)`` after
-        #: every durable append — the daemon's flight recorder rides this
-        self.on_append: "Optional[Any]" = None
         #: one critical section for LSN assignment, the append, the
         #: counters and the folded map — shared with checkpoint(), so a
         #: truncate can never discard a record its snapshot lacks
@@ -98,15 +95,15 @@ class StateJournal:
     def __len__(self) -> int:
         return len(self._kv)
 
-    def put(self, kind: str, key: str, data: Any) -> None:
-        """Journal an upsert; durable before this method returns."""
+    def put(self, kind: str, key: str, data: Any) -> int:
+        """Journal an upsert; durable before this method returns its LSN."""
         if data is None:
             raise InvalidArgumentError("journal data must not be None (use delete)")
-        self._append(kind, key, data)
+        return self._append(kind, key, data)
 
-    def delete(self, kind: str, key: str) -> None:
-        """Journal a tombstone for ``(kind, key)``."""
-        self._append(kind, key, None)
+    def delete(self, kind: str, key: str) -> int:
+        """Journal a tombstone for ``(kind, key)``; returns its LSN."""
+        return self._append(kind, key, None)
 
     # -- record encoding ---------------------------------------------------
 
@@ -117,7 +114,7 @@ class StateJournal:
         ).encode("utf-8")
         return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
-    def _append(self, kind: str, key: str, data: Any) -> None:
+    def _append(self, kind: str, key: str, data: Any) -> int:
         with self._lock:
             self.statedir.append(self.JOURNAL_FILE, self._encode(kind, key, data))
             lsn = self.lsn = self.lsn + 1
@@ -129,9 +126,8 @@ class StateJournal:
                 self._kv[(kind, key)] = data
         if self.clock is not None:
             self.clock.sleep(APPEND_COST_S)
-        if self.on_append is not None:
-            self.on_append(kind, key, lsn)
         self._maybe_auto_checkpoint()
+        return lsn
 
     def append_torn(self, kind: str, key: str, data: Any) -> int:
         """Write a deliberately torn record: the crash-injection hook.

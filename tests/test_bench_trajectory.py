@@ -63,9 +63,28 @@ def test_only_untraced_parent_and_change_rows_count(tool, tmp_path):
     assert any(line.split()[:5] == ["BENCH_10.json", "v", "throughput_norm", "-", "5"] for line in lines)
 
 
-def test_script_prints_the_committed_trajectory():
+def test_script_prints_the_committed_trajectory(tool):
     result = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert {line.split()[0] for line in result.stdout.splitlines()[1:]} == {
-        path.name for path in REPO.glob("BENCH_*.json")
-    }
+    lines = result.stdout.splitlines()[1:]
+    rerun = [line for line in lines if not line.startswith("PR ")]
+    assert {line.split()[0] for line in rerun} == {path.name for path in REPO.glob("BENCH_*.json")}
+    # the PRs measured before runs were committed: named, never back-filled
+    assert lines[: len(tool.NOT_RERUN)] == [
+        f"{f'PR {pr}':<14}reported in CHANGES.md, not re-run" for pr in tool.NOT_RERUN
+    ]
+    assert tool.NOT_RERUN == (11, 12, 15)
+    assert not any((REPO / f"BENCH_{pr}.json").exists() for pr in tool.NOT_RERUN)
+
+
+def test_readme_table_is_the_tool_output():
+    """README.md's table is what ``--metric latency_p50_us_norm`` prints
+    today: a new or edited ``BENCH_*.json`` needs the table pasted again."""
+    result = subprocess.run(
+        [sys.executable, str(TOOL), "--metric", "latency_p50_us_norm"], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    readme = (REPO / "README.md").read_text().splitlines()
+    begin = readme.index("<!-- python tools/bench_trajectory.py --metric latency_p50_us_norm -->")
+    end = readme.index("<!-- end of bench_trajectory output -->")
+    assert readme[begin + 1 : end] == ["```text", *result.stdout.splitlines(), "```"]

@@ -231,6 +231,60 @@ class TestCrashRecoveryProperty:
         assert "never" not in recovered.list_defined_domains()
         assert recovered.list_domains() == []
 
+    def test_recorder_and_journal_explain_every_kill_point(self, tmp_path):
+        """After each kill in the census, the dead life's ``mutation``
+        records and the journal it left account for each other: every
+        durable record was reported with its LSN, except the ones the
+        interrupted commit wrote before it died, and a commit is reported
+        only once all of its records are durable."""
+        census = json.loads(CENSUS_FILE.read_text())
+        for index, (point, target) in enumerate(census):
+            root = tmp_path / f"explain{index}"
+            harness = CrashHarness(str(root), hostname=f"explain{index}")
+            drv, _, crashed = run_until_crash(harness, CrashPlan().at(index))
+            assert crashed, (index, point, target)
+            on_disk = journal_lsns(root)
+            # the records the interrupted call's commit journals (post-journal)
+            # or wrote before the torn one (mid-journal); none for a read
+            call = census[max(i for i in range(index + 1) if census[i][0] == "mid-dispatch"):index]
+            keys = [t.split(":") for p, t in call if p == "mid-journal"]
+            harness.restart()
+
+            life = [r for r in harness.daemon.flight_recorder.records() if r["life"] == 0]
+            crash = life[-1]
+            assert (crash["kind"], crash["point"]) == ("crash", point), index
+            if point != "mid-journal":
+                assert crash["procedure"] == target, index
+            (begun,) = interrupted_dispatches(life)
+            reported = {
+                lsn: [kind, key]
+                for r in life if r["kind"] == "mutation"
+                for kind, key, lsn in r["journal"]
+            }
+            interrupted = [r for r in life[life.index(begun):] if r["kind"] == "mutation"]
+            if point == "post-journal" and keys:
+                (mutation,) = interrupted
+                assert [j[:2] for j in mutation["journal"]] == keys, index
+                assert max(on_disk) == mutation["journal"][-1][2]
+                assert reported == on_disk, index
+            else:
+                assert interrupted == [], index
+                last = max(reported, default=0)
+                assert max(on_disk, default=0) == last + len(keys), index
+                assert {lsn: on_disk[lsn] for lsn in reported} == reported
+                assert [on_disk[lsn] for lsn in sorted(on_disk) if lsn > last] == keys, index
+            harness.shutdown()
+            drv.close()
+
+
+def journal_lsns(state_root):
+    """``{lsn: [kind, key]}`` of each intact record in the driver journal."""
+    raw = StateDir(str(state_root / "qemu")).read_bytes(StateJournal.JOURNAL_FILE) or b""
+    return {
+        record["lsn"]: [record["kind"], record["key"]]
+        for record in (json.loads(payload) for _, payload in StateJournal._iter_records(raw))
+    }
+
 
 def replay_journal(state_root, copy):
     """The driver journal as recovery would replay it, read from a copy

@@ -426,8 +426,8 @@ class TestFlightRecorderUnit:
         clock = VirtualClock()
         recorder = FlightRecorder(clock.now, capacity=8)
         recorder.record("rpc.begin", serial=1)
-        recorder.record("journal", lsn=1)
-        assert [r["kind"] for r in recorder.records("journal")] == ["journal"]
+        recorder.record("mutation", journal=[["domain", "g", 1]], events=[])
+        assert [r["kind"] for r in recorder.records("mutation")] == ["mutation"]
         dump = recorder.dump()
         assert dump["persistent"] is False and len(dump["records"]) == 2
 
@@ -525,11 +525,71 @@ class TestDaemonFlightRecorder:
             assert begins and len(begins) == len(ends)
             assert all(r["server"] == "libvirtd" for r in begins)
             assert {r["status"] for r in ends} == {"ok"}
-            # the journal hook recorded each durable append too
-            assert recorder.records("journal")
-            assert recorder.records("event")
+            # the funnel reported each commit once: what it journalled
+            # and what it published, in one record
+            mutations = recorder.records("mutation")
+            assert [[e[3] for e in r["events"]] for r in mutations] == [["defined"], ["started"]]
+            assert [[j[:2] for j in r["journal"]] for r in mutations] == [[("domain", "boxed")]] * 2
+            assert all(r["driver"] == "qemu" for r in mutations)
             fleet.close()
         finally:
+            harness.shutdown()
+
+    def test_a_lifecycle_cycle_writes_eighteen_records(self, tmp_path):
+        """define, start, suspend, resume, destroy, undefine: one
+        ``rpc.begin``, one ``rpc.end`` and one ``mutation`` per call."""
+        daemon = Libvirtd(hostname="fr-cycle", state_dir=str(tmp_path))
+        daemon.listen("unix")
+        try:
+            conn = repro.open_connection("qemu+unix://fr-cycle/system")
+            recorder = daemon.flight_recorder
+            written = recorder.records_total
+            dom = conn.define_domain(DomainConfig(name="cycled", domain_type="kvm", memory_kib=GiB_KIB))
+            dom.create()
+            dom.suspend()
+            dom.resume()
+            dom.destroy()
+            dom.undefine()
+            assert recorder.records_total - written == 18
+            fresh = recorder.records()[-18:]
+            assert [r["kind"] for r in fresh] == ["rpc.begin", "mutation", "rpc.end"] * 6
+            mutations = recorder.records("mutation")
+            assert [e[1:] for r in mutations for e in r["events"]] == [
+                ("lifecycle", "cycled", event)
+                for event in ("defined", "started", "suspended", "resumed", "stopped", "undefined")
+            ]
+            # suspend and resume change nothing the journal keeps
+            assert [[j[:2] for j in r["journal"]] for r in mutations] == [
+                [("domain", "cycled")]
+            ] * 2 + [[]] * 2 + [[("domain", "cycled")]] * 2
+            lsns = [j[2] for r in mutations for j in r["journal"]]
+            assert lsns == sorted(lsns) and lsns[-1] == daemon.drivers["qemu"]._state.lsn
+            conn.close()
+        finally:
+            daemon.shutdown()
+
+    def test_a_restart_keeps_the_black_box_it_inherited(self, tmp_path):
+        """Recovery rewrites every journal record.  Recorded one line each,
+        600 guests' rewrites evicted every pre-crash record from the
+        512-slot ring; armed after recovery, the recorder keeps the dead
+        life's last 511 records beside its own ``recovery`` record."""
+        harness = CrashHarness(str(tmp_path), hostname="fr-600")
+        harness.start()
+        drv = harness.connect()
+        for n in range(600):
+            drv.domain_define_xml(
+                DomainConfig(name=f"g{n}", domain_type="kvm", memory_kib=GiB_KIB).to_xml()
+            )
+        harness.daemon.crash()
+        harness.restart()
+        try:
+            assert harness.daemon.recovery["qemu"]["domains"] == 600
+            records = harness.daemon.flight_dump()["records"]
+            assert len([r for r in records if r["life"] == 0]) >= 511
+            assert [r["kind"] for r in records if r["life"] == 1] == ["recovery"]
+            assert records[-2]["kind"] == "rpc.end"
+        finally:
+            drv.close()
             harness.shutdown()
 
     def test_graceful_shutdown_compacts_and_recovers_clean(self, tmp_path):

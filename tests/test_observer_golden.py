@@ -15,6 +15,12 @@ move 50 µs later (the modelled append now comes first), and the journal
 lines' ``t`` move earlier by the modelled delivery they no longer wait
 behind.  The bus-record count (9), the span set and the exposition page
 did not change.
+
+Its ``flightrec`` section was re-recorded a second time when the driver's
+mutation funnel took over reporting to the recorder: the 7 ``journal``
+and 9 ``event`` lines became 9 ``mutation`` lines, one per commit, each
+written after its commit's publishes.  The ``trace``, ``metrics`` and
+``bus_records`` sections are the bytes recorded before it.
 """
 
 import json

@@ -372,8 +372,13 @@ class TestMutatingRows:
         daemon, drv, other = mutating
         qemu = daemon.drivers["qemu"]
         bus = qemu.events
-        locked = []
-        bus.subscribe(lambda record: locked.append(qemu._lock._is_owned()))
+        locked, durable_at = [], {}
+
+        def heard(record):
+            locked.append(qemu._lock._is_owned())
+            durable_at[record["seq"]] = qemu._state.lsn
+
+        bus.subscribe(heard)
         for row, call in mutating_script(drv, other):
             before, seq, written = view(qemu), bus.published, daemon.flight_recorder.records_total
             call()
@@ -385,9 +390,17 @@ class TestMutatingRows:
             changed |= {n for n in before[2].keys() | after[2].keys() if before[2].get(n) != after[2].get(n)}
             named = {r["domain"] for r in bus.record_history if r["seq"] > seq}
             assert changed <= named, (row, changed - named)
-            # (c) the call journalled every record before it published any
+            # (c) the call journalled every record before it published any:
+            # each mutation's records were durable when its events arrived
             fresh = daemon.flight_recorder.records()[-(daemon.flight_recorder.records_total - written):]
-            kinds = "".join(r["kind"][0] for r in fresh if r["kind"] in ("journal", "event"))
+            mutations = [r for r in fresh if r["kind"] == "mutation"]
+            assert [e[0] for r in mutations for e in r["events"]] == [
+                r["seq"] for r in bus.record_history if r["seq"] > seq
+            ], row
+            for mutation in mutations:
+                for event in mutation["events"]:
+                    assert all(lsn <= durable_at[event[0]] for _, _, lsn in mutation["journal"]), row
+            kinds = "".join("j" * len(r["journal"]) + "e" * len(r["events"]) for r in mutations)
             # p2p is two mutations on this host: the perform, then the confirm
             assert re.fullmatch("(j+e+){2}" if row == "domain.migrate_p2p" else "j*e*", kinds), (row, kinds)
         # (d) no subscriber ever ran under the driver lock

@@ -228,20 +228,22 @@ class TestConcurrency:
         """The LSN used to be read, written and bumped in three unlocked
         steps: concurrent puts shared LSNs and landed out of order."""
         journal = StateJournal(statedir, checkpoint_every=1 << 30)
-        seen = []
-        journal.on_append = lambda kind, key, lsn: seen.append(lsn)
+        seen = {}
         errors = hammer(
             4,
-            lambda index: [
-                journal.put("domain", f"vm{index}-{n}", {"n": n}) for n in range(per_thread)
-            ],
+            lambda index: seen.update(
+                (journal.put("domain", f"vm{index}-{n}", {"n": n}), f"vm{index}-{n}")
+                for n in range(per_thread)
+            ),
         )
         assert errors == []
         total = 4 * per_thread
         raw = statedir.read_bytes(StateJournal.JOURNAL_FILE)
-        lsns = [json.loads(payload)["lsn"] for _, payload in StateJournal._iter_records(raw)]
+        records = [json.loads(payload) for _, payload in StateJournal._iter_records(raw)]
+        lsns = [record["lsn"] for record in records]
         assert lsns == list(range(1, total + 1))
-        assert sorted(seen) == lsns
+        # each put returned the LSN its own record was written under
+        assert seen == {record["lsn"]: record["key"] for record in records}
         replayed = StateJournal(fresh(statedir))
         assert replayed.replayed_records == total and not replayed.torn_tail_discarded
         assert replayed.entries("domain") == journal.entries("domain")
@@ -275,6 +277,34 @@ KILLED_WRITER = """
     print(n, flush=True)
     os.kill(os.getpid(), signal.SIGKILL)  # nothing closed, nothing flushed
 """
+
+
+class TestTornFlightLine:
+    def test_a_torn_last_line_does_not_swallow_the_next_life(self, statedir):
+        """``recover()`` cuts a torn last line before anything is appended.
+        Left in place, the fragment absorbed the next life's ``recovery``
+        record into one unparseable line, and the life after that closed
+        the first life's dangling dispatch as interrupted a second time."""
+        first = FlightRecorder(lambda: 0.0, statedir=statedir)
+        first.record("rpc.begin", server="s", serial=1, call=1, procedure="domain.create")
+        statedir.append(FLIGHT_FILE, b'{"call":1,"kind":"rpc.end","ser')  # the torn end
+        second = FlightRecorder(lambda: 1.0, statedir=statedir)
+        tail = second.recover()
+        assert [r["call"] for r in interrupted_dispatches(tail)] == [1]
+        assert statedir.read_bytes(FLIGHT_FILE).endswith(b"}\n")
+        second.record("recovery", recovered=len(tail), interrupted_spans=1)
+        third = FlightRecorder(lambda: 2.0, statedir=statedir)
+        tail = third.recover()
+        assert [(r["kind"], r["life"]) for r in tail] == [("rpc.begin", 0), ("recovery", 1)]
+        assert interrupted_dispatches(tail) == []
+        assert third.incarnation == 2
+
+    def test_a_file_that_is_only_a_fragment_is_cut_to_nothing(self, statedir):
+        statedir.append(FLIGHT_FILE, b'{"kind":"rpc.be')
+        recorder = FlightRecorder(lambda: 0.0, statedir=statedir)
+        assert recorder.recover() == [] and recorder.incarnation == 0
+        recorder.record("recovery", recovered=0)
+        assert [r["kind"] for r in read_tail(statedir)] == ["recovery"]
 
 
 class TestCrashGuarantee:
@@ -343,3 +373,5 @@ class TestByteFormat:
             journal.entries("domain"),
         )
         assert read_tail(copy) == recorder.records()
+        # a tail of the kinds the daemon no longer writes still loads
+        assert FlightRecorder(lambda: 0.0, statedir=copy).recover() == recorder.records()

@@ -8,10 +8,13 @@ each workload in it, this prints the median of each end-to-end metric
 named in ``BENCHMARK.json`` on both sides, and the change against the
 parent.  Only untraced ``parent``/``change`` runs count: a ``--trace 1``
 run measures the tracer too, and a row tagged ``experiment`` measured
-something other than the PR's parent against its change.
+something other than the PR's parent against its change.  The PRs in
+``NOT_RERUN`` were measured before runs were committed; they get a row
+saying so, and no numbers.
 
     python tools/bench_trajectory.py            # the files beside this repo's BENCHMARK.json
     python tools/bench_trajectory.py DIR        # the files in DIR (with DIR/BENCHMARK.json)
+    python tools/bench_trajectory.py --metric latency_p50_us_norm   # one metric (README's table)
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import Dict, List, Optional
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: PRs whose runs were reported in CHANGES.md but never committed
+NOT_RERUN = (11, 12, 15)
 
 #: {file name: {workload: {side: {metric: (median, runs)}}}}
 Trajectory = Dict[str, Dict[str, Dict[str, Dict[str, "tuple[float, int]"]]]]
@@ -75,8 +80,9 @@ def _fmt(value: float) -> str:
     return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
 
 
-def render(table: Trajectory, metrics: List[str]) -> List[str]:
+def render(table: Trajectory, metrics: List[str], not_rerun: "tuple[int, ...]" = ()) -> List[str]:
     lines = [f"{'file':<14}{'workload':<19}{'metric':<21}{'parent':>14}{'change':>14}{'delta':>10}  runs"]
+    lines += [f"{f'PR {pr}':<14}reported in CHANGES.md, not re-run" for pr in not_rerun]
     for name, workloads in table.items():
         for workload, sides in workloads.items():
             for metric in metrics:
@@ -92,8 +98,11 @@ def render(table: Trajectory, metrics: List[str]) -> List[str]:
 
 def main(argv: "Optional[List[str]]" = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    root = pathlib.Path(args[0]) if args else REPO
-    print("\n".join(render(trajectory(root), end_to_end_metrics(root))))
+    metrics: "Optional[List[str]]" = None
+    if args[:1] == ["--metric"]:
+        metrics, args = args[1:2], args[2:]
+    root, not_rerun = (pathlib.Path(args[0]), ()) if args else (REPO, NOT_RERUN)
+    print("\n".join(render(trajectory(root), metrics or end_to_end_metrics(root), not_rerun)))
     return 0
 
 
