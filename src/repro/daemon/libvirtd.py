@@ -927,8 +927,8 @@ class Libvirtd:
             raise ConnectionError_("unknown connection")
         return record
 
-    def _driver_of(self, conn: ServerConnection) -> Any:
-        record = self._record_of(conn)
+    @staticmethod
+    def _driver_of(record: ClientRecord) -> Any:
         if record.driver is None:
             raise ConnectionError_("connection not opened (call connect.open first)")
         return record.driver
@@ -944,7 +944,7 @@ class Libvirtd:
             record = self._record_of(conn)
             record.calls += 1
             record.last_activity = self.clock.now()
-            driver = self._driver_of(conn)
+            driver = self._driver_of(record)
             # kill point 1: the call arrived but nothing has happened yet
             self._maybe_crash(CrashPoint.MID_DISPATCH, procedure)
             label = getattr(driver, "name", type(driver).__name__)
@@ -1025,7 +1025,7 @@ class Libvirtd:
 
         def arm(conn: ServerConnection, body: Any) -> Any:
             record = self._record_of(conn)
-            driver = self._driver_of(conn)
+            driver = self._driver_of(record)
             held = record.push.get(event_id)
             if held is not None:
                 return held[0]
@@ -1046,7 +1046,7 @@ class Libvirtd:
 
         def disarm(conn: ServerConnection, body: Any) -> Any:
             record = self._record_of(conn)
-            self._driver_of(conn)
+            self._driver_of(record)
             record.release(event_id)
             return None
 

@@ -104,6 +104,7 @@ class _DomainRecord:
         "scheduler",
         "last_job",
         "job",
+        "xml",
     )
 
     def __init__(self, config: DomainConfig, persistent: bool) -> None:
@@ -126,6 +127,9 @@ class _DomainRecord:
         self.last_job: Optional[Dict[str, Any]] = None
         #: the running background job the journal's ``job`` record describes
         self.job: Optional[Any] = None
+        #: the committed rendering of ``config`` (``StatefulDriver._xml``);
+        #: ``m.touch("domain", ...)`` drops it
+        self.xml: Optional[str] = None
 
 
 class _Mutation:
@@ -149,6 +153,10 @@ class _Mutation:
 
     def touch(self, kind: str, key: str) -> None:
         self.touched.append((kind, key))
+        if kind == "domain":
+            record = self.driver._domains.get(key)
+            if record is not None:
+                record.xml = None
 
     def emit(self, domain: str, event: DomainEvent, detail: str = "") -> None:
         """Queue the lifecycle record announcing ``event``."""
@@ -271,6 +279,18 @@ class StatefulDriver(Driver):
             raise NoDomainError(f"no domain with matching name {name!r}")
         return record
 
+    def _xml(self, record: _DomainRecord) -> str:
+        """``record.config.to_xml()`` as last committed: rendered by the
+        first reader after a touch, under the lock, so it never shows a
+        mutation's body half done."""
+        xml = record.xml
+        if xml is None:
+            with self._lock:
+                xml = record.xml
+                if xml is None:
+                    xml = record.xml = record.config.to_xml()
+        return xml
+
     def _domain_state(self, name: str) -> DomainState:
         try:
             if self.backend.has_guest(name):
@@ -326,7 +346,8 @@ class StatefulDriver(Driver):
         """The one way driver state changes: ``with self._mutation() as m:``.
 
         The body checks and writes the bookkeeping under ``self._lock``,
-        naming each changed record (``m.touch``) and what subscribers
+        naming each changed record (``m.touch``, which also drops a
+        domain's committed rendering, ``_xml``) and what subscribers
         should hear (``m.emit``/``m.publish``).  On a clean exit the
         touched records are journalled in order, the lock is released,
         then the events are delivered in order, and one ``mutation``
@@ -391,7 +412,7 @@ class StatefulDriver(Driver):
         if record is None:
             return None
         return {
-            "xml": record.config.to_xml(),
+            "xml": self._xml(record),
             "persistent": record.persistent,
             "autostart": record.autostart,
             "snapshots": record.snapshots,
@@ -932,7 +953,7 @@ class StatefulDriver(Driver):
 
     def domain_get_xml_desc(self, name: str) -> str:
         self._count_call()
-        return self._record(name).config.to_xml()
+        return self._xml(self._record(name))
 
     def get_all_domain_stats(self, active: "Optional[bool]" = True) -> List[Dict[str, Any]]:
         # the guest table is read once: a guest started between the two
@@ -1198,7 +1219,7 @@ class StatefulDriver(Driver):
         snapshot = {
             "name": snapshot_name,
             "state": int(self._domain_state(name)),
-            "xml": record.config.to_xml(),
+            "xml": self._xml(record),
             "creation_time": self.backend.clock.now(),
         }
         snapshot["disks"] = self._snapshot_disks(record, snapshot_name)
@@ -1553,7 +1574,7 @@ class StatefulDriver(Driver):
         return {
             "name": name,
             "uuid": record.config.uuid,
-            "xml": record.config.to_xml(),
+            "xml": self._xml(record),
             "memory_kib": runtime.memory_kib,
             "dirty_rate_mib_s": runtime.dirty_rate_mib_s,
             "driver": self.name,

@@ -60,8 +60,20 @@ class TestRegistry:
 class TestConnectOpen:
     def test_calls_require_open(self, daemon):
         client = raw_client(daemon)
-        with pytest.raises(ConnectionError_, match="connect.open"):
+        with pytest.raises(ConnectionError_, match=r"connection not opened \(call connect\.open first\)"):
             client.call("connect.list_domains")
+        assert daemon.list_clients()[0]["calls"] == 1  # refused, but counted
+        with pytest.raises(ConnectionError_, match=r"connection not opened \(call connect\.open first\)"):
+            client.call("connect.domain_event_register")
+
+    def test_a_call_looks_its_client_up_once(self, daemon, monkeypatch):
+        client = raw_client(daemon)
+        client.call("connect.open", {"uri": "test:///default"})
+        looked_up = []
+        record_of = daemon._record_of
+        monkeypatch.setattr(daemon, "_record_of", lambda conn: looked_up.append(conn) or record_of(conn))
+        client.call("connect.list_domains")
+        assert len(looked_up) == 1
 
     def test_open_binds_driver(self, daemon):
         client = raw_client(daemon)

@@ -9,10 +9,15 @@ and are checked here:
   change refused part-way leaves nothing behind;
 * every state change is written down and announced, so a guest that
   migrated away gives its DHCP lease back and a ``?cache=1`` client never
-  keeps a state the daemon has left, a migration's rollback included.
+  keeps a state the daemon has left, a migration's rollback included;
+* a domain's XML is rendered once per change and only from a committed
+  config: the journal and every reader share that one rendering.
 """
 
+import collections
+import sys
 import threading
+import time
 
 import pytest
 
@@ -219,3 +224,197 @@ class TestMigrationRollbackIsAnnounced:
         src, dst, src_cache, dst_cache, cookie = migrating
         src.migrate_confirm("mover", True)
         assert src_cache.domain_get_state("mover") == DomainState.RUNNING
+
+
+
+#: ``DomainConfig.to_xml`` itself: renders without the spy counting it
+render = DomainConfig.to_xml
+VDB = '<disk type="file"><source file="/img/g1-data.qcow2"/><target dev="vdb"/></disk>'
+VDC = '<disk type="file"><source file="/img/g1-extra.qcow2"/><target dev="vdc"/></disk>'
+SECOND_VDA = '<disk type="file"><source file="/img/other.qcow2"/><target dev="vda"/></disk>'
+
+
+def g1(**fields):
+    disks = [DiskDevice("/img/g1.qcow2", "vda"), DiskDevice("/img/g1-data.qcow2", "vdb")]
+    fields = {"memory_kib": 1024 * 1024, "vcpus": 2, **fields}
+    return DomainConfig(name="g1", domain_type="kvm", disks=disks, **fields)
+
+
+def plain_driver(hostname="render"):
+    clock = VirtualClock()
+    return QemuDriver(QemuBackend(host=SimHost(hostname=hostname, clock=clock), clock=clock))
+
+
+@pytest.fixture()
+def renders(monkeypatch):
+    """``DomainConfig.to_xml`` calls, counted by domain name."""
+    counted = collections.Counter()
+
+    def spy(config):
+        counted[config.name] += 1
+        return render(config)
+
+    monkeypatch.setattr(DomainConfig, "to_xml", spy)
+    return counted
+
+
+def redefine(src, dst):
+    uuid = src._record("g1").config.uuid
+    src.domain_define_xml(render(g1(uuid=uuid, memory_kib=2 * 1024 * 1024)))
+
+
+def revert(src, dst):
+    src.snapshot_create("g1", "s1")
+    src.domain_set_memory("g1", 512 * 1024)
+    assert "524288" in src.domain_get_xml_desc("g1")
+    src.snapshot_revert("g1", "s1")
+
+
+#: change -> (what it does, which driver holds the domain afterwards)
+CHANGES = {
+    "set_memory": (lambda src, dst: src.domain_set_memory("g1", 512 * 1024), 0),
+    "set_vcpus": (lambda src, dst: src.domain_set_vcpus("g1", 1), 0),
+    "attach": (lambda src, dst: src.domain_attach_device("g1", VDC), 0),
+    "detach": (lambda src, dst: src.domain_detach_device("g1", VDB), 0),
+    "redefine": (redefine, 0),
+    "snapshot_revert": (revert, 0),
+    "migrate": (lambda src, dst: run_handshake(src, dst, "g1", {}), 1),
+}
+
+
+class TestOneRenderingPerChange:
+    """A domain's XML is rendered by the first read after a change and
+    served from then on; nothing is rendered at define or start."""
+
+    def test_an_unchanged_domain_is_rendered_once(self, renders):
+        qemu = plain_driver()
+        qemu.domain_define_xml(render(g1()))
+        qemu.domain_create("g1")
+        assert renders["g1"] == 0
+        reads = {qemu.domain_get_xml_desc("g1") for _ in range(50)}
+        assert renders["g1"] == 1
+        assert reads == {render(qemu._record("g1").config)}
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_the_next_read_renders_the_change_once(self, renders, change):
+        src, dst = plain_driver("render-src"), plain_driver("render-dst")
+        src.domain_define_xml(render(g1()))
+        src.domain_create("g1")
+        before = src.domain_get_xml_desc("g1")
+        do, holder = CHANGES[change]
+        do(src, dst)
+        reader = (src, dst)[holder]
+        renders.clear()
+        reads = [reader.domain_get_xml_desc("g1") for _ in range(50)]
+        assert renders["g1"] == 1
+        assert set(reads) == {render(reader._record("g1").config)}
+        # a migrated guest arrives with the document it left with, and a
+        # revert drops the rendering of the change it undid
+        assert (reads[0] == before) is (change in ("migrate", "snapshot_revert"))
+
+    def test_the_journal_and_the_readers_share_one_rendering(self, renders, tmp_path):
+        qemu = journalled_driver(tmp_path)
+        qemu.domain_define_xml(render(g1()))
+        qemu.domain_set_memory("g1", 512 * 1024)
+        renders.clear()
+        reads = {qemu.domain_get_xml_desc("g1") for _ in range(50)}
+        assert renders["g1"] == 0  # the commit rendered it for the journal
+        assert reads == {replayed(qemu)["domain"]["g1"]["xml"]} == {render(qemu._record("g1").config)}
+
+
+class TestARenderingIsOfACommittedConfig:
+    @pytest.mark.parametrize("device", [VDC, SECOND_VDA], ids=["accepted", "refused"])
+    def test_a_reader_that_misses_waits_for_the_commit(self, device):
+        """An attach parked mid-body, lock held, its device appended but
+        not yet validated: a reader with no rendering blocks, then
+        returns the document the attach left behind."""
+        qemu = plain_driver()
+        qemu.domain_define_xml(render(g1()))
+        record = qemu._record("g1")
+        before = render(record.config)
+        parked, release = threading.Event(), threading.Event()
+        validate = record.config.validate
+
+        def parked_validate():
+            parked.set()
+            release.wait(timeout=5)
+            validate()
+
+        record.config.validate = parked_validate
+
+        def attach():
+            try:
+                qemu.domain_attach_device("g1", device)
+            except XMLError:
+                pass
+
+        read = {}
+        readers = [
+            threading.Thread(target=lambda: read.update(public=qemu.domain_get_xml_desc("g1"))),
+            # past ``_record`` already, as every reader is when it looks
+            threading.Thread(target=lambda: read.update(record=qemu._xml(record))),
+        ]
+        writer = threading.Thread(target=attach)
+        writer.start()
+        assert parked.wait(timeout=5)
+        assert record.xml is None  # never rendered: both readers miss
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=0.2)
+        assert read == {}  # both wait while the body holds the lock
+        release.set()
+        for thread in (writer, *readers):
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in (writer, *readers))
+        after = render(record.config)
+        assert read == {"public": after, "record": after}
+        assert (after == before) is (device == SECOND_VDA)
+
+    def test_no_reader_keeps_a_rendering_a_write_dropped(self, monkeypatch):
+        """Four readers racing one writer, threads switched every
+        microsecond and each rendering held open for a moment: after each
+        write returns, what is served is what the config renders to now
+        (the writer is the only one changing it)."""
+
+        def slow_render(config):
+            text = render(config)
+            time.sleep(0.0001)  # a write that can land here must wait
+            return text
+
+        monkeypatch.setattr(DomainConfig, "to_xml", slow_render)
+        qemu = plain_driver()
+        qemu.domain_define_xml(render(g1()))
+        record = qemu._record("g1")
+        stale, done = [], threading.Event()
+
+        def write(start):
+            start.wait(timeout=5)
+            try:
+                for kib in range(512 * 1024, 512 * 1024 + 40):
+                    qemu.domain_set_memory("g1", kib)
+                    time.sleep(0.0005)  # a reader that rendered before the write stores now
+                    if qemu.domain_get_xml_desc("g1") != render(record.config):
+                        stale.append(kib)
+            finally:
+                done.set()
+
+        def read(start):
+            start.wait(timeout=5)
+            while not done.is_set():
+                qemu._xml(record)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = threading.Barrier(5)
+            threads = [threading.Thread(target=write, args=(start,))]
+            threads += [threading.Thread(target=read, args=(start,)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stale == []

@@ -403,6 +403,11 @@ class TestMutatingRows:
             kinds = "".join("j" * len(r["journal"]) + "e" * len(r["events"]) for r in mutations)
             # p2p is two mutations on this host: the perform, then the confirm
             assert re.fullmatch("(j+e+){2}" if row == "domain.migrate_p2p" else "j*e*", kinds), (row, kinds)
+            # (e) every domain reads as its config renders now: a write
+            # that forgot its ``m.touch`` would still serve the old text
+            with qemu._lock:
+                rendered = {n: record.config.to_xml() for n, record in qemu._domains.items()}
+            assert {n: qemu.domain_get_xml_desc(n) for n in rendered} == rendered, row
         # (d) no subscriber ever ran under the driver lock
         assert locked and not any(locked)
 
