@@ -87,16 +87,16 @@ def _unpack(row: Procedure, body: Any) -> List[Any]:
 
 
 @functools.lru_cache(maxsize=None)
-def _passthrough(row: Procedure) -> Callable[[Any, Any], Any]:
+def _passthrough(row: Procedure) -> Callable[[Any, Any, Any], Any]:
     """The handler body of a row that forwards to one driver method.
 
     Compiled from a template, once per process and not once per daemon,
     so the path taken by a well-formed CALL is what a hand-written
-    ``lambda d, b: d.method(b["name"])`` runs; the ``try`` covers the
+    ``lambda _c, d, b: d.method(b["name"])`` runs; the ``try`` covers the
     body look-ups only, never the driver call.
     """
     names = [f"a{i}" for i in range(len(row.args))]
-    lines = ["def fn(driver, body):"]
+    lines = ["def fn(_client, driver, body):"]
     if names:
         lines.append("    try:")
         lines += [f"        {name} = body[{arg!r}]" for name, arg in zip(names, row.args)]
@@ -933,17 +933,23 @@ class Libvirtd:
             raise ConnectionError_("connection not opened (call connect.open first)")
         return record.driver
 
+    def _call(self, conn: ServerConnection) -> ClientRecord:
+        """The client behind ``conn``, with one more call counted: the
+        one place a client's ``calls`` and ``last_activity`` move."""
+        record = self._record_of(conn)
+        record.calls += 1
+        record.last_activity = self.clock.now()
+        return record
+
     def _wrap(
-        self, fn: Callable[[Any, Any], Any], procedure: str
+        self, fn: Callable[[ClientRecord, Any, Any], Any], procedure: str
     ) -> Callable[[ServerConnection, Any], Any]:
-        """``fn(driver, body)`` as the handler of ``procedure``: client
-        bookkeeping, kill points, the ``driver.op`` span and metric."""
+        """``fn(client, driver, body)`` as the handler of ``procedure``:
+        client bookkeeping, kill points, the ``driver.op`` span and metric."""
         op_seconds = self._m_driver_ops.by("driver", procedure=procedure)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
-            record = self._record_of(conn)
-            record.calls += 1
-            record.last_activity = self.clock.now()
+            record = self._call(conn)
             driver = self._driver_of(record)
             # kill point 1: the call arrived but nothing has happened yet
             self._maybe_crash(CrashPoint.MID_DISPATCH, procedure)
@@ -957,7 +963,7 @@ class Libvirtd:
             )
             with scope:
                 try:
-                    result = fn(driver, body or {})
+                    result = fn(record, driver, body or {})
                 except DaemonCrashError:
                     # kill point 2 fired inside a journal write: the
                     # driver already tore the record, now the process dies
@@ -977,15 +983,11 @@ class Libvirtd:
 
     def _h_ping(self, conn: ServerConnection, body: Any) -> Any:
         """Keepalive probe: counts as client activity, echoes the body."""
-        record = self._record_of(conn)
-        record.calls += 1
-        record.last_activity = self.clock.now()
+        self._call(conn)
         return body if body is not None else "pong"
 
     def _h_open(self, conn: ServerConnection, body: Any) -> Any:
-        record = self._record_of(conn)
-        record.calls += 1
-        record.last_activity = self.clock.now()
+        record = self._call(conn)
         uri_text = body.get("uri") if isinstance(body, dict) else None
         if not uri_text:
             raise InvalidArgumentError("connect.open requires a uri")
@@ -1020,23 +1022,21 @@ class Libvirtd:
         is ``frame_body(*delivered)``.  A client holds at most
         one subscription per frame kind (re-arming returns its id), ended
         by disarming, by ``_cleanup_client``, or by the first forward that
-        finds the client gone.
+        finds the client gone.  Both are wrapped like any driver call:
+        counted, killable at ``MID_DISPATCH`` and traced as ``driver.op``.
         """
 
-        def arm(conn: ServerConnection, body: Any) -> Any:
-            record = self._record_of(conn)
-            driver = self._driver_of(record)
+        def arm(record: ClientRecord, driver: Any, body: Any) -> Any:
             held = record.push.get(event_id)
             if held is not None:
                 return held[0]
-            body = body or {}
             if not isinstance(body, dict):
                 raise _not_a_map(arm_row.name, body)
             options = {key: body[key] for key in optional if key in body}
 
             def forward(*delivered: Any) -> None:
                 try:
-                    self.rpc.emit_event(conn, event_id, frame_body(*delivered))
+                    self.rpc.emit_event(record.conn, event_id, frame_body(*delivered))
                 except VirtError:
                     record.release(event_id)  # client went away: stop forwarding
 
@@ -1044,16 +1044,14 @@ class Libvirtd:
             record.push[event_id] = (sub_id, getattr(driver, disarm_row.method))
             return sub_id
 
-        def disarm(conn: ServerConnection, body: Any) -> Any:
-            record = self._record_of(conn)
-            self._driver_of(record)
+        def disarm(record: ClientRecord, driver: Any, body: Any) -> Any:
             record.release(event_id)
             return None
 
-        return arm, disarm
+        return self._wrap(arm, arm_row.name), self._wrap(disarm, disarm_row.name)
 
     def _h_supports_feature(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
-        def supports(d: Any, b: Any) -> Any:
+        def supports(_c: ClientRecord, d: Any, b: Any) -> Any:
             if not isinstance(b, dict):
                 raise _not_a_map(row.name, b)
             # without a feature to test, the reply is the whole list
@@ -1063,22 +1061,16 @@ class Libvirtd:
         return self._wrap(supports, row.name)
 
     def _h_backup_begin(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
-        def begin(d: Any, b: Any) -> Any:
+        def begin(client: ClientRecord, d: Any, b: Any) -> Any:
             (name,) = _unpack(row, b)
-            return d.backup_begin(name, b.get("options") or {})
-
-        base = self._wrap(begin, row.name)
-
-        def handler(conn: ServerConnection, body: Any) -> Any:
-            result = base(conn, body)
+            result = d.backup_begin(name, b.get("options") or {})
             # remember who started the job: an unclean disconnect of
             # this client fails it rather than leaving it to run with
             # nobody able to observe or cancel it
-            record = self._record_of(conn)
-            record.owned_jobs.add(body["name"])
+            client.owned_jobs.add(name)
             return result
 
-        return handler
+        return self._wrap(begin, row.name)
 
     # -- stream-backed procedures -------------------------------------------
     #
@@ -1091,8 +1083,8 @@ class Libvirtd:
     # volume untouched.
 
     def _h_vol_upload(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
-        validate = self._wrap(lambda d, b: d.storage_vol_get_info(*b), row.name)
-        commit = self._wrap(lambda d, b: d.storage_vol_upload(*b), row.name)
+        validate = self._wrap(lambda _c, d, b: d.storage_vol_get_info(*b), row.name)
+        commit = self._wrap(lambda _c, d, b: d.storage_vol_upload(*b), row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
             pool, volume = _unpack(row, body)
@@ -1139,7 +1131,7 @@ class Libvirtd:
         return handler
 
     def _h_vol_download(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
-        fetch = self._wrap(lambda d, b: d.storage_vol_download(*b), row.name)
+        fetch = self._wrap(lambda _c, d, b: d.storage_vol_download(*b), row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
             pool, volume = _unpack(row, body)
@@ -1152,7 +1144,7 @@ class Libvirtd:
         return handler
 
     def _h_open_console(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
-        attach = self._wrap(lambda d, b: d.domain_open_console(*b), row.name)
+        attach = self._wrap(lambda _c, d, b: d.domain_open_console(*b), row.name)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
             (name,) = _unpack(row, body)
@@ -1185,7 +1177,7 @@ class Libvirtd:
         return handler
 
     def _h_backup_begin_pull(self, row: Procedure) -> Callable[[ServerConnection, Any], Any]:
-        def begin(d: Any, b: Any) -> Any:
+        def begin(_c: ClientRecord, d: Any, b: Any) -> Any:
             (name,) = _unpack(row, b)
             return d.backup_begin_pull(name, b.get("options") or {})
 

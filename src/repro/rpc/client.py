@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import (
     ConnectionClosedError,
@@ -535,9 +535,11 @@ class RPCClient:
         for stream in streams:
             stream._local_abort(reason)
 
-    def _on_stream_frame(self, data: bytes) -> None:
+    def _on_stream_frame(self, data: "bytes | List[Any]") -> None:
         try:
-            message = RPCMessage.unpack(memoryview(data))
+            # a gather frame's data chunk is decoded as the payload buffer
+            # the daemon handed over: the chunk is not copied to arrive
+            message = RPCMessage.unpack(data if isinstance(data, list) else memoryview(data))
         except RPCError:
             # a corrupted stream frame leaves a hole in the byte
             # stream; the stalled stream aborts at the next recv/finish
@@ -796,8 +798,10 @@ class RPCClient:
         with self._lock:
             self._event_handlers.pop(event_id, None)
 
-    def _on_event_frame(self, data: bytes) -> None:
-        if peek_message_type(data) == MessageType.STREAM:
+    def _on_event_frame(self, data: "bytes | List[Any]") -> None:
+        # a pushed stream data frame comes in its gather form; its type
+        # word is in the first buffer, the header
+        if peek_message_type(data[0] if isinstance(data, list) else data) == MessageType.STREAM:
             self._on_stream_frame(data)
             return
         try:

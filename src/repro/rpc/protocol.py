@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import RPCError
 from repro.rpc.procedures import BY_NAME
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value
+from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value, opaque_value
 
 #: the main program (libvirt's REMOTE_PROGRAM analogue)
 PROGRAM_REMOTE = 0x20008086
@@ -136,14 +136,20 @@ class RPCMessage:
         #: optional trace context ({"trace_id": .., "span_id": ..})
         self.trace = trace
 
-    def pack(self) -> bytes:
-        """Serialize to the framed wire form."""
+    def gather(self) -> "List[bytes | bytearray | memoryview]":
+        """The frame as the buffers a gather write (``writev``) takes.
+
+        ``[header, *parts]``: the header, then the body's XDR pieces as
+        the encoder holds them.  An opaque body — a stream data chunk —
+        is one of those pieces by reference, so a frame handed over in
+        this form carries its payload without copying it.  Joined, the
+        buffers are :meth:`pack`.
+        """
         payload = XdrEncoder()
         encode_value(self.body, payload)
         if self.trace is not None:
             encode_value(self.trace, payload)
-        # sized before it is materialised; the join in ``data`` is the
-        # only time a (possibly 256 KiB) body is copied
+        # sized before anything is materialised
         length = HEADER_BYTES + len(payload)
         if length > MAX_MESSAGE:
             raise RPCError(f"message too large: {length} bytes")
@@ -156,28 +162,35 @@ class RPCMessage:
             fields = (self.program, self.version, self.procedure, self.mtype, self.serial, self.status)
             bad = next(f for f in fields if not (isinstance(f, int) and 0 <= f < 2**32))
             raise RPCError(f"uint32 out of range: {bad}") from None
-        return payload.data(header)
+        return payload.buffers(header)
+
+    def pack(self) -> bytes:
+        """Serialize to the framed wire form: :meth:`gather`'s one join,
+        the only time a (possibly 256 KiB) body is copied."""
+        return b"".join(self.gather())
 
     @staticmethod
-    def unpack(data: "bytes | memoryview") -> "RPCMessage":
-        """Parse one framed message; the buffer must hold exactly one.
+    def unpack(data: "bytes | memoryview | List[Any]") -> "RPCMessage":
+        """Parse one framed message: a buffer that holds exactly one, or
+        the buffers of its gather form (:meth:`gather`).
 
         Body and trace context are decoded where they lie in ``data`` —
-        over a ``memoryview`` an opaque body is a sub-view of it.
+        over a ``memoryview`` an opaque body is a sub-view of it.  A
+        gather frame that is a header and one opaque value (a stream
+        data frame) has every word checked and its payload buffer, not
+        a copy, becomes the body; any other gather frame, or one whose
+        value words do not check out, is joined and decoded as a buffer,
+        so the two forms fail alike and decode alike.
         """
-        if len(data) < HEADER_BYTES:
-            raise RPCError(f"short message: {len(data)} bytes")
-        length, program, version, procedure, mtype, serial, status = _HEADER.unpack_from(data)
-        if length != len(data):
-            raise RPCError(f"frame length {length} != buffer length {len(data)}")
-        if program not in KNOWN_PROGRAMS:
-            raise RPCError(f"unknown program 0x{program:x}")
-        if version != PROTOCOL_VERSION:
-            raise RPCError(f"unsupported protocol version {version}")
-        if mtype not in _MESSAGE_TYPES:
-            raise RPCError(f"bad message type: {mtype} is not a valid MessageType")
-        if status not in _REPLY_STATUSES:
-            raise RPCError(f"bad reply status: {status} is not a valid ReplyStatus")
+        if isinstance(data, list):
+            body = opaque_value(data[1:]) if data and len(data[0]) == HEADER_BYTES else None
+            if body is not None:
+                _length, program, version, procedure, mtype, serial, status = _header(
+                    data[0], sum(map(len, data))
+                )
+                return RPCMessage(procedure, mtype, serial, status, body, program, version)
+            data = memoryview(b"".join(data))
+        _length, program, version, procedure, mtype, serial, status = _header(data, len(data))
         payload = XdrDecoder(data, HEADER_BYTES)
         body = decode_value(payload)
         trace = None
@@ -201,6 +214,26 @@ class RPCMessage:
             f"RPCMessage({self.mtype.name}, proc={self.procedure}, "
             f"serial={self.serial}, status={self.status.name})"
         )
+
+
+def _header(data: "bytes | memoryview", size: int) -> "Tuple[int, ...]":
+    """The header words at the start of ``data``, a frame ``size`` bytes
+    long, every one checked."""
+    if size < HEADER_BYTES:
+        raise RPCError(f"short message: {size} bytes")
+    fields = _HEADER.unpack_from(data)
+    length, program, version, _procedure, mtype, _serial, status = fields
+    if length != size:
+        raise RPCError(f"frame length {length} != buffer length {size}")
+    if program not in KNOWN_PROGRAMS:
+        raise RPCError(f"unknown program 0x{program:x}")
+    if version != PROTOCOL_VERSION:
+        raise RPCError(f"unsupported protocol version {version}")
+    if mtype not in _MESSAGE_TYPES:
+        raise RPCError(f"bad message type: {mtype} is not a valid MessageType")
+    if status not in _REPLY_STATUSES:
+        raise RPCError(f"bad reply status: {status} is not a valid ReplyStatus")
+    return fields
 
 
 def make_ping(serial: int) -> RPCMessage:

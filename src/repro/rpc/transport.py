@@ -19,7 +19,7 @@ ssh       + exec ssh + auth RTT + ssh framing    ~0.3 GiB/s
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     AuthenticationError,
@@ -90,6 +90,11 @@ def spec_for(name: str) -> TransportSpec:
         raise InvalidArgumentError(f"unknown transport {name!r}") from None
 
 
+def frame_length(frame: "bytes | List[Any]") -> int:
+    """A frame's length on the wire; a gather frame's is its buffers' sum."""
+    return sum(map(len, frame)) if isinstance(frame, list) else len(frame)
+
+
 class ServerConnection:
     """The daemon-side endpoint of one accepted client channel."""
 
@@ -146,12 +151,14 @@ class ServerConnection:
         self.listener._record_bytes(sent=len(data))
         self.channel._deliver_reply(data, frame_index)
 
-    def push(self, data: bytes) -> None:
-        """Server-initiated message (events) to the client."""
+    def push(self, data: "bytes | List[Any]") -> None:
+        """Server-initiated message (events, stream frames) to the client:
+        a packed frame or its gather form (``RPCMessage.gather``)."""
         if self.closed or self.channel.closed:
             raise ConnectionClosedError("cannot push on a closed connection")
-        self.bytes_out += len(data)
-        self.listener._record_bytes(sent=len(data))
+        size = frame_length(data)
+        self.bytes_out += size
+        self.listener._record_bytes(sent=size)
         self.channel._deliver_event(data)
 
     def close(self) -> None:
@@ -566,14 +573,15 @@ class Channel:
     def set_event_handler(self, handler: Callable[[bytes], None]) -> None:
         self._event_handler = handler
 
-    def _deliver_event(self, data: bytes) -> None:
+    def _deliver_event(self, data: "bytes | List[Any]") -> None:
         if self.closed or self.severed:
             return
         if self._faults is not None and self._faults.blackholed:
             return
-        self.clock.sleep(self.spec.message_latency(len(data)))
+        size = frame_length(data)
+        self.clock.sleep(self.spec.message_latency(size))
         with self._lock:
-            self.bytes_received += len(data)
+            self.bytes_received += size
         if self._event_handler is not None:
             self._event_handler(data)
 

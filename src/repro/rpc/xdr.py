@@ -70,14 +70,19 @@ class XdrEncoder:
         # bytes.join accepts any buffer object at materialization time
         self._parts: "List[bytes | bytearray | memoryview]" = []
 
-    def data(self, prefix: bytes = b"") -> bytes:
-        """The stream's bytes, materialised by one join.
+    def buffers(self, prefix: bytes = b"") -> "List[bytes | bytearray | memoryview]":
+        """The stream as the buffers a gather write (``writev``) takes:
+        ``prefix``, if any, then every piece as appended — a buffer-typed
+        opaque is the caller's object itself, not a copy of it.
 
         ``prefix`` goes in front: a frame header can only be built once
-        the stream's length is known, and joining it here keeps a large
-        body from being copied a second time to prepend 28 bytes.
+        the stream's length is known.
         """
-        return b"".join((prefix, *self._parts)) if prefix else b"".join(self._parts)
+        return [prefix, *self._parts] if prefix else list(self._parts)
+
+    def data(self, prefix: bytes = b"") -> bytes:
+        """The stream's bytes: :meth:`buffers` materialised by one join."""
+        return b"".join(self.buffers(prefix))
 
     def __len__(self) -> int:
         return sum(map(len, self._parts))
@@ -138,6 +143,32 @@ class XdrEncoder:
 
     def pack_string(self, value: str) -> "XdrEncoder":
         return self.pack_opaque(value.encode("utf-8"))
+
+
+def opaque_value(parts: "List[Any]") -> "memoryview | None":
+    """The payload of one encoded bytes value handed over as its pieces.
+
+    ``parts`` are the tag and length words, the payload and its zero
+    padding, as :func:`encode_value` appends a bytes value.  When, joined,
+    they are exactly such a value that :func:`decode_value` accepts, the
+    payload comes back as a view of the buffer it is, copying nothing;
+    otherwise ``None``.
+    """
+    if not 2 <= len(parts) <= 3:
+        return None
+    words, payload, *pad = parts
+    view = memoryview(payload)
+    size = view.nbytes
+    if (
+        view.format != "B"
+        or view.ndim != 1
+        or not view.c_contiguous
+        or size > MAX_OPAQUE
+        or words != _U32_U32.pack(_TAG_BYTES, size)
+        or (pad[0] if pad else b"") != _PADS[size & 3]
+    ):
+        return None
+    return view
 
 
 def _too_large(value: "bytes | bytearray | memoryview") -> RPCError:

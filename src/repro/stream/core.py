@@ -33,7 +33,7 @@ silent gap in the bytes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import (
     ConnectionClosedError,
@@ -448,14 +448,23 @@ class ServerStream:
             self.credits -= 1
             self._push_data(chunk)
 
-    def _push_data(self, chunk: "bytes | memoryview") -> None:
+    def _push_data(self, chunk: "bytes | bytearray | memoryview") -> None:
+        """Hand one data chunk to the connection in the frame's gather
+        form: the chunk is the frame's payload by reference, not joined
+        into a new buffer.  The client keeps that buffer as the chunk it
+        received, so it must never change; a chunk that is not a view of
+        immutable ``bytes`` is copied once here."""
+        if not isinstance(getattr(chunk, "obj", chunk), bytes):
+            chunk = bytes(chunk)
         self.bytes_out += len(chunk)
         self._server._count_stream_bytes("out", len(chunk))
         self._push(
-            stream_frame(self.number, self.serial, ReplyStatus.CONTINUE, chunk)
+            RPCMessage(
+                self.number, MessageType.STREAM, self.serial, ReplyStatus.CONTINUE, chunk
+            ).gather()
         )
 
-    def _push(self, frame: bytes) -> None:
+    def _push(self, frame: "bytes | List[Any]") -> None:
         try:
             self._conn.push(frame)
         except ConnectionClosedError:

@@ -79,7 +79,7 @@ def test_script_prints_the_committed_trajectory(tool):
 
 def test_readme_table_is_the_tool_output():
     """README.md's table is what ``--metric latency_p50_us_norm`` prints
-    today: a new or edited ``BENCH_*.json`` needs the table pasted again."""
+    today: a new or edited ``BENCH_*.json`` needs ``--readme`` run again."""
     result = subprocess.run(
         [sys.executable, str(TOOL), "--metric", "latency_p50_us_norm"], capture_output=True, text=True
     )
@@ -88,3 +88,31 @@ def test_readme_table_is_the_tool_output():
     begin = readme.index("<!-- python tools/bench_trajectory.py --metric latency_p50_us_norm -->")
     end = readme.index("<!-- end of bench_trajectory output -->")
     assert readme[begin + 1 : end] == ["```text", *result.stdout.splitlines(), "```"]
+
+
+def test_help_exits_zero_and_an_unknown_flag_exits_two():
+    shown = subprocess.run([sys.executable, str(TOOL), "--help"], capture_output=True, text=True)
+    assert shown.returncode == 0 and "--readme" in shown.stdout
+    refused = subprocess.run([sys.executable, str(TOOL), "--no-such-flag"], capture_output=True, text=True)
+    assert refused.returncode == 2 and "unrecognized arguments" in refused.stderr
+
+
+def test_readme_mode_rewrites_the_block_in_place_and_is_idempotent(tool, tmp_path):
+    readme = tmp_path / "README.md"
+    lines = (REPO / "README.md").read_text().splitlines()
+    begin, end = lines.index(tool.README_BEGIN), lines.index(tool.README_END)
+    stale = lines[: begin + 1] + ["```text", "a stale table", "```"] + lines[end:]
+    readme.write_text("\n".join(stale) + "\n")
+    for _ in range(2):
+        result = subprocess.run([sys.executable, str(TOOL), "--readme", str(readme)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
+        assert readme.read_text() == (REPO / "README.md").read_text()
+
+
+def test_readme_mode_refuses_a_file_without_the_markers(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text("no table here\n")
+    result = subprocess.run([sys.executable, str(TOOL), "--readme", str(readme)], capture_output=True, text=True)
+    assert result.returncode != 0 and "no " in result.stderr
+    assert readme.read_text() == "no table here\n"

@@ -13,6 +13,7 @@ from repro.errors import (
     InvalidArgumentError,
     InvalidURIError,
     OperationFailedError,
+    TransportHangError,
 )
 from repro.rpc.client import RPCClient
 from repro.util.clock import VirtualClock
@@ -65,6 +66,38 @@ class TestConnectOpen:
         assert daemon.list_clients()[0]["calls"] == 1  # refused, but counted
         with pytest.raises(ConnectionError_, match=r"connection not opened \(call connect\.open first\)"):
             client.call("connect.domain_event_register")
+        assert daemon.list_clients()[0]["calls"] == 2  # an arming call is counted too
+
+    def test_event_arming_calls_are_counted_and_traced(self, daemon):
+        client = raw_client(daemon)
+        client.call("connect.open", {"uri": "test:///default"})
+        procedures = (
+            "connect.event_subscribe",
+            "connect.domain_event_register",
+            "connect.domain_event_deregister",
+            "connect.event_unsubscribe",
+        )
+        for calls, procedure in enumerate(procedures, start=2):
+            daemon.clock.advance(1.0)
+            sent = daemon.clock.now()
+            client.call(procedure)
+            (record,) = daemon.client_stats()
+            assert record["calls"] == calls
+            assert sent <= record["last_activity"] <= daemon.clock.now()
+        traced = [span.attributes["procedure"] for span in daemon.tracer.find("driver.op")]
+        assert traced == list(procedures)
+
+    def test_an_event_arming_call_has_a_mid_dispatch_kill_point(self, daemon):
+        from repro.faults import CrashPlan, CrashPoint
+
+        client = raw_client(daemon)
+        client.call("connect.open", {"uri": "test:///default"})
+        plan = CrashPlan().crash(CrashPoint.MID_DISPATCH, op="connect.event_subscribe")
+        daemon.install_crash_plan(plan)
+        with pytest.raises(TransportHangError):  # the daemon died with the call in flight
+            client.call("connect.event_subscribe")
+        assert (CrashPoint.MID_DISPATCH, "connect.event_subscribe") in plan.opportunities
+        assert daemon.flight_recorder.records("crash")[-1]["procedure"] == "connect.event_subscribe"
 
     def test_a_call_looks_its_client_up_once(self, daemon, monkeypatch):
         client = raw_client(daemon)

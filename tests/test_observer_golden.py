@@ -21,6 +21,14 @@ mutation funnel took over reporting to the recorder: the 7 ``journal``
 and 9 ``event`` lines became 9 ``mutation`` lines, one per commit, each
 written after its commit's publishes.  The ``trace``, ``metrics`` and
 ``bus_records`` sections are the bytes recorded before it.
+
+It was re-recorded a third time when the event-arming procedures started
+running through the daemon's driver-call wrapper: the scenario's
+``connect.event_subscribe`` now leaves a ``driver.op`` span (the third
+span) and a ``driver_op_seconds`` series, so every later span and trace
+id, and the flight-recorder lines that carry them, move up by one, and
+``span_seconds{name="driver.op"}`` counts 18 spans, not 17.  Nothing
+else moved; ``bus_records`` is unchanged.
 """
 
 import json

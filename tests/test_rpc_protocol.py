@@ -210,3 +210,79 @@ class TestFramingBoundaries:
             (MessageType.REPLY, 1),
         ]
         assert bytes(decoded[1].body) == b"stream bytes"
+
+
+class TestGatherFrame:
+    """``RPCMessage.gather`` is the buffers ``pack`` joins, and ``unpack``
+    of those buffers decodes exactly what ``unpack`` of the join does."""
+
+    @staticmethod
+    def data_frame(size):
+        payload = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+        return RPCMessage(7, MessageType.STREAM, 3, ReplyStatus.CONTINUE, payload).gather()
+
+    @staticmethod
+    def fields(message):
+        body = bytes(message.body) if isinstance(message.body, memoryview) else message.body
+        return (
+            message.program, message.version, message.procedure, message.mtype,
+            message.serial, message.status, body, message.trace,
+        )
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 4096])
+    def test_gather_joins_to_pack(self, size):
+        gather = self.data_frame(size)
+        message = RPCMessage.unpack(gather)
+        assert b"".join(gather) == RPCMessage(
+            7, MessageType.STREAM, 3, ReplyStatus.CONTINUE, gather[2]
+        ).pack()
+        assert isinstance(message.body, memoryview) and message.body.obj is gather[2]
+        assert self.fields(message) == self.fields(RPCMessage.unpack(b"".join(gather)))
+
+    def test_any_other_shape_decodes_as_its_join(self):
+        for message in (
+            RPCMessage(1, MessageType.REPLY, 2, body={"a": [1, "x"]}),
+            RPCMessage(1, MessageType.CALL, 2, body=b"abc", trace={"trace_id": 1, "span_id": 2}),
+            RPCMessage(1, MessageType.EVENT, 2, body="text"),
+        ):
+            gather = message.gather()
+            assert self.fields(RPCMessage.unpack(gather)) == self.fields(RPCMessage.unpack(message.pack()))
+
+    # (byte offset of the word in a 5-byte data frame, value written there)
+    CORRUPTIONS = [
+        *((0, v) for v in (0, 44, 48, 0xFFFFFFFF)),  # length
+        *((4, v) for v in (0, 0x20008087, 0x6B656570)),  # program
+        *((8, v) for v in (0, 2)),  # version
+        *((12, v) for v in (0, 8, 0xFFFFFFFF)),  # procedure
+        *((16, v) for v in (0, 1, 2, 4, 99)),  # type
+        *((20, v) for v in (0, 0xFFFFFFFF)),  # serial
+        *((24, v) for v in (0, 1, 3)),  # status
+        *((28, v) for v in range(11)),  # value tag
+        *((32, v) for v in (0, 1, 4, 6, 7, 0xFFFFFFFF)),  # opaque length word
+    ]
+
+    @pytest.mark.parametrize("offset,value", CORRUPTIONS)
+    def test_a_corrupt_word_fails_or_decodes_as_the_join_does(self, offset, value):
+        frame = bytearray(b"".join(self.data_frame(5)))
+        frame[offset : offset + 4] = value.to_bytes(4, "big")
+        self.assert_same_verdict(frame)
+
+    @pytest.mark.parametrize("pad_byte", [0, 1, 2])
+    def test_a_nonzero_pad_byte_fails_as_the_join_does(self, pad_byte):
+        frame = bytearray(b"".join(self.data_frame(5)))
+        frame[HEADER_BYTES + 8 + 5 + pad_byte] = 0x01
+        with pytest.raises(RPCError, match="non-zero XDR padding"):
+            RPCMessage.unpack(bytes(frame))
+        self.assert_same_verdict(frame)
+
+    def assert_same_verdict(self, frame):
+        # split where the sender's buffers meet: header, tag + length, payload, pad
+        cuts = (0, HEADER_BYTES, HEADER_BYTES + 8, HEADER_BYTES + 8 + 5, len(frame))
+        gather = [bytes(frame[a:b]) for a, b in zip(cuts, cuts[1:])]
+        try:
+            joined = self.fields(RPCMessage.unpack(bytes(frame)))
+        except RPCError:
+            with pytest.raises(RPCError):
+                RPCMessage.unpack(gather)
+        else:
+            assert self.fields(RPCMessage.unpack(gather)) == joined

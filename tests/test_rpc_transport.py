@@ -163,6 +163,19 @@ class TestEvents:
         assert received == [b"event!"]
         assert channel.bytes_received == 6
 
+    def test_a_gather_frame_counts_as_its_joined_length(self, clock):
+        from repro.rpc.protocol import MessageType, ReplyStatus, RPCMessage
+
+        listener = echo_listener(clock)
+        channel = listener.connect()
+        attach_echo(channel)
+        received = []
+        channel.set_event_handler(received.append)
+        frame = RPCMessage(5, MessageType.STREAM, 1, ReplyStatus.CONTINUE, b"chunk").gather()
+        channel._server_conn.push(frame)
+        assert received == [frame]  # handed over as it was pushed, never joined
+        assert channel.bytes_received == channel._server_conn.bytes_out == len(b"".join(frame))
+
     def test_push_on_closed_connection_rejected(self, clock):
         listener = echo_listener(clock)
         channel = listener.connect()

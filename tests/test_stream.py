@@ -131,6 +131,16 @@ class FakeConn:
         self.pushed.append(RPCMessage.unpack(frame))
 
 
+class RawConn:
+    """Duck-typed ServerConnection: keeps each pushed frame as handed over."""
+
+    def __init__(self):
+        self.frames = []
+
+    def push(self, frame):
+        self.frames.append(frame)
+
+
 class FakeServer:
     def __init__(self):
         self.counted = []
@@ -765,7 +775,7 @@ class TestBulkCopies:
         assert got[12345 + len(data) :] == b"\xee" * (4 * DEFAULT_CHUNK - 12345 - len(data))
 
 
-# -- three copies of a streamed byte: the image store keeps what it received --
+# -- two copies of a streamed byte: the upload frame's join and the download's drain --
 
 
 def allocated_by(call):
@@ -790,7 +800,12 @@ def local_conn():
     connection.close()
 
 
-class TestThreeCopiesPerByte:
+class TestTwoCopiesPerByte:
+    """An uploaded byte is copied by the frame the client packs; the
+    daemon commits that frame by reference and sends the stored cluster
+    back as the download frame's payload, so ``drain`` makes the only
+    other copy."""
+
     def test_download_hands_out_the_stored_clusters(self, local_conn):
         driver = local_conn._driver
         data = payload_bytes(4 * MiB)
@@ -825,6 +840,37 @@ class TestThreeCopiesPerByte:
         assert result["data"] == data and result["total_bytes"] == len(data)
         # one payload-sized allocation, where the parent made two
         assert allocated < 1.5 * len(data)
+
+    def test_an_rpc_download_copies_each_byte_once(self, conn, daemon, volume):
+        data = payload_bytes(4 * MiB)
+        volume.upload(data)
+        got, allocated = allocated_by(lambda: volume.download(0, len(data)))
+        assert got == data
+        # drain's join; the parent also joined every chunk into a frame (2x)
+        assert allocated < 1.25 * len(data)
+
+    def test_a_received_chunk_is_the_stored_cluster(self, conn, daemon, volume):
+        volume.upload(payload_bytes(2 * DEFAULT_CHUNK))
+        stored = daemon.drivers["qemu"].storage_vol_download("default", "disk0.qcow2", 0, DEFAULT_CHUNK)
+        stream = conn._driver.client.open_stream(
+            "storage.vol_download",
+            {"pool": "default", "volume": "disk0.qcow2", "offset": 0, "length": None},
+        )
+        chunk = stream.recv()
+        assert isinstance(chunk, memoryview) and isinstance(chunk.obj, bytes)
+        assert chunk.obj is stored[0].obj
+        assert stream.drain() == payload_bytes(2 * DEFAULT_CHUNK)[DEFAULT_CHUNK:]
+        assert_no_dangling(conn, daemon)
+
+    def test_a_writable_daemon_chunk_is_copied_before_it_is_sent(self):
+        pushed = RawConn()
+        stream = ServerStream(FakeServer(), pushed, 5, 1, "test")
+        source = bytearray(payload_bytes(DEFAULT_CHUNK + 10))
+        stream.send(source)
+        received = [RPCMessage.unpack(frame).body for frame in pushed.frames]
+        source[:] = b"\xff" * len(source)
+        assert b"".join(received) == payload_bytes(DEFAULT_CHUNK + 10)
+        assert all(isinstance(body.obj, bytes) for body in received)
 
     def test_an_unaligned_download_cuts_chunks_where_a_flat_buffer_would(self, conn, daemon, volume):
         data = payload_bytes(3 * DEFAULT_CHUNK + 100)
@@ -961,6 +1007,24 @@ class TestZeroCopyXdr:
         out = XdrDecoder(memoryview(packed)).unpack_opaque()
         assert isinstance(out, memoryview)  # sub-view, not a copy
         assert bytes(out) == bytes(buf)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, DEFAULT_CHUNK - 1, DEFAULT_CHUNK])
+    def test_a_data_frame_is_pushed_as_its_gather_form(self, size):
+        from repro.rpc.protocol import HEADER_BYTES, peek_message_type
+
+        pushed = RawConn()
+        stream = ServerStream(FakeServer(), pushed, UPLOAD_NUM, 7, "test")
+        payload = payload_bytes(size)
+        stream.send(payload)
+        (frame,) = pushed.frames
+        assert isinstance(frame, list)
+        assert b"".join(frame) == stream_frame(UPLOAD_NUM, 7, ReplyStatus.CONTINUE, payload)
+        head = frame[0]
+        assert len(head) == HEADER_BYTES and peek_message_type(head) == MessageType.STREAM
+        # the payload buffer is the chunk itself, never joined into the frame
+        assert frame[2].obj is payload
+        message = RPCMessage.unpack(frame)
+        assert message.body.obj is payload and bytes(message.body) == payload
 
     def test_stream_type_word_peeks_without_full_unpack(self):
         from repro.rpc.protocol import peek_message_type

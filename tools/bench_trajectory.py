@@ -15,10 +15,12 @@ saying so, and no numbers.
     python tools/bench_trajectory.py            # the files beside this repo's BENCHMARK.json
     python tools/bench_trajectory.py DIR        # the files in DIR (with DIR/BENCHMARK.json)
     python tools/bench_trajectory.py --metric latency_p50_us_norm   # one metric (README's table)
+    python tools/bench_trajectory.py --readme   # rewrite README.md's table in place
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import re
@@ -30,6 +32,10 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 #: PRs whose runs were reported in CHANGES.md but never committed
 NOT_RERUN = (11, 12, 15)
+#: README.md's table: this metric's output between these two lines
+README_METRIC = "latency_p50_us_norm"
+README_BEGIN = f"<!-- python tools/bench_trajectory.py --metric {README_METRIC} -->"
+README_END = "<!-- end of bench_trajectory output -->"
 
 #: {file name: {workload: {side: {metric: (median, runs)}}}}
 Trajectory = Dict[str, Dict[str, Dict[str, Dict[str, "tuple[float, int]"]]]]
@@ -96,13 +102,47 @@ def render(table: Trajectory, metrics: List[str], not_rerun: "tuple[int, ...]" =
     return lines
 
 
+def readme_block(lines: List[str]) -> List[str]:
+    """The README lines that go between the markers for ``lines``."""
+    return ["```text", *lines, "```"]
+
+
+def rewrite_readme(path: pathlib.Path, lines: List[str]) -> None:
+    """Put ``lines`` between the README markers in ``path``, in place."""
+    text = path.read_text().splitlines()
+    try:
+        begin, end = text.index(README_BEGIN), text.index(README_END)
+    except ValueError:
+        raise SystemExit(f"{path}: no {README_BEGIN!r} ... {README_END!r} block") from None
+    text[begin + 1 : end] = readme_block(lines)
+    path.write_text("\n".join(text) + "\n")
+
+
 def main(argv: "Optional[List[str]]" = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    metrics: "Optional[List[str]]" = None
-    if args[:1] == ["--metric"]:
-        metrics, args = args[1:2], args[2:]
-    root, not_rerun = (pathlib.Path(args[0]), ()) if args else (REPO, NOT_RERUN)
-    print("\n".join(render(trajectory(root), metrics or end_to_end_metrics(root), not_rerun)))
+    parser = argparse.ArgumentParser(
+        description="Print each BENCH_<pr>.json's parent and change medians per workload.",
+    )
+    parser.add_argument(
+        "root", nargs="?", type=pathlib.Path, default=None,
+        help="directory with the BENCH_*.json files and BENCHMARK.json (default: this repo)",
+    )
+    shown = parser.add_mutually_exclusive_group()
+    shown.add_argument(
+        "--metric", action="append", help="print only this end-to-end metric (repeatable)"
+    )
+    shown.add_argument(
+        "--readme", nargs="?", type=pathlib.Path, const=REPO / "README.md", metavar="FILE",
+        help=f"rewrite the {README_METRIC} table between FILE's markers in place "
+        "(default FILE: this repo's README.md)",
+    )
+    args = parser.parse_args(argv)
+    root, not_rerun = (args.root, ()) if args.root is not None else (REPO, NOT_RERUN)
+    metrics = [README_METRIC] if args.readme else args.metric or end_to_end_metrics(root)
+    lines = render(trajectory(root), metrics, not_rerun)
+    if args.readme:
+        rewrite_readme(args.readme, lines)
+    else:
+        print("\n".join(lines))
     return 0
 
 
