@@ -18,7 +18,7 @@ import threading
 import time
 
 from repro.bench.tables import emit, format_table
-from repro.util.virtlog import LogFilter, Logger, parse_filters
+from repro.util.virtlog import Logger, parse_filters
 
 #: each configuration is a pair of filters that must be seen together
 CONFIG_A = "1:alpha 1:beta"

@@ -9,8 +9,6 @@ Expected shape: best-fit uses the fewest hosts; balanced yields the
 most even spread; first-fit sits in between on both axes.
 """
 
-import pytest
-
 from repro.bench.tables import emit, format_table
 from repro.core.connection import Connection
 from repro.core.uri import ConnectionURI

@@ -10,8 +10,6 @@ cover the full surface; containers lack save/restore and migration;
 the proprietary remote hypervisor (ESX) covers lifecycle control only.
 """
 
-import pytest
-
 import repro
 from repro.bench.tables import emit, format_table
 from repro.bench.workloads import build_local_connection

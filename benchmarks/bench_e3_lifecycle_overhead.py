@@ -25,7 +25,6 @@ import pytest
 
 from repro.bench.tables import emit, format_table
 from repro.bench.workloads import build_local_connection, guest_config
-from repro.hypervisors.base import RunState
 from repro.util.units import format_duration
 
 OPS = ("start", "suspend", "resume", "shutdown", "destroy")

@@ -11,8 +11,6 @@ not per-message latency, starts to dominate); connection setup is
 dramatically more expensive for the encrypted transports.
 """
 
-import pytest
-
 import repro
 from repro.bench.tables import emit, format_series, format_table
 from repro.daemon import Libvirtd

@@ -21,8 +21,6 @@ window throttles the connection.
 
 import time
 
-import pytest
-
 from repro.bench.tables import emit, format_series
 from repro.bench.workloads import build_local_connection, guest_config
 from repro.daemon.libvirtd import Libvirtd

@@ -18,8 +18,6 @@ All figures are virtual-clock or counter quantities: exact functions
 of the model, gated in ``check_regression.py``.
 """
 
-import pytest
-
 import repro
 from repro.bench.tables import emit, format_table
 from repro.daemon import Libvirtd

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Callable, List, Optional, Sequence, TextIO
 
 import repro
-from repro.core.states import DomainState, state_name
+from repro.core.states import state_name
 from repro.errors import VirtError
 from repro.util.units import format_size
 from repro.xmlconfig.storage import VolumeConfig

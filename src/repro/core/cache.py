@@ -16,7 +16,7 @@ says otherwise.  The coherence rules are deliberately simple:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 
 class InvalidationCache:

@@ -277,9 +277,7 @@ class Libvirtd:
             "kvm": qemu,
             "xen": XenDriver(XenBackend(host=host(), clock=self.clock)),
             "lxc": LxcDriver(ContainerBackend(host=host(), clock=self.clock)),
-            "test": __import__(
-                "repro.drivers.test", fromlist=["TestDriver"]
-            ).TestDriver(seed_default=False),
+            "test": TestDriver(seed_default=False),
         }
 
     # ==================================================================
@@ -725,6 +723,18 @@ class Libvirtd:
                 "count": int(summary["count"]),
                 "mean_seconds": summary["mean"],
             }
+        procedures: Dict[str, Any] = {}
+        for labels, child in self.metrics.get("rpc_server_dispatch_seconds").samples():
+            if labels["server"] != server:
+                continue
+            summary = child.summary()
+            if not summary["count"]:
+                continue  # stale child left by reset-stats
+            procedures[labels["procedure"]] = {
+                "count": int(summary["count"]),
+                "mean_seconds": summary["mean"],
+                "max_seconds": summary["max"],
+            }
         rpc_stats: Dict[str, Any] = {
             "calls_served": rpc.calls_served,
             "calls_failed": rpc.calls_failed,
@@ -733,22 +743,8 @@ class Libvirtd:
             "calls_rejected": rpc.calls_rejected,
             "calls_inflight": rpc.inflight_calls(),
             "max_client_requests": rpc.max_client_requests,
+            "procedures": procedures,
         }
-        if rpc.metrics is not None and "rpc_server_dispatch_seconds" in rpc.metrics:
-            dispatch = rpc.metrics.get("rpc_server_dispatch_seconds")
-            procedures: Dict[str, Any] = {}
-            for labels, child in dispatch.samples():
-                if labels.get("server") != server:
-                    continue
-                summary = child.summary()
-                if not summary["count"]:
-                    continue  # stale child left by reset-stats
-                procedures[labels["procedure"]] = {
-                    "count": int(summary["count"]),
-                    "mean_seconds": summary["mean"],
-                    "max_seconds": summary["max"],
-                }
-            rpc_stats["procedures"] = procedures
         return {
             "hostname": self.hostname,
             "server": server,
@@ -807,10 +803,6 @@ class Libvirtd:
         spans = self.tracer.spans_finished
         self.metrics.reset()
         self.tracer.reset()
-        with self._lock:
-            rpcs = list(self._rpc_by_server.values())
-        for rpc in rpcs:
-            rpc.reset_counters()
         self.logger.structured(
             LOG_INFO, "observability.metrics", "stats_reset",
             families=families, spans_dropped=spans,

@@ -7,7 +7,7 @@ DNS + the network path, mapping hostnames to in-process daemons.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.errors import ConnectionError_
 

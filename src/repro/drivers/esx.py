@@ -10,7 +10,7 @@ from the capability set.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.driver import Driver
 from repro.core.states import DomainState

@@ -12,7 +12,7 @@ directly (``QemuDriver(backend=...)``) or call :func:`reset_nodes`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import InvalidURIError
 from repro.hypervisors.esx_backend import EsxBackend

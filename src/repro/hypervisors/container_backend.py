@@ -11,12 +11,11 @@ virtual machines (a ratio the benchmarks reproduce).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import (
     DomainExistsError,
     InvalidArgumentError,
-    InvalidOperationError,
     NoDomainError,
 )
 from repro.hypervisors.base import Backend, GuestRuntime, RunState

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import NoDomainError
-from repro.hypervisors.base import KIB_PER_GIB, Backend, GuestRuntime, RunState
+from repro.hypervisors.base import Backend, GuestRuntime, RunState
 from repro.util import uuidutil
 from repro.xmlconfig.domain import DomainConfig
 

@@ -9,7 +9,7 @@ through the xenstore hierarchy.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import (
     DomainExistsError,

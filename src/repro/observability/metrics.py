@@ -18,9 +18,12 @@ Design notes:
 * labelled metrics follow the Prometheus family/child model: a family
   (``rpc_server_calls_total``) fans out into children per label value
   (``{procedure="domain.create"}``), created lazily on first touch;
-* instrumented code guards every emission with ``if metrics is not
-  None`` — a component without a registry pays one attribute test and
-  nothing else, preserving the paper's negligible-overhead claim.
+* the daemon's components (RPC server, workerpool, listener, tracer)
+  always own a registry — a private one when built without — and their
+  aggregate counts (``calls_served``, ``jobs_completed``, …) are reads
+  of its series, never a second tally; client-side code guards each
+  emission with ``if metrics is not None`` and pays one attribute test
+  without a registry.
 """
 
 from __future__ import annotations
@@ -322,6 +325,20 @@ class MetricFamily:
     def children(self) -> "List[Tuple[Tuple[str, ...], Any]]":
         with self._lock:
             return sorted(self._children.items())
+
+    def count(self, **match: str) -> int:
+        """Events counted by the children whose labels include ``match``:
+        a counter's value, a histogram's observations.  Reading creates
+        no child, so it never adds a series to the export."""
+        where = [(self.labelnames.index(name), value) for name, value in match.items()]
+        with self._lock:
+            children = [
+                child for key, child in self._children.items()
+                if all(key[i] == value for i, value in where)
+            ]
+        if self.type == HISTOGRAM:
+            return sum(child.count for child in children)
+        return int(sum(child.value for child in children))
 
     def samples(self) -> "List[Tuple[Dict[str, str], Any]]":
         """``(labels_dict, instrument)`` pairs for every child."""

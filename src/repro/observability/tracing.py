@@ -36,6 +36,8 @@ import threading
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
+from repro.observability.metrics import MetricsRegistry
+
 #: one id space for every tracer in the process — span ids must not
 #: collide when client and daemon spans join the same trace.  Taken with
 #: a bare ``next(_IDS)``: ``itertools.count.__next__`` runs in C without
@@ -195,17 +197,17 @@ class Tracer:
     """Span factory with a bounded finished-span buffer and an
     open-span table for querying in-flight traces.
 
-    ``metrics`` is optional (non-intrusiveness rule): with a registry,
-    every finished span observes ``span_seconds{name}`` and every span
+    Every finished span observes ``span_seconds{name}`` and every span
     adopted from a wire-propagated context increments
-    ``spans_propagated_total``; without one, nothing is emitted.
+    ``spans_propagated_total`` in ``metrics`` — a private registry on
+    ``now`` when none is given; ``spans_propagated`` reads it back.
     """
 
     def __init__(
         self,
         now: Callable[[], float],
         max_finished: int = 2048,
-        metrics: "Optional[Any]" = None,
+        metrics: "Optional[MetricsRegistry]" = None,
     ) -> None:
         self._now = now
         self._local = _ThreadState()
@@ -216,19 +218,16 @@ class Tracer:
         self.spans_failed = 0
         #: spans force-finished because an enclosing span exited first
         self.spans_orphaned = 0
-        #: spans whose parent context arrived over the wire
-        self.spans_propagated = 0
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_span_seconds = metrics.histogram(
-                "span_seconds",
-                "Modelled span durations by span name",
-                ("name",),
-            ).by("name")
-            self._m_propagated = metrics.counter(
-                "spans_propagated_total",
-                "Spans created under a wire-propagated parent context",
-            )
+        self.metrics = metrics = metrics or MetricsRegistry(now)
+        self._m_span_seconds = metrics.histogram(
+            "span_seconds",
+            "Modelled span durations by span name",
+            ("name",),
+        ).by("name")
+        self._m_propagated = metrics.counter(
+            "spans_propagated_total",
+            "Spans created under a wire-propagated parent context",
+        )
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -293,10 +292,8 @@ class Tracer:
             stack.append(span)
         with self._lock:
             self.spans_started += 1
-            if propagated:
-                self.spans_propagated += 1
             self._open[span_id] = span
-        if propagated and self.metrics is not None:
+        if propagated:
             self._m_propagated.inc()
         return span
 
@@ -325,8 +322,7 @@ class Tracer:
                 self.spans_failed += 1
             self.spans_orphaned += orphaned
             self._finished.append(span)
-        if self.metrics is not None:
-            self._m_span_seconds[span.name].observe(end - span.start)
+        self._m_span_seconds[span.name].observe(end - span.start)
 
     def record_interrupted(
         self,
@@ -362,8 +358,7 @@ class Tracer:
             self.spans_started += 1
             self.spans_failed += 1
             self._finished.append(span)
-        if self.metrics is not None:
-            self._m_span_seconds[span.name].observe(span.end - span.start)
+        self._m_span_seconds[span.name].observe(span.end - span.start)
         return span
 
     # -- context propagation -----------------------------------------------
@@ -411,6 +406,11 @@ class Tracer:
     def spans_finished(self) -> int:
         with self._lock:
             return len(self._finished)
+
+    @property
+    def spans_propagated(self) -> int:
+        """Spans whose parent context arrived over the wire."""
+        return self._m_propagated.count()
 
     @property
     def spans_open(self) -> int:
@@ -478,12 +478,12 @@ class Tracer:
         ]
 
     def reset(self) -> None:
-        """Drop finished spans and zero the counters.  Open spans are
-        deliberately *kept*: an in-flight trace keeps accumulating and
-        finishes intact after a ``reset-stats``."""
+        """Drop finished spans and zero the counters, ``spans_propagated``'s
+        series included.  Open spans are deliberately *kept*: an in-flight
+        trace keeps accumulating and finishes intact after a ``reset-stats``."""
         with self._lock:
             self._finished.clear()
             self.spans_started = 0
             self.spans_failed = 0
             self.spans_orphaned = 0
-            self.spans_propagated = 0
+        self._m_propagated.reset()

@@ -38,6 +38,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import DaemonCrashError, InvalidArgumentError, RPCError, VirtError
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import SpanContext
 from repro.rpc.procedures import BY_NAME
 from repro.rpc.protocol import (
@@ -55,8 +56,7 @@ from repro.rpc.transport import ASYNC_REPLY, ServerConnection
 from repro.stream.core import DEFAULT_WINDOW, ServerStream
 from repro.util.threadpool import WorkerPool
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.observability.metrics import MetricsRegistry
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.observability.tracing import Tracer
 
 Handler = Callable[[ServerConnection, Any], Any]
@@ -99,17 +99,20 @@ class _DispatchJob:
 class _InflightWindow:
     """Per-connection in-flight accounting (``max_client_requests``)."""
 
-    __slots__ = ("lock", "inflight", "queue", "peak")
+    __slots__ = ("lock", "inflight", "queue")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.inflight = 0
         self.queue: "Deque[_DispatchJob]" = deque()
-        self.peak = 0
 
 
 class RPCServer:
-    """Routes unpacked calls to handlers and packs the replies."""
+    """Routes unpacked calls to handlers and packs the replies.
+
+    Every count lives in ``metrics`` — a private registry when none is
+    given — and ``calls_served`` and its siblings read it back.
+    """
 
     def __init__(
         self,
@@ -137,11 +140,6 @@ class RPCServer:
         self._dispatch_ctx = threading.local()
         self.max_client_requests = max_client_requests
         self.max_queued_requests = max_queued_requests
-        self.calls_served = 0
-        self.calls_failed = 0
-        self.calls_queued = 0
-        self.calls_rejected = 0
-        self.pings_answered = 0
         #: optional hook fired on every keepalive PING (activity tracking)
         self.on_ping: "Optional[Callable[[ServerConnection], None]]" = None
         #: optional flight recorder: every dispatch records its frame
@@ -152,50 +150,49 @@ class RPCServer:
         #: dispatch ordinals, the ``call`` of a begin/end pair: serials
         #: repeat across connections, these do not
         self._calls = itertools.count(1)
-        self.metrics = metrics
+        self.metrics = metrics = metrics or MetricsRegistry()
         self.tracer = tracer
         #: label value distinguishing server objects sharing one registry
         self.name = name
-        if metrics is not None:
-            calls = metrics.counter(
-                "rpc_server_calls_total",
-                "Dispatched calls by server, procedure, and outcome",
-                ("server", "procedure", "status"),
-            )
-            self._m_served = calls.by("procedure", server=name, status="ok")
-            self._m_failed = calls.by("procedure", server=name, status="error")
-            self._m_latency = metrics.histogram(
-                "rpc_server_dispatch_seconds",
-                "Modelled dispatch latency (queue wait + handler service)",
-                ("server", "procedure"),
-            ).by("procedure", server=name)
-            self._m_pings = metrics.counter(
-                "rpc_server_keepalive_pings_total",
-                "Keepalive PINGs answered inline",
-                ("server",),
-            ).by("server")
-            self._m_backpressure = metrics.counter(
-                "rpc_server_backpressure_total",
-                "Calls that hit the per-connection in-flight window",
-                ("server", "outcome"),
-            ).by("outcome", server=name)
-            inflight = metrics.gauge(
-                "rpc_server_inflight_calls",
-                "Calls executing or queued behind the in-flight window",
-                ("server",),
-            )
-            inflight.labels(server=name).set_function(self.inflight_calls)
-            self._m_stream_bytes = metrics.counter(
-                "stream_bytes_total",
-                "Bulk bytes moved over streams by direction (daemon view)",
-                ("server", "direction"),
-            ).by("direction", server=name)
-            stream_active = metrics.gauge(
-                "stream_active",
-                "Streams currently open on the daemon",
-                ("server",),
-            )
-            stream_active.labels(server=name).set_function(self.active_streams)
+        calls = metrics.counter(
+            "rpc_server_calls_total",
+            "Dispatched calls by server, procedure, and outcome",
+            ("server", "procedure", "status"),
+        )
+        self._m_served = calls.by("procedure", server=name, status="ok")
+        self._m_failed = calls.by("procedure", server=name, status="error")
+        self._m_latency = metrics.histogram(
+            "rpc_server_dispatch_seconds",
+            "Modelled dispatch latency (queue wait + handler service)",
+            ("server", "procedure"),
+        ).by("procedure", server=name)
+        self._m_pings = metrics.counter(
+            "rpc_server_keepalive_pings_total",
+            "Keepalive PINGs answered inline",
+            ("server",),
+        ).by("server")
+        self._m_backpressure = metrics.counter(
+            "rpc_server_backpressure_total",
+            "Calls that hit the per-connection in-flight window",
+            ("server", "outcome"),
+        ).by("outcome", server=name)
+        inflight = metrics.gauge(
+            "rpc_server_inflight_calls",
+            "Calls executing or queued behind the in-flight window",
+            ("server",),
+        )
+        inflight.labels(server=name).set_function(self.inflight_calls)
+        self._m_stream_bytes = metrics.counter(
+            "stream_bytes_total",
+            "Bulk bytes moved over streams by direction (daemon view)",
+            ("server", "direction"),
+        ).by("direction", server=name)
+        stream_active = metrics.gauge(
+            "stream_active",
+            "Streams currently open on the daemon",
+            ("server",),
+        )
+        stream_active.labels(server=name).set_function(self.active_streams)
 
     def _procedure_label(self, number: int) -> str:
         try:
@@ -203,14 +200,34 @@ class RPCServer:
         except RPCError:
             return f"unknown:{number}"
 
-    def reset_counters(self) -> None:
-        """Zero the aggregate counters (``reset-stats``)."""
-        with self._lock:
-            self.calls_served = 0
-            self.calls_failed = 0
-            self.calls_queued = 0
-            self.calls_rejected = 0
-            self.pings_answered = 0
+    # -- aggregate counts, read from the registry ---------------------------
+
+    def _count(self, family: str, **match: str) -> int:
+        return self.metrics.get(family).count(server=self.name, **match)
+
+    @property
+    def calls_served(self) -> int:
+        """Successful calls, pooled or inline (``rpc_server_calls_total``)."""
+        return self._count("rpc_server_calls_total", status="ok")
+
+    @property
+    def calls_failed(self) -> int:
+        """Error replies, early rejections included."""
+        return self._count("rpc_server_calls_total", status="error")
+
+    @property
+    def calls_queued(self) -> int:
+        """Calls that waited behind a full in-flight window."""
+        return self._count("rpc_server_backpressure_total", outcome="queued")
+
+    @property
+    def calls_rejected(self) -> int:
+        """Calls refused because the window's queue was full too."""
+        return self._count("rpc_server_backpressure_total", outcome="rejected")
+
+    @property
+    def pings_answered(self) -> int:
+        return self._count("rpc_server_keepalive_pings_total")
 
     def register(self, name: str, handler: Handler, priority: bool = False) -> None:
         """Bind ``handler`` to a procedure name from the protocol table.
@@ -263,15 +280,6 @@ class RPCServer:
             with window.lock:
                 total += window.inflight + len(window.queue)
         return total
-
-    def _record_backpressure(self, outcome: str) -> None:
-        with self._lock:
-            if outcome == "queued":
-                self.calls_queued += 1
-            else:
-                self.calls_rejected += 1
-        if self.metrics is not None:
-            self._m_backpressure[outcome].inc()
 
     # -- dispatch pipeline ------------------------------------------------
 
@@ -332,7 +340,7 @@ class RPCServer:
         with window.lock:
             if window.inflight >= self.max_client_requests:
                 if len(window.queue) >= self.max_queued_requests:
-                    self._record_backpressure("rejected")
+                    self._m_backpressure["rejected"].inc()
                     return self._error_reply(
                         message.procedure,
                         message.serial,
@@ -343,10 +351,9 @@ class RPCServer:
                         ),
                     )
                 window.queue.append(job)
-                self._record_backpressure("queued")
+                self._m_backpressure["queued"].inc()
                 return ASYNC_REPLY
             window.inflight += 1
-            window.peak = max(window.peak, window.inflight)
         if not blocking:
             return self._run_inline(conn, window, job)
         self._submit_job(conn, window, job)
@@ -416,7 +423,6 @@ class RPCServer:
                     return
                 job = window.queue.popleft()
                 window.inflight += 1
-                window.peak = max(window.peak, window.inflight)
             if not self._submit_job(conn, window, job):
                 return
 
@@ -487,10 +493,7 @@ class RPCServer:
             if failure is not None:
                 reply = self._error_reply(message.procedure, message.serial, failure)
             else:
-                with self._lock:
-                    self.calls_served += 1
-                if self.metrics is not None:
-                    self._m_served[label].inc()
+                self._m_served[label].inc()
                 reply = RPCMessage(
                     message.procedure,
                     MessageType.REPLY,
@@ -498,8 +501,7 @@ class RPCServer:
                     ReplyStatus.OK,
                     result,
                 ).pack()
-            if self.metrics is not None:
-                self._m_latency[label].observe(clock.now() - job.started)
+            self._m_latency[label].observe(clock.now() - job.started)
             if recorder is not None:
                 recorder.record(
                     "rpc.end",
@@ -517,19 +519,13 @@ class RPCServer:
         (mirroring ``virKeepAlive`` running from the event loop)."""
         if message.mtype != MessageType.CALL or message.procedure != KEEPALIVE_PING:
             return None  # keepalive carries no errors; ignore strays
-        with self._lock:
-            self.pings_answered += 1
-        if self.metrics is not None:
-            self._m_pings[self.name].inc()
+        self._m_pings[self.name].inc()
         if self.on_ping is not None:
             self.on_ping(conn)
         return make_pong(message.serial).pack()
 
     def _error_reply(self, procedure: int, serial: int, exc: VirtError) -> bytes:
-        with self._lock:
-            self.calls_failed += 1
-        if self.metrics is not None:
-            self._m_failed[self._procedure_label(procedure)].inc()
+        self._m_failed[self._procedure_label(procedure)].inc()
         reply = RPCMessage(
             procedure,
             MessageType.REPLY,
@@ -629,8 +625,7 @@ class RPCServer:
         return len(streams)
 
     def _count_stream_bytes(self, direction: str, amount: int) -> None:
-        if self.metrics is not None:
-            self._m_stream_bytes[direction].inc(amount)
+        self._m_stream_bytes[direction].inc(amount)
 
     def _stream_closed(self, stream: ServerStream, outcome: str) -> None:
         """Bookkeeping for any stream teardown (finish and abort)."""

@@ -29,11 +29,11 @@ from repro.errors import (
     TransportHangError,
     TransportStalledError,
 )
+from repro.observability.metrics import MetricsRegistry
 from repro.util.clock import Clock, VirtualClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
-    from repro.observability.metrics import MetricsRegistry
 
 #: modelled stand-in for "blocked forever": a client with no deadline
 #: and no keepalive charges a full day of simulated time on a dead link
@@ -617,57 +617,54 @@ class Listener:
         self._connections: "list[ServerConnection]" = []
         self._lock = threading.Lock()
         self._fault_plan: "Optional[FaultPlan]" = None
+        #: per-listener connection counts: ``transport_connections_total``
+        #: is per transport, and two servers' listeners may share one
         self.accepted = 0
         self.rejected = 0
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_conns = metrics.counter(
-                "transport_connections_total",
-                "Connection attempts by transport and outcome",
-                ("transport", "outcome"),
-            )
-            self._m_bytes_in = metrics.counter(
-                "transport_bytes_received_total",
-                "Payload bytes received by the daemon",
-                ("transport",),
-            ).by("transport")
-            self._m_bytes_out = metrics.counter(
-                "transport_bytes_sent_total",
-                "Payload bytes sent by the daemon",
-                ("transport",),
-            ).by("transport")
-            self._m_lost = metrics.counter(
-                "transport_frames_lost_total",
-                "Frames that never produced a reply (drops, dead links)",
-                ("transport",),
-            )
-            self._m_faults = metrics.counter(
-                "transport_faults_total",
-                "Fault injections observed on the wire",
-                ("transport", "kind"),
-            )
+        #: a private registry on the listener's clock when none is given
+        self.metrics = metrics = metrics or MetricsRegistry(self.clock.now)
+        self._m_conns = metrics.counter(
+            "transport_connections_total",
+            "Connection attempts by transport and outcome",
+            ("transport", "outcome"),
+        )
+        self._m_bytes_in = metrics.counter(
+            "transport_bytes_received_total",
+            "Payload bytes received by the daemon",
+            ("transport",),
+        ).by("transport")
+        self._m_bytes_out = metrics.counter(
+            "transport_bytes_sent_total",
+            "Payload bytes sent by the daemon",
+            ("transport",),
+        ).by("transport")
+        self._m_lost = metrics.counter(
+            "transport_frames_lost_total",
+            "Frames that never produced a reply (drops, dead links)",
+            ("transport",),
+        )
+        self._m_faults = metrics.counter(
+            "transport_faults_total",
+            "Fault injections observed on the wire",
+            ("transport", "kind"),
+        )
 
-    # -- metric recording (no-ops without a registry) ----------------------
+    # -- metric recording ----------------------------------------------------
 
     def _record_bytes(self, sent: int = 0, received: int = 0) -> None:
-        if self.metrics is None:
-            return
         if sent:
             self._m_bytes_out[self.spec.name].inc(sent)
         if received:
             self._m_bytes_in[self.spec.name].inc(received)
 
     def _record_loss(self) -> None:
-        if self.metrics is not None:
-            self._m_lost.labels(transport=self.spec.name).inc()
+        self._m_lost.labels(transport=self.spec.name).inc()
 
     def _record_fault(self, kind: str) -> None:
-        if self.metrics is not None:
-            self._m_faults.labels(transport=self.spec.name, kind=kind).inc()
+        self._m_faults.labels(transport=self.spec.name, kind=kind).inc()
 
     def _record_connection(self, outcome: str) -> None:
-        if self.metrics is not None:
-            self._m_conns.labels(transport=self.spec.name, outcome=outcome).inc()
+        self._m_conns.labels(transport=self.spec.name, outcome=outcome).inc()
 
     def install_fault_plan(self, plan: "Optional[FaultPlan]") -> None:
         """Apply ``plan`` to every channel accepted from now on.

@@ -78,7 +78,6 @@ class StateJournal:
         self.snapshot_lsn = 0
         self.replayed_records = 0
         self.torn_tail_discarded = False
-        self.appends = 0
         self._load()
 
     # -- public KV surface -------------------------------------------------
@@ -119,7 +118,6 @@ class StateJournal:
             self.statedir.append(self.JOURNAL_FILE, self._encode(kind, key, data))
             lsn = self.lsn = self.lsn + 1
             self.tail_records += 1
-            self.appends += 1
             if data is None:
                 self._kv.pop((kind, key), None)
             else:

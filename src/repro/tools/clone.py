@@ -16,7 +16,7 @@ from typing import Optional
 from repro.core.connection import Connection
 from repro.core.domain import Domain
 from repro.core.states import DomainState
-from repro.errors import InvalidOperationError, NoStoragePoolError, VirtError
+from repro.errors import InvalidOperationError
 from repro.xmlconfig.storage import VolumeConfig
 
 

@@ -27,12 +27,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import InvalidArgumentError, InvalidOperationError, OperationAbortedError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 
 
 class _Job:
@@ -44,12 +42,16 @@ class _Job:
         self.kwargs = kwargs
         self.priority = priority
         self.future: "Future[Any]" = Future()
-        #: modelled enqueue time, stamped by the pool when metrics are on
+        #: modelled enqueue time, stamped by the pool
         self.enqueued_at = 0.0
 
 
 class WorkerPool:
-    """A bounded, dynamically sized pool with a priority lane."""
+    """A bounded, dynamically sized pool with a priority lane.
+
+    Its counts live in ``metrics`` — a private registry on ``now`` when
+    none is given; ``jobs_completed`` reads the service histogram.
+    """
 
     def __init__(
         self,
@@ -62,43 +64,42 @@ class WorkerPool:
     ) -> None:
         _validate_limits(min_workers, max_workers, prio_workers)
         self.name = name
-        self.metrics = metrics
-        self._now = now or (metrics.now if metrics is not None else (lambda: 0.0))
-        if metrics is not None:
-            self._m_jobs = metrics.counter(
-                "workerpool_jobs_total",
-                "Jobs submitted, by pool and lane",
-                ("pool", "lane"),
-            ).by("lane", pool=name)
-            self._m_wait = metrics.histogram(
-                "workerpool_job_wait_seconds",
-                "Modelled time a job spent queued before a worker took it",
-                ("pool",),
-            ).by("pool")
-            self._m_service = metrics.histogram(
-                "workerpool_job_service_seconds",
-                "Modelled time a worker spent executing a job",
-                ("pool",),
-            ).by("pool")
-            # live-view gauges: evaluated at scrape time, never pushed
-            depth = metrics.gauge(
-                "workerpool_queue_depth", "Jobs waiting for a worker", ("pool",)
-            )
-            depth.labels(pool=name).set_function(
-                lambda: len(self._queue) + len(self._prio_queue)
-            )
-            workers = metrics.gauge(
-                "workerpool_workers", "Worker threads by kind", ("pool", "kind")
-            )
-            workers.labels(pool=name, kind="total").set_function(
-                lambda: self._n_workers
-            )
-            workers.labels(pool=name, kind="free").set_function(
-                lambda: self._free_workers
-            )
-            workers.labels(pool=name, kind="priority").set_function(
-                lambda: self._n_prio_workers
-            )
+        self.metrics = metrics = metrics or MetricsRegistry(now)
+        self._now = now or metrics.now
+        self._m_jobs = metrics.counter(
+            "workerpool_jobs_total",
+            "Jobs submitted, by pool and lane",
+            ("pool", "lane"),
+        ).by("lane", pool=name)
+        self._m_wait = metrics.histogram(
+            "workerpool_job_wait_seconds",
+            "Modelled time a job spent queued before a worker took it",
+            ("pool",),
+        ).by("pool")
+        self._m_service = metrics.histogram(
+            "workerpool_job_service_seconds",
+            "Modelled time a worker spent executing a job",
+            ("pool",),
+        ).by("pool")
+        # live-view gauges: evaluated at scrape time, never pushed
+        depth = metrics.gauge(
+            "workerpool_queue_depth", "Jobs waiting for a worker", ("pool",)
+        )
+        depth.labels(pool=name).set_function(
+            lambda: len(self._queue) + len(self._prio_queue)
+        )
+        workers = metrics.gauge(
+            "workerpool_workers", "Worker threads by kind", ("pool", "kind")
+        )
+        workers.labels(pool=name, kind="total").set_function(
+            lambda: self._n_workers
+        )
+        workers.labels(pool=name, kind="free").set_function(
+            lambda: self._free_workers
+        )
+        workers.labels(pool=name, kind="priority").set_function(
+            lambda: self._n_prio_workers
+        )
         self._lock = threading.Lock()
         #: where idle ordinary / priority workers park (one lock, two queues)
         self._cond = threading.Condition(self._lock)
@@ -118,7 +119,6 @@ class WorkerPool:
         self._free_workers = 0
         self._quit = False
         self._threads: List[threading.Thread] = []
-        self._jobs_completed = 0
         self._jobs_cancelled = 0
         with self._lock:
             for _ in range(min_workers):
@@ -138,8 +138,7 @@ class WorkerPool:
         only ever executed by ordinary workers.
         """
         job = _Job(func, args, kwargs, priority)
-        if self.metrics is not None:
-            job.enqueued_at = self._now()
+        job.enqueued_at = self._now()
         with self._lock:
             if self._quit:
                 raise InvalidOperationError(f"workerpool {self.name!r} is shut down")
@@ -159,8 +158,7 @@ class WorkerPool:
             elif priority and self._prio_parked:
                 self._prio_parked -= 1
                 self._prio_cond.notify()
-        if self.metrics is not None:
-            self._m_jobs["priority" if priority else "normal"].inc()
+        self._m_jobs["priority" if priority else "normal"].inc()
         return job.future
 
     def set_parameters(
@@ -201,11 +199,14 @@ class WorkerPool:
 
     @property
     def jobs_completed(self) -> int:
-        with self._lock:
-            return self._jobs_completed
+        """Jobs a worker ran: the count of ``workerpool_job_service_seconds``
+        (zeroed by ``reset-stats`` with the rest of the registry)."""
+        return self.metrics.get("workerpool_job_service_seconds").count(pool=self.name)
 
     @property
     def jobs_cancelled(self) -> int:
+        """Futures cancelled while queued.  No series counts them, so this
+        is a plain counter of the pool's own and ``reset-stats`` leaves it."""
         with self._lock:
             return self._jobs_cancelled
 
@@ -292,20 +293,15 @@ class WorkerPool:
                 with self._lock:
                     self._jobs_cancelled += 1
                 continue
-            started = 0.0
-            if self.metrics is not None:
-                started = self._now()
-                self._m_wait[self.name].observe(max(0.0, started - job.enqueued_at))
+            started = self._now()
+            self._m_wait[self.name].observe(max(0.0, started - job.enqueued_at))
             try:
                 result = job.func(*job.args, **job.kwargs)
             except BaseException as exc:  # noqa: BLE001 - forwarded via the future
                 _deliver(job.future.set_exception, exc)
             else:
                 _deliver(job.future.set_result, result)
-            if self.metrics is not None:
-                self._m_service[self.name].observe(max(0.0, self._now() - started))
-            with self._lock:
-                self._jobs_completed += 1
+            self._m_service[self.name].observe(max(0.0, self._now() - started))
 
     def _take_job_locked(self, priority: bool) -> "Optional[_Job]":
         """Wait for and dequeue a job; None means the worker must exit."""

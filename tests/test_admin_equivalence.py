@@ -21,7 +21,6 @@ Input sub-domains and classes:
 
 import pytest
 
-import repro
 from repro.admin import admin_open
 from repro.daemon import Libvirtd
 from repro.errors import (

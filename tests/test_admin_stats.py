@@ -6,6 +6,8 @@ Prometheus exposition page reflect the traffic that actually happened.
 """
 
 import io
+import threading
+import time
 
 import pytest
 
@@ -13,7 +15,7 @@ import repro
 from repro.admin import admin_open
 from repro.cli import virt_admin
 from repro.daemon import Libvirtd
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, NoDomainError, RPCError
 from repro.observability.export import parse_prometheus
 from repro.observability.metrics import MetricsRegistry
 from repro.util.virtlog import LOG_INFO
@@ -26,6 +28,29 @@ def kvm_xml(name="statsvm"):
 
     return DomainConfig(
         name=name, domain_type="kvm", memory_kib=GiB_KIB, vcpus=1
+    )
+
+
+def settle(daemon):
+    """Wait until the pool has counted every job it was given: a worker
+    counts a job after its reply has already reached the client."""
+    submitted = daemon.metrics.get("workerpool_jobs_total")
+    deadline = time.monotonic() + 5
+    while daemon.pool.jobs_completed < sum(
+        child.value for labels, child in submitted.samples() if labels["pool"] == daemon.pool.name
+    ):
+        assert time.monotonic() < deadline, "pool never counted its jobs"
+        time.sleep(0.005)
+
+
+def page_total(page, sample, **match):
+    """Sum of one sample name's series on a parsed exposition page."""
+    family = sample[: -len("_count")] if sample.endswith("_count") else sample
+    if family not in page:
+        return 0
+    return sum(
+        value for name, labels, value in page[family].samples
+        if name == sample and match.items() <= labels.items()
     )
 
 
@@ -201,6 +226,75 @@ class TestResetStats:
         # live views survive a reset: the clients are still connected
         assert after["clients"]["connected"] >= 1
         assert after["workerpool"]["nWorkers"] >= 3
+
+    def test_reset_zeroes_jobs_completed(self, daemon, traffic):
+        """``jobsCompleted`` is the count of ``workerpool_job_service_seconds``,
+        so ``reset-stats`` zeroes it with every other series.  (``jobs_cancelled``
+        has no series: it is a plain counter of the pool's, and reset leaves it.)"""
+        settle(daemon)
+        assert daemon.server_stats()["jobs_completed"] > 0
+        daemon.reset_stats()
+        assert daemon.server_stats()["jobs_completed"] == 0
+
+
+class TestStatsMatchExposition:
+    def test_every_aggregate_is_its_series(self):
+        """Each number ``server-stats`` prints is a read of one series, so it
+        equals that series on the exposition page: OK calls, an error reply,
+        a keepalive ping, a queued and a rejected call, pooled jobs and
+        wire-propagated spans."""
+        gate = threading.Event()
+        with Libvirtd(hostname="onecount", max_client_requests=1) as daemon:
+            daemon.listen("unix")
+            daemon.rpc.register("domain.save", lambda conn, body: gate.wait(timeout=30.0))
+            daemon.rpc.max_queued_requests = 1
+            conn = repro.open_connection("qemu+unix://onecount/system")
+            client = conn._driver.client
+            client.tracer = daemon.tracer  # so dispatches adopt a wire context
+            dom = conn.define_domain(kvm_xml("counted"))
+            dom.create()
+            dom.destroy()
+            with pytest.raises(NoDomainError):
+                conn.lookup_domain("missing")
+            assert client.send_ping() is True
+            first = client.call_async("domain.save", "a")
+            second = client.call_async("domain.save", "b")  # queued
+            third = client.call_async("domain.save", "c")  # rejected
+            with pytest.raises(RPCError, match="max_client_requests exceeded"):
+                third.result()
+            gate.set()
+            first.result()
+            second.result()
+            settle(daemon)
+            stats = daemon.server_stats()
+            page = parse_prometheus(daemon.metrics_text())
+            conn.close()
+        rpc = stats["rpc"]
+        server = {"server": "libvirtd"}
+        assert (rpc["calls_queued"], rpc["calls_rejected"], rpc["pings_answered"]) == (1, 1, 1)
+        assert rpc["calls_failed"] >= 2 and stats["jobs_completed"] >= 5
+        assert stats["tracing"]["spans_propagated"] > 0
+        assert rpc["calls_served"] == page_total(
+            page, "rpc_server_calls_total", status="ok", **server
+        )
+        assert rpc["calls_failed"] == page_total(
+            page, "rpc_server_calls_total", status="error", **server
+        )
+        assert rpc["pings_answered"] == page_total(
+            page, "rpc_server_keepalive_pings_total", **server
+        )
+        assert rpc["calls_queued"] == page_total(
+            page, "rpc_server_backpressure_total", outcome="queued", **server
+        )
+        assert rpc["calls_rejected"] == page_total(
+            page, "rpc_server_backpressure_total", outcome="rejected", **server
+        )
+        assert stats["jobs_completed"] == page_total(
+            page, "workerpool_job_service_seconds_count", pool="libvirtd@onecount"
+        )
+        assert stats["tracing"]["spans_propagated"] == page_total(
+            page, "spans_propagated_total"
+        )
 
 
 class TestStatsLogging:

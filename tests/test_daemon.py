@@ -4,8 +4,7 @@ import threading
 
 import pytest
 
-import repro
-from repro.daemon import Libvirtd, lookup_daemon, register_daemon, reset_daemons
+from repro.daemon import Libvirtd, lookup_daemon, reset_daemons
 from repro.errors import (
     AuthenticationError,
     ConnectionClosedError,
@@ -16,7 +15,6 @@ from repro.errors import (
     TransportHangError,
 )
 from repro.rpc.client import RPCClient
-from repro.util.clock import VirtualClock
 from repro.xmlconfig.domain import DomainConfig
 
 GiB_KIB = 1024 * 1024

@@ -7,7 +7,6 @@ from repro.core.connection import Connection
 from repro.core.uri import ConnectionURI
 from repro.daemon import Libvirtd
 from repro.drivers.qemu import QemuDriver
-from repro.errors import UnsupportedError
 from repro.hypervisors.host import SimHost
 from repro.hypervisors.qemu_backend import QemuBackend
 from repro.util.clock import VirtualClock

@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.core.states import DomainState
 from repro.daemon import Libvirtd
-from repro.errors import NoDomainError, OperationFailedError
+from repro.errors import NoDomainError
 from repro.xmlconfig.domain import DomainConfig
 from repro.xmlconfig.network import NetworkConfig
 from repro.xmlconfig.storage import StoragePoolConfig, VolumeConfig

@@ -2,7 +2,6 @@
 
 import pathlib
 import runpy
-import sys
 
 import pytest
 

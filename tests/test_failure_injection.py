@@ -56,7 +56,7 @@ class TestGuestCrash:
         conn = qemu_connection()
         dom = conn.define_domain(kvm_config()).start()
         conn._driver.backend.inject_crash("victim")
-        from repro.errors import InvalidOperationError, VirtError
+        from repro.errors import VirtError
 
         for op in ("shutdown", "suspend", "resume", "reboot", "start"):
             with pytest.raises(VirtError):

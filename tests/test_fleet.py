@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro.core.connection import open_connection
 from repro.daemon.libvirtd import Libvirtd
 from repro.drivers.qemu import QemuDriver
 from repro.errors import InvalidArgumentError, NoDomainError, VirtError

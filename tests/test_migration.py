@@ -20,7 +20,7 @@ from repro.hypervisors.qemu_backend import QemuBackend
 from repro.hypervisors.xen_backend import XenBackend
 from repro.migration.precopy import MIB, run_precopy
 from repro.util.clock import VirtualClock
-from repro.xmlconfig.domain import DomainConfig, OSConfig
+from repro.xmlconfig.domain import DomainConfig
 
 GiB = 1024**3
 GiB_KIB = 1024 * 1024

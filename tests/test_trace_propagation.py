@@ -14,7 +14,7 @@ import repro
 from repro.admin import admin_open
 from repro.cli.virt_admin import main as admin_main
 from repro.daemon.libvirtd import Libvirtd
-from repro.errors import InvalidArgumentError, RPCError, VirtError
+from repro.errors import InvalidArgumentError, RPCError
 from repro.observability.export import render_trace_tree
 from repro.observability.tracing import SpanContext, Tracer
 from repro.rpc.client import RPCClient

@@ -8,7 +8,6 @@ from repro.errors import InvalidArgumentError
 from repro.util.virtlog import (
     LOG_DEBUG,
     LOG_ERROR,
-    LOG_INFO,
     LOG_WARN,
     LogFilter,
     Logger,
