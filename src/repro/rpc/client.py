@@ -429,24 +429,14 @@ class RPCClient:
             entries.append(entry)
             frames.append(frame)
         try:
-            outcomes = self._channel.send_batch(
-                frames,
-                wait_bound=entries[0].wait_bound,
-                tokens=[entry.serial for entry in entries],
-            )
+            outcomes = self._channel.send_batch(frames, tokens=[entry.serial for entry in entries])
         except BaseException as exc:
             for entry in entries:
                 self._forget(entry)
                 self._finish_span(entry, error=repr(exc))
             raise
-        for entry, (kind, raw) in zip(entries, outcomes):
-            if kind == "reply":
-                self._forget(entry)
-                if raw is None:
-                    self._desynchronize(f"no reply to {entry.procedure}")
-                entry.resolve("reply", reply=raw)
-            # "pending" resolves via _on_reply_frame; "lost" was already
-            # resolved through the reply-lost handler
+        for entry, (status, raw) in zip(entries, outcomes):
+            self._settle(entry, status, raw)
         results: "list[Any]" = []
         first_failure: "Optional[BaseException]" = None
         for entry in entries:
@@ -617,25 +607,27 @@ class RPCClient:
         """Send the CALL frame and register the pending entry."""
         entry, frame = self._prepare_call(procedure, body, timeout, serial=serial)
         try:
-            inline, pending = self._channel.send_request(
-                frame, wait_bound=entry.wait_bound, token=entry.serial
-            )
-        except TransportStalledError as exc:
-            self._forget(entry)
-            self._finish_span(entry, error=repr(exc))
-            self._map_stall(exc, entry)
-            raise  # pragma: no cover - _map_stall always raises
+            status, raw = self._channel.send_request(frame, token=entry.serial)
         except BaseException as exc:
             self._forget(entry)
             self._finish_span(entry, error=repr(exc))
             raise
-        if not pending:
-            # synchronous server: the reply came back inline
-            self._forget(entry)
-            if inline is None:
-                self._desynchronize(f"no reply to {procedure}")
-            entry.resolve("reply", reply=inline)
+        self._settle(entry, status, raw)
         return entry
+
+    def _settle(self, entry: _PendingCall, status: str, raw: "Optional[bytes]") -> None:
+        """Apply one frame's transport outcome to its call.
+
+        An inline ``"reply"`` resolves the call here; a ``"pending"`` one
+        resolves through :meth:`_on_reply_frame`, and a ``"lost"`` one
+        was already resolved through :meth:`_on_reply_lost`, whose wait
+        :meth:`_finish_call_inner` charges.
+        """
+        if status == "reply":
+            self._forget(entry)
+            if raw is None:
+                self._desynchronize(f"no reply to {entry.procedure}")
+            entry.resolve("reply", reply=raw)
 
     def _finish_call(self, entry: _PendingCall) -> Any:
         """Wait for the reply and translate it, or the loss of it,
@@ -657,8 +649,8 @@ class RPCClient:
     def _finish_call_inner(self, entry: _PendingCall) -> Any:
         self._wait_for_outcome(entry)
         if entry.outcome == "lost":
-            # the transport told us no reply is coming; charge the wait
-            # on this caller's clock, exactly as the synchronous path does
+            # the transport told us no reply is coming; this is the one
+            # place a lost reply's wait is charged, on the caller's clock
             try:
                 self._channel.charge_stall(
                     entry.wait_bound, f"reply to {entry.procedure} lost"

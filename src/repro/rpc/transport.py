@@ -44,6 +44,12 @@ HANG_SECONDS = 86400.0
 #: :meth:`ServerConnection.send_reply` instead of the handler's return
 ASYNC_REPLY: Any = object()
 
+#: one CALL frame's fate: ``("reply", bytes)`` answered inline,
+#: ``("pending", None)`` deferred to the server's workerpool (the REPLY
+#: arrives through the reply handler), or ``("lost", None)`` — the link
+#: ate the frame or its reply, and the reply-lost handler was told
+Outcome = Tuple[str, Optional[bytes]]
+
 
 class TransportSpec:
     """The latency/bandwidth profile of one transport kind."""
@@ -255,22 +261,50 @@ class Channel:
             self.clock.sleep(wait_bound - now)
         raise TransportStalledError(f"{what}: no reply within wait bound")
 
-    def _stall(self, wait_bound: "Optional[float]", what: str) -> None:
-        """No reply is ever coming; charge the wait and raise."""
+    def _lose(self, token: Any) -> Outcome:
+        """One frame will never be answered: count it, tell the
+        reply-lost handler, and return the frame's ``lost`` outcome."""
         self._record_lost_frame()
-        self.charge_stall(wait_bound, what)
+        if self._reply_lost_handler is not None:
+            self._reply_lost_handler(token, "lost")
+        return "lost", None
 
     def _fail_inflight(self, reason: str) -> None:
         """Resolve every reply still owed on this channel as undeliverable."""
         with self._lock:
-            entries = list(self._inflight.items())
+            tokens = list(self._inflight.values())
             self._inflight.clear()
-        handler = self._reply_lost_handler
-        for _frame_index, token in entries:
+        for token in tokens:
             if reason == "lost":
-                self._record_lost_frame()
-            if handler is not None:
-                handler(token, reason)
+                self._lose(token)
+            elif self._reply_lost_handler is not None:
+                self._reply_lost_handler(token, reason)
+
+    def _fault(
+        self, direction: str, frame_index: int, data: "Optional[bytes]"
+    ) -> "Tuple[Optional[bytes], float, bool, bool]":
+        """The one fault step: consult the plan for one frame.
+
+        Records the injected fault and applies ``SEVER`` and ``CORRUPT``.
+        Returns the frame's verdict ``(data, delay, duplicate, lost)``:
+        the bytes that travel on, the extra one-way delay, whether the
+        frame is delivered twice, and whether it never arrives (``DROP``,
+        ``SEVER``, or a severed or blackholed link).
+        """
+        from repro.faults.plan import FaultKind
+
+        plan = self._faults
+        decision = plan.decide(direction, frame_index, self.clock.now())
+        kind = decision.kind
+        if kind is not None:
+            self._record_fault(kind.value)
+        if kind is FaultKind.SEVER:
+            self.sever()
+        elif kind is FaultKind.CORRUPT and data is not None:
+            data = plan.corrupt_bytes(data)
+        delay = decision.delay if kind is FaultKind.DELAY else 0.0
+        lost = kind is FaultKind.DROP or self.severed or plan.blackholed
+        return data, delay, kind is FaultKind.DUPLICATE, lost
 
     @property
     def inflight_requests(self) -> int:
@@ -289,25 +323,20 @@ class Channel:
         wait and raises :class:`~repro.errors.TransportStalledError`
         (:class:`~repro.errors.TransportHangError` without a bound).
         """
-        reply, pending = self.send_request(data, wait_bound=wait_bound)
-        if pending:
+        status, reply = self.send_request(data)
+        if status == "lost":
+            self.charge_stall(wait_bound, f"{self.spec.name} frame lost")
+        if status == "pending":
             raise RPCError(
                 "server dispatched the call asynchronously; "
                 "call_bytes cannot correlate deferred replies"
             )
         return reply
 
-    def send_request(
-        self,
-        data: bytes,
-        wait_bound: "Optional[float]" = None,
-        token: Any = None,
-    ) -> "Tuple[Optional[bytes], bool]":
-        """Deliver one frame; returns ``(inline_reply, pending)``.
+    def send_request(self, data: bytes, token: Any = None) -> Outcome:
+        """Deliver one CALL frame; returns its :data:`Outcome`.
 
-        ``pending=True`` means the server deferred the reply to its
-        workerpool: the REPLY frame will arrive later through the
-        reply handler (or the reply-lost handler), correlated by the
+        A deferred or lost reply is correlated to its call by the
         caller-supplied opaque ``token``.
         """
         if self.closed:
@@ -315,75 +344,22 @@ class Channel:
         with self._lock:
             frame_index = self.frames_sent
             self.frames_sent += 1
-        plan = self._faults
-        extra_delay = 0.0
-        duplicate = False
-        if plan is not None:
-            from repro.faults.plan import FaultKind
-
-            decision = plan.decide("send", frame_index, self.clock.now())
-            if decision.kind is not None:
-                self._record_fault(decision.kind.value)
-            if decision.kind is FaultKind.SEVER:
-                self.sever()
-            elif decision.kind is FaultKind.DROP:
-                self._stall(wait_bound, f"frame {frame_index} dropped")
-            elif decision.kind is FaultKind.DELAY:
-                extra_delay = decision.delay
-            elif decision.kind is FaultKind.DUPLICATE:
-                duplicate = True
-            elif decision.kind is FaultKind.CORRUPT:
-                data = plan.corrupt_bytes(data)
-        if self.severed or (plan is not None and plan.blackholed):
-            self._stall(wait_bound, f"frame {frame_index} lost on dead link")
-        # detect the closed peer before charging latency or counting the
-        # frame as delivered traffic — a dead link carries no bytes
-        if self._server_conn.closed:
-            self.closed = True
-            raise ConnectionClosedError("server closed the connection")
-        self.clock.sleep(self.spec.message_latency(len(data)) + extra_delay)
-        with self._lock:
-            self.bytes_sent += len(data)
-            # register before handing the frame over: a pooled server may
-            # finish the job and deliver the reply before handle() returns
-            self._inflight[frame_index] = token
-        try:
-            reply = self._server_conn.handle(data, frame_index=frame_index)
-            if duplicate:
-                with self._lock:
-                    self.bytes_sent += len(data)
-                # the duplicate's inline reply is discarded here; a deferred
-                # duplicate reply is dropped in _deliver_reply because the
-                # frame resolves on first delivery
-                self._server_conn.handle(data, frame_index=frame_index)
-        except BaseException:
-            with self._lock:
-                self._inflight.pop(frame_index, None)
-            raise
+        delay, duplicate, lost = 0.0, False, self.severed
+        if self._faults is not None:
+            data, delay, duplicate, lost = self._fault("send", frame_index, data)
+        if lost:
+            return self._lose(token)
+        self._check_peer()
+        self.clock.sleep(self.spec.message_latency(len(data)) + delay)
+        reply = self._hand_over(frame_index, data, token, duplicate)
         if reply is ASYNC_REPLY:
-            return None, True
-        with self._lock:
-            self._inflight.pop(frame_index, None)
-        if plan is not None:
-            from repro.faults.plan import FaultKind
-
-            decision = plan.decide("recv", frame_index, self.clock.now())
-            if decision.kind is not None:
-                self._record_fault(decision.kind.value)
-            if decision.kind is FaultKind.SEVER:
-                self.sever()
-            if decision.kind in (FaultKind.SEVER, FaultKind.DROP) or plan.blackholed:
-                self._stall(wait_bound, f"reply to frame {frame_index} lost")
-            if decision.kind is FaultKind.DELAY:
-                self.clock.sleep(decision.delay)
-            if decision.kind is FaultKind.CORRUPT and reply is not None:
-                reply = plan.corrupt_bytes(reply)
-        if reply is None:
-            return None, False
-        self.clock.sleep(self.spec.message_latency(len(reply)))
-        with self._lock:
-            self.bytes_received += len(reply)
-        return reply, False
+            return "pending", None
+        status, reply = self._receive(frame_index, reply, token)
+        if reply is not None:
+            self.clock.sleep(self.spec.message_latency(len(reply)))
+            with self._lock:
+                self.bytes_received += len(reply)
+        return status, reply
 
     def send_oneway(self, data: bytes) -> bool:
         """Deliver one frame that expects no correlated reply.
@@ -393,57 +369,38 @@ class Channel:
         when the frame reached the server, False when the link silently
         ate it (sever, drop, blackhole) — exactly how bytes written to a
         half-dead socket behave.  A cleanly closed channel still raises.
+        Only the send direction consults the fault plan, and a
+        ``DUPLICATE`` is recorded but the frame goes once: no transport
+        repeats bytes inside a byte stream.
         """
         if self.closed:
             raise ConnectionClosedError(f"{self.spec.name} channel is closed")
         with self._lock:
             frame_index = self.frames_sent
             self.frames_sent += 1
-        plan = self._faults
-        extra_delay = 0.0
-        if plan is not None:
-            from repro.faults.plan import FaultKind
-
-            decision = plan.decide("send", frame_index, self.clock.now())
-            if decision.kind is not None:
-                self._record_fault(decision.kind.value)
-            if decision.kind is FaultKind.SEVER:
-                self.sever()
-            elif decision.kind is FaultKind.DROP:
-                self._record_lost_frame()
-                return False
-            elif decision.kind is FaultKind.DELAY:
-                extra_delay = decision.delay
-            elif decision.kind is FaultKind.CORRUPT:
-                data = plan.corrupt_bytes(data)
-        if self.severed or (plan is not None and plan.blackholed):
+        delay, lost = 0.0, self.severed
+        if self._faults is not None:
+            data, delay, _duplicate, lost = self._fault("send", frame_index, data)
+        if lost:
             self._record_lost_frame()
             return False
-        if self._server_conn.closed:
-            self.closed = True
-            raise ConnectionClosedError("server closed the connection")
-        self.clock.sleep(self.spec.message_latency(len(data)) + extra_delay)
+        self._check_peer()
+        self.clock.sleep(self.spec.message_latency(len(data)) + delay)
         with self._lock:
             self.bytes_sent += len(data)
         self._server_conn.handle(data, frame_index=None)
         return True
 
-    def send_batch(
-        self,
-        frames: "list[bytes]",
-        wait_bound: "Optional[float]" = None,
-        tokens: "Optional[list]" = None,
-    ) -> "list[Tuple[str, Optional[bytes]]]":
+    def send_batch(self, frames: "list[bytes]", tokens: "Optional[list]" = None) -> "list[Outcome]":
         """Deliver several frames in one coalesced transport write.
 
         This is the RPC batching path: the whole batch pays the
         per-message transport latency *once* (plus bandwidth on the
         total bytes), instead of once per frame — the coalescing win
-        for many small calls.  Returns one ``(status, reply)`` pair per
-        input frame: ``("reply", bytes)`` answered inline,
-        ``("pending", None)`` deferred to the pool, ``("lost", None)``
-        eaten by a fault (the reply-lost handler was already told).
-        Send-direction fault decisions apply per frame.
+        for many small calls.  Returns one :data:`Outcome` per input
+        frame.  Every frame takes the fault step a single call takes,
+        in both directions; the inline replies come back as one
+        coalesced read.
         """
         if self.closed:
             raise ConnectionClosedError(f"{self.spec.name} channel is closed")
@@ -451,74 +408,94 @@ class Channel:
         if len(toks) != len(frames):
             raise InvalidArgumentError("send_batch needs one token per frame")
         with self._lock:
-            indexed = []
-            for data, token in zip(frames, toks):
-                indexed.append([self.frames_sent, data, token])
-                self.frames_sent += 1
-        results: "Dict[int, Tuple[str, Optional[bytes]]]" = {}
-
-        def lose(frame_index: int, token: Any) -> None:
-            results[frame_index] = ("lost", None)
-            self._record_lost_frame()
-            if self._reply_lost_handler is not None:
-                self._reply_lost_handler(token, "lost")
-
-        plan = self._faults
+            first = self.frames_sent
+            self.frames_sent += len(frames)
+        outcomes: "list[Any]" = [None] * len(frames)
         deliverable = []
-        for item in indexed:
-            frame_index, data, token = item
-            if plan is not None:
-                from repro.faults.plan import FaultKind
-
-                decision = plan.decide("send", frame_index, self.clock.now())
-                if decision.kind is not None:
-                    self._record_fault(decision.kind.value)
-                if decision.kind is FaultKind.SEVER:
-                    self.sever()
-                elif decision.kind is FaultKind.DROP:
-                    lose(frame_index, token)
-                    continue
-                elif decision.kind is FaultKind.DELAY:
-                    self.clock.sleep(decision.delay)
-                elif decision.kind is FaultKind.CORRUPT:
-                    item[1] = plan.corrupt_bytes(data)
-            if self.severed or (plan is not None and plan.blackholed):
-                lose(frame_index, token)
+        for i, (data, token) in enumerate(zip(frames, toks)):
+            delay, duplicate, lost = 0.0, False, self.severed
+            if self._faults is not None:
+                data, delay, duplicate, lost = self._fault("send", first + i, data)
+            if lost:
+                outcomes[i] = self._lose(token)
                 continue
-            deliverable.append(item)
-        if deliverable:
-            if self._server_conn.closed:
-                self.closed = True
-                raise ConnectionClosedError("server closed the connection")
-            total = sum(len(data) for _fi, data, _tok in deliverable)
-            # the whole batch crosses the wire as one write
-            self.clock.sleep(self.spec.message_latency(total))
-            with self._lock:
-                self.bytes_sent += total
-                for frame_index, _data, token in deliverable:
-                    self._inflight[frame_index] = token
-            inline_total = 0
-            for frame_index, data, _token in deliverable:
-                try:
-                    reply = self._server_conn.handle(data, frame_index=frame_index)
-                except BaseException:
-                    with self._lock:
-                        for fi, _d, _t in deliverable:
-                            self._inflight.pop(fi, None)
-                    raise
+            if delay:
+                self.clock.sleep(delay)
+            deliverable.append((i, data, token, duplicate))
+        if not deliverable:
+            return outcomes
+        self._check_peer()
+        # the whole batch crosses the wire as one write
+        self.clock.sleep(self.spec.message_latency(sum(len(item[1]) for item in deliverable)))
+        inline = []
+        try:
+            for i, data, token, duplicate in deliverable:
+                reply = self._hand_over(first + i, data, token, duplicate)
                 if reply is ASYNC_REPLY:
-                    results[frame_index] = ("pending", None)
-                    continue
+                    outcomes[i] = ("pending", None)
+                else:
+                    inline.append((i, reply, token))
+        except BaseException:
+            # frames handed over before the failure are owed nothing now
+            with self._lock:
+                for item in deliverable:
+                    self._inflight.pop(first + item[0], None)
+            raise
+        inline_total = 0
+        for i, reply, token in inline:
+            outcomes[i] = self._receive(first + i, reply, token)
+            inline_total += len(outcomes[i][1] or b"")
+        if inline_total:
+            # the inline replies come back as one coalesced read too
+            self.clock.sleep(self.spec.message_latency(inline_total))
+            with self._lock:
+                self.bytes_received += inline_total
+        return outcomes
+
+    def _check_peer(self) -> None:
+        """Detect a closed peer before charging latency or counting the
+        frame as delivered traffic — a dead link carries no bytes."""
+        if self._server_conn.closed:
+            self.closed = True
+            raise ConnectionClosedError("server closed the connection")
+
+    def _hand_over(self, frame_index: int, data: bytes, token: Any, duplicate: bool) -> Any:
+        """Give one CALL frame to the server; its inline reply or
+        :data:`ASYNC_REPLY`.
+
+        The frame is registered in flight first: a pooled server may
+        finish the job and deliver the reply before ``handle`` returns.
+        A duplicate is handled twice; its inline reply is discarded
+        here, and its deferred reply is dropped in :meth:`_deliver_reply`
+        because the frame resolves on first delivery.
+        """
+        with self._lock:
+            self.bytes_sent += len(data)
+            self._inflight[frame_index] = token
+        try:
+            reply = self._server_conn.handle(data, frame_index=frame_index)
+            if duplicate:
                 with self._lock:
-                    self._inflight.pop(frame_index, None)
-                results[frame_index] = ("reply", reply)
-                inline_total += len(reply) if reply is not None else 0
-            if inline_total:
-                # the inline replies come back as one coalesced read too
-                self.clock.sleep(self.spec.message_latency(inline_total))
-                with self._lock:
-                    self.bytes_received += inline_total
-        return [results[frame_index] for frame_index, _data, _token in indexed]
+                    self.bytes_sent += len(data)
+                self._server_conn.handle(data, frame_index=frame_index)
+        except BaseException:
+            with self._lock:
+                self._inflight.pop(frame_index, None)
+            raise
+        if reply is not ASYNC_REPLY:
+            with self._lock:
+                self._inflight.pop(frame_index, None)
+        return reply
+
+    def _receive(self, frame_index: int, reply: "Optional[bytes]", token: Any) -> Outcome:
+        """The recv-direction fault step for one REPLY frame: its outcome."""
+        if self._faults is not None:
+            reply, delay, _duplicate, lost = self._fault("recv", frame_index, reply)
+            if lost:
+                return self._lose(token)
+            if delay:
+                self.clock.sleep(delay)
+        return "reply", reply
 
     def set_reply_handler(self, handler: Callable[[bytes], None]) -> None:
         """Install the sink for asynchronously delivered REPLY frames."""
@@ -532,7 +509,7 @@ class Channel:
         """Server-side delivery of a deferred REPLY frame.
 
         Runs on the worker thread that finished the job: correlates the
-        frame with its request, applies recv-direction fault decisions,
+        frame with its request, takes the recv-direction fault step,
         charges the reply latency, and hands the frame to the reply
         handler.  Unknown frames (duplicates, already-failed requests)
         are dropped silently.
@@ -541,34 +518,17 @@ class Channel:
             token = self._inflight.pop(frame_index, None)
         if token is None:
             return
-        lost = False
-        plan = self._faults
-        if plan is not None:
-            from repro.faults.plan import FaultKind
-
-            decision = plan.decide("recv", frame_index, self.clock.now())
-            if decision.kind is not None:
-                self._record_fault(decision.kind.value)
-            if decision.kind is FaultKind.SEVER:
-                self.sever()
-            if decision.kind in (FaultKind.SEVER, FaultKind.DROP) or plan.blackholed:
-                lost = True
-            elif decision.kind is FaultKind.DELAY:
-                self.clock.sleep(decision.delay)
-            elif decision.kind is FaultKind.CORRUPT:
-                data = plan.corrupt_bytes(data)
-        if self.closed or self.severed:
-            lost = True
-        if lost:
-            self._record_lost_frame()
-            if self._reply_lost_handler is not None:
-                self._reply_lost_handler(token, "lost")
+        status, reply = self._receive(frame_index, data, token)
+        if status == "lost":
             return
-        self.clock.sleep(self.spec.message_latency(len(data)))
+        if self.closed or self.severed:
+            self._lose(token)
+            return
+        self.clock.sleep(self.spec.message_latency(len(reply)))
         with self._lock:
-            self.bytes_received += len(data)
+            self.bytes_received += len(reply)
         if self._reply_handler is not None:
-            self._reply_handler(data)
+            self._reply_handler(reply)
 
     def set_event_handler(self, handler: Callable[[bytes], None]) -> None:
         self._event_handler = handler

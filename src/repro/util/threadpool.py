@@ -200,7 +200,13 @@ class WorkerPool:
     @property
     def jobs_completed(self) -> int:
         """Jobs a worker ran: the count of ``workerpool_job_service_seconds``
-        (zeroed by ``reset-stats`` with the rest of the registry)."""
+        (zeroed by ``reset-stats`` with the rest of the registry).
+
+        A job is counted once it has ended.  A pooled call sends its REPLY
+        inside its job, so the caller may hold the reply before the job
+        is counted: a read right after a call returns can miss that call.
+        Counting earlier would count work that has not finished.
+        """
         return self.metrics.get("workerpool_job_service_seconds").count(pool=self.name)
 
     @property

@@ -209,3 +209,32 @@ class TestAccounting:
         assert channel.bytes_sent == 0
         assert channel.frames_lost == 1
         assert channel.frames_sent == 1
+
+
+class TestOneFaultStep:
+    """A batched CALL frame meets the fault plan exactly as a single one."""
+
+    PAYLOAD = b"\x00\x00\x00\x08ping"
+
+    @pytest.mark.parametrize("direction", ["send", "recv"])
+    @pytest.mark.parametrize("kind", ["drop", "delay", "duplicate", "corrupt"])
+    def test_single_and_batched_frames_meet_the_same_fault(self, clock, kind, direction):
+        def run(send):
+            plan = FaultPlan(seed=5)
+            if kind == "delay":
+                plan.delay(0.25, frame=1, direction=direction)
+            else:
+                getattr(plan, kind)(frame=1, direction=direction)
+            _, channel = echo_channel(clock)
+            channel.install_fault_plan(plan)
+            outcomes = send(channel, [self.PAYLOAD] * 3)
+            injected = [(e.kind.value, e.direction, e.frame) for e in plan.injected]
+            return outcomes, injected, channel._server_conn.bytes_in
+
+        single = run(lambda channel, frames: [channel.send_request(f) for f in frames])
+        batched = run(lambda channel, frames: channel.send_batch(frames))
+        assert single == batched
+        outcomes, injected, _bytes_in = single
+        assert injected == [(kind, direction, 1)]
+        lost = "lost" if kind == "drop" else "reply"
+        assert [status for status, _reply in outcomes] == ["reply", lost, "reply"]

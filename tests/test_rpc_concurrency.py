@@ -758,3 +758,44 @@ class TestSoak:
             assert client.calls_in_flight == 0
             assert not client.dead
             assert server.calls_served >= 48  # duplicates execute too
+
+    def test_batched_calls_under_faults(self):
+        """Soak: the same seeded plan over ``call_many`` batches of 8,
+        mixing pooled calls with an inline (``blocking=False``) row, so
+        replies come back both deferred and inline.  Every result must
+        land on its own call and nothing may desync."""
+        clock = ScaledWallClock(scale=0.005)
+        plan = (
+            FaultPlan(seed=11)
+            .delay(0.4, direction="recv", probability=0.2)
+            .duplicate(direction="send", probability=0.1)
+        )
+
+        def worker_op(conn, body):
+            clock.sleep(body["sleep"])
+            return body["tag"]
+
+        with WorkerPool(min_workers=8, max_workers=8) as pool:
+            client, server, _ = make_pair(
+                clock,
+                pool,
+                handlers={"domain.save": worker_op},
+                plan=plan,
+                max_client_requests=8,
+                max_queued_requests=256,
+            )
+            server.register("domain.get_info", lambda conn, body: body["tag"], priority=True)
+            for batch in range(6):
+                tags = range(batch * 8, batch * 8 + 8)
+                calls = [
+                    ("domain.get_info", {"tag": i})
+                    if i % 3 == 0
+                    else ("domain.save", {"tag": i, "sleep": 0.6 if i % 4 == 0 else 0.05})
+                    for i in tags
+                ]
+                assert client.call_many(calls, timeout=120.0) == list(tags)
+            assert client.calls_in_flight == 0
+            assert not client.dead
+            assert server.calls_served >= 48
+            directions = {(e.kind.value, e.direction) for e in plan.injected}
+            assert directions == {("delay", "recv"), ("duplicate", "send")}

@@ -22,6 +22,7 @@ from repro.errors import (
     InvalidArgumentError,
     InvalidOperationError,
     OperationAbortedError,
+    OperationTimeoutError,
     TransportStalledError,
     VirtError,
 )
@@ -983,6 +984,24 @@ class TestCallBatching:
                 [("connect.ping", "ok"), ("connect.ping", "boom"), ("connect.ping", "ok2")]
             )
         # the failed batch left nothing pending
+        assert not client._pending
+
+    def test_a_lost_batch_reply_times_out_after_collecting_all(self):
+        clock = VirtualClock()
+        served = []
+
+        def ping(conn, body):
+            served.append(body)
+            return body
+
+        client, _, channel = make_pair(clock, handlers={"connect.ping": ping})
+        channel.install_fault_plan(FaultPlan().drop(frame=1, direction="recv"))
+        t0 = clock.now()
+        with pytest.raises(OperationTimeoutError):
+            client.call_many([("connect.ping", i) for i in range(3)], timeout=1.0)
+        assert served == [0, 1, 2]  # the request reached the server
+        assert clock.now() - t0 >= 1.0  # the lost reply's wait was charged
+        assert client.timeouts == 1
         assert not client._pending
 
 
