@@ -68,10 +68,15 @@ class Driver:
     name = "abstract"
     #: True when the driver runs client-side against a self-managing hypervisor
     stateless = False
-    #: methods this driver overrides only to refuse (an inherited body
-    #: its backend cannot serve, or a stub that raises): the features
-    #: they belong to are not claimed
+    #: methods this driver refuses: listing one *is* the refusal (the class
+    #: gets a body that only raises, see ``__init_subclass__``), and the
+    #: features they belong to are not claimed
     unsupported_ops: FrozenSet[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in sorted(cls.__dict__.get("unsupported_ops", ())):
+            setattr(cls, name, _refusal(name))
 
     def _unsupported(self, what: str) -> "UnsupportedError":
         return UnsupportedError(f"driver {self.name!r} does not support {what}")
@@ -417,6 +422,16 @@ class Driver:
         ``Volume.download`` joins it into one ``bytes``.
         """
         raise self._unsupported("storage_vol_download")
+
+
+def _refusal(name: str) -> Callable[..., Any]:
+    """A method listed in ``unsupported_ops``: it raises, whatever its class inherits."""
+
+    @functools.wraps(getattr(Driver, name))
+    def refuse(self: Driver, *args: Any, **kwargs: Any) -> Any:
+        raise self._unsupported(name)
+
+    return refuse
 
 
 @functools.lru_cache(maxsize=None)

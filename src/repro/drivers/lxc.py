@@ -2,14 +2,15 @@
 
 Containers of the paper's era cannot be checkpointed or live-migrated,
 so the methods behind ``save_restore``, ``managed_save``, ``migration``,
-``checkpoints`` and ``backup`` refuse, and are listed in
-``unsupported_ops``: the derived feature set leaves those five out, and
-the capability matrix shows the gap rather than papering over it.
+``checkpoints`` and ``backup`` are listed in ``unsupported_ops``, and the
+listing is the refusal: each raises before it counts a call or touches a
+container, and the derived feature set leaves those five out, so the
+capability matrix shows the gap rather than papering over it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.drivers.stateful import StatefulDriver
 from repro.hypervisors.container_backend import ContainerBackend
@@ -78,45 +79,3 @@ class LxcDriver(StatefulDriver):
     def _apply_scheduler(self, name: str, scheduler) -> None:
         # containers realize cpu_shares as a literal cgroup write
         self.backend.write_cgroup(name, "cpu.shares", str(scheduler["cpu_shares"]))
-
-    def _backend_save(self, name: str, path: str) -> None:
-        raise self._unsupported("domain_save (containers cannot be checkpointed)")
-
-    def _backend_restore(self, config: DomainConfig, path: str) -> None:
-        raise self._unsupported("domain_restore")
-
-    def migrate_begin(self, name: str) -> Dict[str, Any]:
-        raise self._unsupported("migration (containers cannot be live-migrated)")
-
-    def migrate_prepare(self, description: Dict[str, Any]) -> Dict[str, Any]:
-        raise self._unsupported("migration")
-
-    def domain_managed_save(self, name: str) -> None:
-        raise self._unsupported("managed save (containers cannot be checkpointed)")
-
-    def domain_managed_save_remove(self, name: str) -> None:
-        raise self._unsupported("managed save")
-
-    def domain_has_managed_save(self, name: str) -> bool:
-        raise self._unsupported("managed save")
-
-    def checkpoint_create(self, name: str, checkpoint_name: str) -> Dict[str, Any]:
-        raise self._unsupported("checkpoints (containers have no dirty bitmaps)")
-
-    def checkpoint_list(self, name: str) -> List[str]:
-        raise self._unsupported("checkpoints")
-
-    def checkpoint_delete(self, name: str, checkpoint_name: str) -> None:
-        raise self._unsupported("checkpoints")
-
-    def checkpoint_get_xml_desc(self, name: str, checkpoint_name: str) -> str:
-        raise self._unsupported("checkpoints")
-
-    def backup_begin(self, name: str, options: "Optional[Dict[str, Any]]" = None) -> Dict[str, Any]:
-        raise self._unsupported("backup jobs")
-
-    def backup_begin_pull(self, name: str, options: "Optional[Dict[str, Any]]" = None) -> Dict[str, Any]:
-        raise self._unsupported("backup jobs (containers have no dirty bitmaps)")
-
-    def domain_abort_job(self, name: str) -> Dict[str, Any]:
-        raise self._unsupported("backup jobs")

@@ -5,7 +5,8 @@ defined domain configurations, autostart flags, snapshots, virtual
 networks, and storage pools.  Concrete drivers (qemu, xen, lxc, test)
 supply only the backend adapter — how to start/stop/query a guest
 through their hypervisor's *native* interface — and inherit everything
-else, which is exactly how libvirt keeps its drivers small.
+else, which is exactly how libvirt keeps its drivers small (a subclass that
+defines a procedure row's method is refused; the rows are counted below).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.errors import (
 from repro.faults.crash import CrashPoint
 from repro.hypervisors.base import Backend
 from repro.migration.precopy import run_precopy
+from repro.rpc.procedures import REMOTE_PROCEDURES
 from repro.util import uuidutil
 from repro.xmlconfig.checkpoint import CheckpointConfig
 from repro.xmlconfig.domain import DomainConfig
@@ -173,6 +175,12 @@ class StatefulDriver(Driver):
     stateless = False
     #: domain types this driver's capabilities accept
     accepted_types: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        served = sorted(_ROW_METHODS.intersection(vars(cls)))
+        if served:
+            raise TypeError(f"{cls.__name__} overrides row methods {served}: implement the backend adapter")
+        super().__init_subclass__(**kwargs)
 
     def __init__(self, backend: Backend) -> None:
         self.backend = backend
@@ -624,11 +632,9 @@ class StatefulDriver(Driver):
         """Stateful drivers persist: closing a connection drops nothing."""
 
     def get_hostname(self) -> str:
-        self._count_call()
         return self.backend.host.hostname
 
     def get_capabilities(self) -> str:
-        self._count_call()
         from repro.xmlconfig.capabilities import GuestCapability
 
         guests = []
@@ -643,11 +649,9 @@ class StatefulDriver(Driver):
         return self.backend.host.capabilities(guests).to_xml()
 
     def get_node_info(self) -> Dict[str, int]:
-        self._count_call()
         return self.backend.host.node_info()
 
     def get_version(self) -> Tuple[int, int, int]:
-        self._count_call()
         return VERSION
 
     # ==================================================================
@@ -655,25 +659,20 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def list_domains(self) -> List[str]:
-        self._count_call()
         return self.backend.list_guests()
 
     def list_defined_domains(self) -> List[str]:
-        self._count_call()
         with self._lock:
             names = list(self._domains)
         return sorted(n for n in names if not self.backend.has_guest(n))
 
     def num_of_domains(self) -> int:
-        self._count_call()
         return len(self.backend.list_guests())
 
     def domain_lookup_by_name(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         return self._public_record(name)
 
     def domain_lookup_by_uuid(self, uuid: str) -> Dict[str, Any]:
-        self._count_call()
         with self._lock:
             name = self._uuid_index.get(uuidutil.normalize_uuid(uuid))
         if name is None:
@@ -681,7 +680,6 @@ class StatefulDriver(Driver):
         return self._public_record(name)
 
     def domain_lookup_by_id(self, domain_id: int) -> Dict[str, Any]:
-        self._count_call()
         with self._lock:
             matches = [
                 name
@@ -721,7 +719,6 @@ class StatefulDriver(Driver):
         return config
 
     def domain_define_xml(self, xml: str) -> Dict[str, Any]:
-        self._count_call()
         # persisting the config costs a (small) backend-dependent write
         self.backend.cost.charge(self.backend.clock, "define")
         config = self._validate_config(xml)
@@ -750,7 +747,6 @@ class StatefulDriver(Driver):
         return self._public_record(config.name)
 
     def domain_undefine(self, name: str) -> None:
-        self._count_call()
         self.backend.cost.charge(self.backend.clock, "undefine")
         with self._mutation() as m:
             record = self._record(name)
@@ -763,7 +759,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def domain_create(self, name: str) -> None:
-        self._count_call()
         record = self._record(name)
         self._check_transition(name, "start")
         path = record.managed_save_path
@@ -786,7 +781,6 @@ class StatefulDriver(Driver):
         m.touch("domain", config.name)
 
     def domain_create_xml(self, xml: str) -> Dict[str, Any]:
-        self._count_call()
         config = self._validate_config(xml)
         # the record is reserved before the guest boots, so a concurrent
         # define or create of the same name is refused; it is journalled
@@ -808,7 +802,6 @@ class StatefulDriver(Driver):
         return self._public_record(config.name)
 
     def domain_shutdown(self, name: str) -> None:
-        self._count_call()
         self._record(name)
         self._check_transition(name, "shutdown")
         self._backend_shutdown(name)
@@ -818,7 +811,6 @@ class StatefulDriver(Driver):
             self._stopped(m, name, "shutdown")
 
     def domain_destroy(self, name: str) -> None:
-        self._count_call()
         self._record(name)
         self._check_transition(name, "destroy")
         self._backend_destroy(name)
@@ -834,7 +826,6 @@ class StatefulDriver(Driver):
         m.touch("domain", name)
 
     def domain_suspend(self, name: str) -> None:
-        self._count_call()
         self._record(name)
         self._check_transition(name, "suspend")
         self._backend_suspend(name)
@@ -842,7 +833,6 @@ class StatefulDriver(Driver):
             m.emit(name, DomainEvent.SUSPENDED)
 
     def domain_resume(self, name: str) -> None:
-        self._count_call()
         self._record(name)
         self._check_transition(name, "resume")
         self._backend_resume(name)
@@ -850,7 +840,6 @@ class StatefulDriver(Driver):
             m.emit(name, DomainEvent.RESUMED)
 
     def domain_reboot(self, name: str) -> None:
-        self._count_call()
         self._record(name)
         self._check_transition(name, "reboot")
         self._backend_reboot(name)
@@ -860,7 +849,6 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def domain_get_info(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         record = self._record(name)
         try:
             raw = self._backend_info(name) if self.backend.has_guest(name) else None
@@ -883,7 +871,6 @@ class StatefulDriver(Driver):
         }
 
     def domain_get_scheduler_params(self, name: str) -> List[Any]:
-        self._count_call()
         from repro.util.typedparams import ParamType, TypedParameter, TypedParamList
 
         record = self._record(name)
@@ -899,7 +886,6 @@ class StatefulDriver(Driver):
         return params
 
     def domain_set_scheduler_params(self, name: str, params: List[Any]) -> None:
-        self._count_call()
         from repro.util import typedparams as tp
         from repro.util.typedparams import ParamType
 
@@ -935,7 +921,6 @@ class StatefulDriver(Driver):
         self.backend.cost.charge(self.backend.clock, "set_vcpus")
 
     def domain_get_job_info(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         record = self._record(name)
         # an active background job wins; the engine writes its terminal
         # info into record.last_job, so finished jobs fall through below
@@ -947,12 +932,10 @@ class StatefulDriver(Driver):
         return dict(record.last_job)
 
     def domain_get_state(self, name: str) -> int:
-        self._count_call()
         self._record(name)
         return int(self._domain_state(name))
 
     def domain_get_xml_desc(self, name: str) -> str:
-        self._count_call()
         return self._xml(self._record(name))
 
     def get_all_domain_stats(self, active: "Optional[bool]" = True) -> List[Dict[str, Any]]:
@@ -966,13 +949,15 @@ class StatefulDriver(Driver):
         rows = []
         for name in names:
             try:
-                rows.append(self.domain_get_stats(name))
+                rows.append(self._domain_stats(name))
             except NoDomainError:
                 continue  # undefined, or transient and destroyed, since the read
         return rows
 
     def domain_get_stats(self, name: str) -> Dict[str, Any]:
-        self._count_call()
+        return self._domain_stats(name)
+
+    def _domain_stats(self, name: str) -> Dict[str, Any]:
         record = self._record(name)
         stats: Dict[str, Any] = {
             "name": name,
@@ -1013,7 +998,6 @@ class StatefulDriver(Driver):
         return stats
 
     def domain_set_memory(self, name: str, memory_kib: int) -> None:
-        self._count_call()
         record = self._record(name)
         if memory_kib <= 0:
             raise InvalidArgumentError("memory target must be positive")
@@ -1030,7 +1014,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def domain_set_vcpus(self, name: str, vcpus: int) -> None:
-        self._count_call()
         record = self._record(name)
         if vcpus < 1:
             raise InvalidArgumentError("vcpu count must be at least 1")
@@ -1046,7 +1029,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def domain_save(self, name: str, path: str) -> None:
-        self._count_call()
         record = self._record(name)
         self._check_transition(name, "save")
         self._backend_save(name, path)
@@ -1058,7 +1040,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def domain_restore(self, path: str) -> Dict[str, Any]:
-        self._count_call()
         with self._lock:
             matches = [
                 (name, rec) for name, rec in self._domains.items()
@@ -1083,7 +1064,6 @@ class StatefulDriver(Driver):
 
     def domain_managed_save(self, name: str) -> None:
         """Save to the driver-managed path; the next start auto-restores."""
-        self._count_call()
         record = self._record(name)
         self._check_transition(name, "save")
         path = self._managed_save_path(name)
@@ -1097,7 +1077,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def domain_managed_save_remove(self, name: str) -> None:
-        self._count_call()
         record = self._record(name)
         with self._mutation() as m:
             if record.managed_save_path is None:
@@ -1109,15 +1088,12 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def domain_has_managed_save(self, name: str) -> bool:
-        self._count_call()
         return self._record(name).managed_save_path is not None
 
     def domain_get_autostart(self, name: str) -> bool:
-        self._count_call()
         return self._record(name).autostart
 
     def domain_set_autostart(self, name: str, autostart: bool) -> None:
-        self._count_call()
         record = self._record(name)
         with self._mutation() as m:
             if not record.persistent:
@@ -1149,7 +1125,6 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def domain_attach_device(self, name: str, device_xml: str) -> None:
-        self._count_call()
         record = self._record(name)
         from repro.util.xmlutil import parse_xml
         from repro.xmlconfig.domain import DiskDevice, InterfaceDevice
@@ -1172,7 +1147,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def domain_detach_device(self, name: str, device_xml: str) -> None:
-        self._count_call()
         record = self._record(name)
         from repro.util.xmlutil import parse_xml
         from repro.xmlconfig.domain import DiskDevice, InterfaceDevice
@@ -1203,7 +1177,6 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def snapshot_create(self, name: str, snapshot_name: str) -> Dict[str, Any]:
-        self._count_call()
         record = self._record(name)
         if not snapshot_name:
             raise InvalidArgumentError("snapshot name must be non-empty")
@@ -1265,11 +1238,9 @@ class StatefulDriver(Driver):
         return disks
 
     def snapshot_list(self, name: str) -> List[str]:
-        self._count_call()
         return sorted(self._record(name).snapshots)
 
     def snapshot_revert(self, name: str, snapshot_name: str) -> None:
-        self._count_call()
         record = self._record(name)
         snapshot = record.snapshots.get(snapshot_name)
         if snapshot is None:
@@ -1300,7 +1271,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def snapshot_delete(self, name: str, snapshot_name: str) -> None:
-        self._count_call()
         record = self._record(name)
         snapshot = record.snapshots.get(snapshot_name)
         if snapshot is None:
@@ -1344,7 +1314,6 @@ class StatefulDriver(Driver):
         return {path: set(since.get(path, ())).union(images.dirty_blocks(path)) for path in disks}
 
     def checkpoint_create(self, name: str, checkpoint_name: str) -> Dict[str, Any]:
-        self._count_call()
         record = self._record(name)
         state, disks = self._live_disks(name, record, "checkpoint")
         if self.jobs.active(name) is not None:
@@ -1366,11 +1335,9 @@ class StatefulDriver(Driver):
         return {"name": checkpoint_name, "domain": name, "parent": checkpoint.parent}
 
     def checkpoint_list(self, name: str) -> List[str]:
-        self._count_call()
         return self._record(name).checkpoints.list_names()
 
     def checkpoint_delete(self, name: str, checkpoint_name: str) -> None:
-        self._count_call()
         record = self._record(name)
         if self.jobs.active(name) is not None:
             raise ResourceBusyError(f"cannot delete a checkpoint of {name!r} during an active job")
@@ -1387,7 +1354,6 @@ class StatefulDriver(Driver):
             m.touch("domain", name)
 
     def checkpoint_get_xml_desc(self, name: str, checkpoint_name: str) -> str:
-        self._count_call()
         record = self._record(name)
         checkpoint = record.checkpoints.get(checkpoint_name)
         return CheckpointConfig.from_tree_checkpoint(checkpoint, domain=name).to_xml()
@@ -1400,7 +1366,6 @@ class StatefulDriver(Driver):
         dirtied since it), ``checkpoint`` (also freeze a new checkpoint
         at the start of the backup), ``bandwidth_mib_s``.
         """
-        self._count_call()
         options = dict(options or {})
         record = self._record(name)
         state, disks = self._live_disks(name, record, "back up")
@@ -1503,7 +1468,6 @@ class StatefulDriver(Driver):
         allocated block ships.  Over the remote driver the ``data``
         field travels as a stream.
         """
-        self._count_call()
         options = dict(options or {})
         record = self._record(name)
         _, disks = self._live_disks(name, record, "back up")
@@ -1538,7 +1502,6 @@ class StatefulDriver(Driver):
         }
 
     def domain_open_console(self, name: str) -> LocalConsole:
-        self._count_call()
         state = self._domain_state(name)
         if state not in (DomainState.RUNNING, DomainState.PAUSED):
             raise InvalidOperationError(
@@ -1548,7 +1511,6 @@ class StatefulDriver(Driver):
         return LocalConsole(name)
 
     def domain_abort_job(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         self._record(name)
         # the job's own hook already journalled its outcome and the domain
         info = self.jobs.cancel(name)
@@ -1567,7 +1529,6 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def migrate_begin(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         record = self._record(name)
         self._check_transition(name, "migrate")
         runtime = self.backend._get(name)
@@ -1581,7 +1542,6 @@ class StatefulDriver(Driver):
         }
 
     def migrate_prepare(self, description: Dict[str, Any]) -> Dict[str, Any]:
-        self._count_call()
         if description.get("driver") != self.name:
             raise MigrationIncompatibleError(
                 f"cannot migrate a {description.get('driver')!r} guest to a "
@@ -1603,7 +1563,6 @@ class StatefulDriver(Driver):
     def migrate_perform(
         self, name: str, cookie: Dict[str, Any], params: Dict[str, Any]
     ) -> Dict[str, Any]:
-        self._count_call()
         self._record(name)
         runtime = self.backend._get(name)
         bandwidth_mib_s = params.get("bandwidth_mib_s") or (
@@ -1673,7 +1632,6 @@ class StatefulDriver(Driver):
         }
 
     def migrate_finish(self, cookie: Dict[str, Any], stats: Dict[str, Any]) -> Dict[str, Any]:
-        self._count_call()
         name = cookie["name"]
         if stats.get("failed"):
             # the incoming guest is torn down: libvirt's STOPPED_FAILED
@@ -1692,7 +1650,6 @@ class StatefulDriver(Driver):
         return self._public_record(name)
 
     def migrate_confirm(self, name: str, cancelled: bool) -> None:
-        self._count_call()
         if cancelled:
             # the source guest paused for the copy runs on: RESUMED_MIGRATED
             if self.backend.has_guest(name) and self.backend.guest_state(name).value == "paused":
@@ -1709,7 +1666,6 @@ class StatefulDriver(Driver):
         """Peer-to-peer mode: this (source) host dials the destination
         itself and drives the whole handshake; the managing client only
         issued one call."""
-        self._count_call()
         from repro.core.connection import open_connection
         from repro.migration.manager import run_handshake
 
@@ -1730,20 +1686,16 @@ class StatefulDriver(Driver):
 
     def domain_event_register(self, callback: EventCallback) -> int:
         """A lifecycle-filtered bus subscription calling ``callback``."""
-        self._count_call()
         return self.events.subscribe(lifecycle_view(callback), kinds=LIFECYCLE)
 
     def domain_event_deregister(self, callback_id: int) -> None:
-        self._count_call()
         self.events.unsubscribe(callback_id)
 
     def event_bus_subscribe(self, handler, kinds=None, max_queue=None) -> int:
         """Subscribe to typed bus records; returns the subscription id."""
-        self._count_call()
         return self.events.subscribe(handler, kinds=kinds, max_queue=max_queue)
 
     def event_bus_unsubscribe(self, sub_id: int) -> None:
-        self._count_call()
         self.events.unsubscribe(sub_id)
 
     # ==================================================================
@@ -1751,7 +1703,6 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def network_define_xml(self, xml: str) -> Dict[str, Any]:
-        self._count_call()
         config = NetworkConfig.from_xml(xml)
         if config.uuid is None:
             config.uuid = uuidutil.generate_uuid(self.backend.rng)
@@ -1780,7 +1731,6 @@ class StatefulDriver(Driver):
         }
 
     def network_undefine(self, name: str) -> None:
-        self._count_call()
         with self._mutation() as m:
             self._get_network(name)
             if name in self._active_networks:
@@ -1790,7 +1740,6 @@ class StatefulDriver(Driver):
             m.touch("network", name)
 
     def network_create(self, name: str) -> None:
-        self._count_call()
         with self._mutation() as m:
             self._get_network(name)
             if name in self._active_networks:
@@ -1800,7 +1749,6 @@ class StatefulDriver(Driver):
             m.touch("network", name)
 
     def network_destroy(self, name: str) -> None:
-        self._count_call()
         with self._mutation() as m:
             self._get_network(name)
             if name not in self._active_networks:
@@ -1811,21 +1759,17 @@ class StatefulDriver(Driver):
             m.touch("network", name)
 
     def network_list(self) -> List[Dict[str, Any]]:
-        self._count_call()
         with self._lock:
             names = sorted(self._networks)
         return [self._network_record(name) for name in names]
 
     def network_lookup_by_name(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         return self._network_record(name)
 
     def network_get_xml_desc(self, name: str) -> str:
-        self._count_call()
         return self._get_network(name).to_xml()
 
     def network_dhcp_leases(self, name: str) -> List[Dict[str, Any]]:
-        self._count_call()
         self._get_network(name)
         with self._lock:
             leases = dict(self._dhcp_leases.get(name, {}))
@@ -1879,7 +1823,6 @@ class StatefulDriver(Driver):
     # ==================================================================
 
     def storage_pool_define_xml(self, xml: str) -> Dict[str, Any]:
-        self._count_call()
         config = StoragePoolConfig.from_xml(xml)
         if config.uuid is None:
             config.uuid = uuidutil.generate_uuid(self.backend.rng)
@@ -1908,7 +1851,6 @@ class StatefulDriver(Driver):
         }
 
     def storage_pool_undefine(self, name: str) -> None:
-        self._count_call()
         with self._mutation() as m:
             self._get_pool(name)
             if name in self._active_pools:
@@ -1919,7 +1861,6 @@ class StatefulDriver(Driver):
             m.touch("pool", name)
 
     def storage_pool_create(self, name: str) -> None:
-        self._count_call()
         with self._mutation() as m:
             self._get_pool(name)
             if name in self._active_pools:
@@ -1929,7 +1870,6 @@ class StatefulDriver(Driver):
             m.touch("pool", name)
 
     def storage_pool_destroy(self, name: str) -> None:
-        self._count_call()
         with self._mutation() as m:
             self._get_pool(name)
             if name not in self._active_pools:
@@ -1939,17 +1879,14 @@ class StatefulDriver(Driver):
             m.touch("pool", name)
 
     def storage_pool_list(self) -> List[Dict[str, Any]]:
-        self._count_call()
         with self._lock:
             names = sorted(self._pools)
         return [self._pool_record(name) for name in names]
 
     def storage_pool_lookup_by_name(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         return self._pool_record(name)
 
     def storage_pool_get_info(self, name: str) -> Dict[str, Any]:
-        self._count_call()
         config = self._get_pool(name)
         with self._lock:
             volumes = dict(self._pool_volumes[name])
@@ -1966,11 +1903,9 @@ class StatefulDriver(Driver):
         }
 
     def storage_pool_get_xml_desc(self, name: str) -> str:
-        self._count_call()
         return self._get_pool(name).to_xml()
 
     def storage_vol_create_xml(self, pool: str, xml: str) -> Dict[str, Any]:
-        self._count_call()
         volume, path = self._create_volume_image(pool, xml)
         with self._mutation() as m:
             self._pool_volumes[pool][volume.name] = volume
@@ -2004,7 +1939,6 @@ class StatefulDriver(Driver):
         return volume, path
 
     def storage_vol_delete(self, pool: str, volume: str) -> None:
-        self._count_call()
         pool_config = self._get_pool(pool)
         with self._lock:
             if volume not in self._pool_volumes[pool]:
@@ -2019,13 +1953,11 @@ class StatefulDriver(Driver):
             m.touch("pool", pool)
 
     def storage_vol_list(self, pool: str) -> List[str]:
-        self._count_call()
         self._get_pool(pool)
         with self._lock:
             return sorted(self._pool_volumes[pool])
 
     def storage_vol_get_info(self, pool: str, volume: str) -> Dict[str, Any]:
-        self._count_call()
         pool_config = self._get_pool(pool)
         with self._lock:
             config = self._pool_volumes[pool].get(volume)
@@ -2061,7 +1993,6 @@ class StatefulDriver(Driver):
         untouched and a crash mid-commit tears the journal record —
         either way recovery never sees a half-written volume.
         """
-        self._count_call()
         pool_config = self._get_pool(pool)
         with self._lock:
             if volume not in self._pool_volumes[pool]:
@@ -2087,11 +2018,30 @@ class StatefulDriver(Driver):
         writes never show through: nothing is copied until the caller
         joins them or the daemon frames them.
         """
-        self._count_call()
         info = self.storage_vol_get_info(pool, volume)
         if length is None:
             length = max(0, info["allocation_bytes"] - offset)
         return self.backend.images.snapshot(info["path"], offset, length)
+
+
+#: every method a procedure row names: what a stateful driver serves
+_ROW_METHODS = frozenset(row.method for row in REMOTE_PROCEDURES if row.method is not None)
+
+
+def _counted(body: Any) -> Any:
+    """``body`` behind the one count of a served call (re-entries count too)."""
+
+    def row(self: StatefulDriver, *args: Any, **kwargs: Any) -> Any:
+        self._count_call()
+        return body(self, *args, **kwargs)
+
+    # not ``functools.wraps``: the span recorder takes a ``__wrapped__`` for its own wrapper
+    row.__name__, row.__qualname__, row.__doc__ = body.__name__, body.__qualname__, body.__doc__
+    return row
+
+
+for _method in sorted(_ROW_METHODS.intersection(vars(StatefulDriver))):
+    setattr(StatefulDriver, _method, _counted(vars(StatefulDriver)[_method]))
 
 
 def from_run_state_str(state: str) -> DomainState:

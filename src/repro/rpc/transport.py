@@ -281,15 +281,16 @@ class Channel:
                 self._reply_lost_handler(token, reason)
 
     def _fault(
-        self, direction: str, frame_index: int, data: "Optional[bytes]"
+        self, direction: str, frame_index: int, data: "Optional[bytes]", before_sever: Any = None
     ) -> "Tuple[Optional[bytes], float, bool, bool]":
         """The one fault step: consult the plan for one frame.
 
-        Records the injected fault and applies ``SEVER`` and ``CORRUPT``.
-        Returns the frame's verdict ``(data, delay, duplicate, lost)``:
-        the bytes that travel on, the extra one-way delay, whether the
-        frame is delivered twice, and whether it never arrives (``DROP``,
-        ``SEVER``, or a severed or blackholed link).
+        Records the injected fault and applies ``SEVER`` (after
+        ``before_sever``) and ``CORRUPT``.  Returns the frame's verdict
+        ``(data, delay, duplicate, lost)``: the bytes that travel on, the
+        extra one-way delay, whether the frame is delivered twice, and
+        whether it never arrives (``DROP``, ``SEVER``, or a severed or
+        blackholed link).
         """
         from repro.faults.plan import FaultKind
 
@@ -299,6 +300,8 @@ class Channel:
         if kind is not None:
             self._record_fault(kind.value)
         if kind is FaultKind.SEVER:
+            if before_sever is not None:
+                before_sever()
             self.sever()
         elif kind is FaultKind.CORRUPT and data is not None:
             data = plan.corrupt_bytes(data)
@@ -400,7 +403,8 @@ class Channel:
         for many small calls.  Returns one :data:`Outcome` per input
         frame.  Every frame takes the fault step a single call takes,
         in both directions; the inline replies come back as one
-        coalesced read.
+        coalesced read.  A severing frame cuts the write: the frames ahead
+        of it are delivered and answered first, as single calls would be.
         """
         if self.closed:
             raise ConnectionClosedError(f"{self.spec.name} channel is closed")
@@ -415,15 +419,22 @@ class Channel:
         for i, (data, token) in enumerate(zip(frames, toks)):
             delay, duplicate, lost = 0.0, False, self.severed
             if self._faults is not None:
-                data, delay, duplicate, lost = self._fault("send", first + i, data)
+                data, delay, duplicate, lost = self._fault(
+                    "send", first + i, data, lambda: self._write(first, deliverable, outcomes)
+                )
             if lost:
                 outcomes[i] = self._lose(token)
                 continue
             if delay:
                 self.clock.sleep(delay)
             deliverable.append((i, data, token, duplicate))
+        self._write(first, deliverable, outcomes)
+        return outcomes
+
+    def _write(self, first: int, deliverable: list, outcomes: list) -> None:
+        """Hand ``deliverable`` to the server as one write, and empty it."""
         if not deliverable:
-            return outcomes
+            return
         self._check_peer()
         # the whole batch crosses the wire as one write
         self.clock.sleep(self.spec.message_latency(sum(len(item[1]) for item in deliverable)))
@@ -450,7 +461,7 @@ class Channel:
             self.clock.sleep(self.spec.message_latency(inline_total))
             with self._lock:
                 self.bytes_received += inline_total
-        return outcomes
+        deliverable.clear()
 
     def _check_peer(self) -> None:
         """Detect a closed peer before charging latency or counting the

@@ -11,10 +11,13 @@ from repro.drivers.esx import EsxDriver
 from repro.drivers.lxc import LxcDriver
 from repro.drivers.qemu import QemuDriver
 from repro.drivers.remote import RemoteDriver
+from repro.drivers.stateful import StatefulDriver
 from repro.drivers.test import TestDriver
 from repro.drivers.xen import XenDriver
-from repro.errors import ConnectionError_, InvalidURIError
+from repro.bench.workloads import guest_config
+from repro.errors import ConnectionError_, InvalidURIError, UnsupportedError
 from repro.hypervisors.esx_backend import EsxBackend
+from repro.rpc.procedures import REMOTE_PROCEDURES
 
 
 class TestLocalResolution:
@@ -156,3 +159,70 @@ class TestDerivedFeatures:
         driver = QemuDriver()
         driver.features().clear()
         assert driver.features() == FULL
+
+
+#: well-formed arguments for each method ``LxcDriver`` lists as unsupported,
+#: against the running container ``c1``
+COOKIE = {"name": "c1", "uuid": None, "driver": "lxc"}
+REFUSED_ARGS = {
+    "domain_save": ("c1", "/var/lib/lxc/c1.save"),
+    "domain_restore": ("/var/lib/lxc/c1.save",),
+    "domain_managed_save": ("c1",),
+    "domain_managed_save_remove": ("c1",),
+    "domain_has_managed_save": ("c1",),
+    "migrate_begin": ("c1",),
+    "migrate_prepare": ({"driver": "lxc", "name": "c2", "xml": guest_config("lxc", "c2").to_xml()},),
+    "migrate_perform": ("c1", COOKIE, {"live": True}),
+    "migrate_finish": (COOKIE, {"failed": False}),
+    "migrate_confirm": ("c1", False),
+    "migrate_p2p": ("c1", "lxc+tcp://elsewhere/system", {}),
+    "checkpoint_create": ("c1", "cp1"),
+    "checkpoint_list": ("c1",),
+    "checkpoint_delete": ("c1", "cp1"),
+    "checkpoint_get_xml_desc": ("c1", "cp1"),
+    "backup_begin": ("c1", {"pool": "default"}),
+    "backup_begin_pull": ("c1", {}),
+    "domain_abort_job": ("c1",),
+}
+
+
+class TestTheTableSaysItOnce:
+    """A listed method refuses before anything else runs; a stateful
+    driver counts each served entry once; and serves no row it defines."""
+
+    @pytest.mark.parametrize("method", sorted(LxcDriver.unsupported_ops))
+    def test_a_listed_method_refuses_and_leaves_the_container_running(self, method):
+        driver = LxcDriver()
+        driver.domain_create_xml(guest_config("lxc", "c1").to_xml())
+        calls = driver.api_calls
+        with pytest.raises(UnsupportedError, match=f"driver 'lxc' does not support {method}"):
+            getattr(driver, method)(*REFUSED_ARGS[method])
+        assert driver.api_calls == calls
+        assert driver.backend.list_guests() == ["c1"]
+        assert driver.domain_get_info("c1")["state"] == 1
+
+    def test_every_listed_method_has_arguments_here(self):
+        assert set(REFUSED_ARGS) == LxcDriver.unsupported_ops
+
+    def test_a_stats_sweep_is_one_call(self):
+        driver = QemuDriver()
+        for name in ("a", "b", "c"):
+            driver.domain_create_xml(guest_config("kvm", name).to_xml())
+        calls = driver.api_calls
+        assert [row["name"] for row in driver.get_all_domain_stats(None)] == ["a", "b", "c"]
+        assert driver.api_calls == calls + 1
+
+    def test_a_stateful_driver_that_defines_a_row_method_is_refused(self):
+        with pytest.raises(TypeError, match="domain_get_info"):
+
+            class Overrider(QemuDriver):
+                def domain_get_info(self, name):
+                    return {}
+
+    def test_the_counting_stubs_live_on_the_class_and_wrap_nothing(self):
+        # the span recorder wraps what ``vars(StatefulDriver)`` holds, and
+        # reads a ``__wrapped__`` as one of its own wrappers left installed
+        served = {row.method for row in REMOTE_PROCEDURES if row.method is not None}
+        assert served <= set(vars(StatefulDriver))
+        assert not [name for name in served if hasattr(vars(StatefulDriver)[name], "__wrapped__")]
+        assert StatefulDriver.domain_get_info.__qualname__ == "StatefulDriver.domain_get_info"

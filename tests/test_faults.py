@@ -238,3 +238,21 @@ class TestOneFaultStep:
         assert injected == [(kind, direction, 1)]
         lost = "lost" if kind == "drop" else "reply"
         assert [status for status, _reply in outcomes] == ["reply", lost, "reply"]
+
+    def test_a_severing_frame_cuts_a_batch_where_it_cuts_single_calls(self, clock):
+        def run(send):
+            plan = FaultPlan().sever(frame=1)
+            _, channel = echo_channel(clock)
+            server = channel._server_conn
+            channel.install_fault_plan(plan)
+            outcomes = send(channel, [self.PAYLOAD] * 3)
+            injected = [(e.kind.value, e.direction, e.frame) for e in plan.injected]
+            return outcomes, injected, server.bytes_in
+
+        single = run(lambda channel, frames: [channel.send_request(f) for f in frames])
+        batched = run(lambda channel, frames: channel.send_batch(frames))
+        assert single == batched
+        outcomes, injected, bytes_in = single
+        assert [status for status, _reply in outcomes] == ["reply", "lost", "lost"]
+        assert injected == [("sever", "send", 1)]
+        assert bytes_in == len(self.PAYLOAD)
