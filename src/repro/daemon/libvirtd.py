@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import threading
 from collections import deque
-from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.uri import ConnectionURI
@@ -925,35 +924,41 @@ class Libvirtd:
             raise ConnectionError_("connection not opened (call connect.open first)")
         return record.driver
 
-    def _call(self, conn: ServerConnection) -> ClientRecord:
-        """The client behind ``conn``, with one more call counted: the
-        one place a client's ``calls`` and ``last_activity`` move."""
+    def _call(self, conn: ServerConnection, now: float) -> ClientRecord:
+        """The client behind ``conn``, with one more call counted at
+        ``now``: the one place a client's ``calls`` and ``last_activity``
+        move."""
         record = self._record_of(conn)
         record.calls += 1
-        record.last_activity = self.clock.now()
+        record.last_activity = now
         return record
 
     def _wrap(
         self, fn: Callable[[ClientRecord, Any, Any], Any], procedure: str
     ) -> Callable[[ServerConnection, Any], Any]:
         """``fn(client, driver, body)`` as the handler of ``procedure``:
-        client bookkeeping, kill points, the ``driver.op`` span and metric."""
+        client bookkeeping, kill points, the ``driver.op`` span and metric.
+        The clock is read once as the op starts and once as it ends."""
         op_seconds = self._m_driver_ops.by("driver", procedure=procedure)
 
         def handler(conn: ServerConnection, body: Any) -> Any:
-            record = self._call(conn)
-            driver = self._driver_of(record)
-            # kill point 1: the call arrived but nothing has happened yet
-            self._maybe_crash(CrashPoint.MID_DISPATCH, procedure)
-            label = getattr(driver, "name", type(driver).__name__)
             started = self.clock.now()
+            record = self._call(conn, started)
+            driver = self._driver_of(record)
+            plan = self.crash_plan
+            if plan is not None:
+                # kill point 1: the call arrived but nothing has happened yet
+                self._maybe_crash(CrashPoint.MID_DISPATCH, procedure)
+            label = getattr(driver, "name", type(driver).__name__)
             tracer = self.tracer
-            scope = (
-                tracer.span("driver.op", driver=label, procedure=procedure)
+            span = (
+                tracer.span("driver.op", start=started, driver=label, procedure=procedure)
                 if tracer is not None
-                else nullcontext()
+                else None
             )
-            with scope:
+            # the span is finished on every exit, with the error that
+            # unwound it, also one raised while the process dies
+            try:
                 try:
                     result = fn(record, driver, body or {})
                 except DaemonCrashError:
@@ -966,20 +971,28 @@ class Libvirtd:
                     )
                     self.crash()
                     raise
-            op_seconds[label].observe(self.clock.now() - started)
-            # kill point 3: mutation + journal durable, reply never sent
-            self._maybe_crash(CrashPoint.POST_JOURNAL, procedure)
+                ended = self.clock.now()
+            except BaseException as exc:
+                if span is not None:
+                    tracer.finish_span(span, error=repr(exc))
+                raise
+            if span is not None:
+                tracer.finish_span(span, end=ended)
+            op_seconds[label].observe(ended - started)
+            if plan is not None:
+                # kill point 3: mutation + journal durable, reply never sent
+                self._maybe_crash(CrashPoint.POST_JOURNAL, procedure)
             return result
 
         return handler
 
     def _h_ping(self, conn: ServerConnection, body: Any) -> Any:
         """Keepalive probe: counts as client activity, echoes the body."""
-        self._call(conn)
+        self._call(conn, self.clock.now())
         return body if body is not None else "pong"
 
     def _h_open(self, conn: ServerConnection, body: Any) -> Any:
-        record = self._call(conn)
+        record = self._call(conn, self.clock.now())
         uri_text = body.get("uri") if isinstance(body, dict) else None
         if not uri_text:
             raise InvalidArgumentError("connect.open requires a uri")

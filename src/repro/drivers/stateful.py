@@ -664,7 +664,8 @@ class StatefulDriver(Driver):
     def list_defined_domains(self) -> List[str]:
         with self._lock:
             names = list(self._domains)
-        return sorted(n for n in names if not self.backend.has_guest(n))
+        running = set(self.backend.list_guests())  # the running set, read once
+        return sorted(n for n in names if n not in running)
 
     def num_of_domains(self) -> int:
         return len(self.backend.list_guests())

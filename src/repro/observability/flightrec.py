@@ -147,10 +147,14 @@ class FlightRecorder:
 
     # -- recording ---------------------------------------------------------
 
-    def record(self, kind: str, **fields: Any) -> Dict[str, Any]:
+    def record(self, kind: str, t: "Optional[float]" = None, **fields: Any) -> Dict[str, Any]:
         """Append one record (virtual-clock stamped) to the ring and,
-        when a state directory is attached, to the durable tail."""
-        record = {"t": self._now(), "kind": kind, **fields, "life": self.incarnation}
+        when a state directory is attached, to the durable tail.  ``t``
+        is the instant the caller already read from the owning clock;
+        without it the clock is read."""
+        record = {
+            "t": self._now() if t is None else t, "kind": kind, **fields, "life": self.incarnation,
+        }
         statedir = self.statedir
         line = None if statedir is None else _encode_line(record)
         with self._lock:

@@ -131,7 +131,8 @@ class Histogram:
     """Cumulative-bucket distribution (Prometheus semantics).
 
     Tracks per-bucket counts (``le`` upper bounds), total count, sum,
-    and the observed min/max for cheap summary display.
+    and the observed min/max for cheap summary display.  A NaN moves the
+    count and the sum but no bucket, and never the min or the max.
     """
 
     __slots__ = ("buckets", "_counts", "_count", "_sum", "_min", "_max", "_lock")
@@ -150,8 +151,9 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)
         self._count = 0
         self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
+        # every comparison with a NaN is false, so one never lands here
+        self._min = math.inf
+        self._max = -math.inf
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -159,9 +161,9 @@ class Histogram:
         with self._lock:
             self._count += 1
             self._sum += value
-            if self._min is None or value < self._min:
+            if value < self._min:
                 self._min = value
-            if self._max is None or value > self._max:
+            if value > self._max:
                 self._max = value
             if value == value:  # NaN moves count and sum but no bucket
                 self._counts[bisect_left(self.buckets, value)] += 1
@@ -189,13 +191,16 @@ class Histogram:
             return pairs
 
     def summary(self) -> Dict[str, float]:
+        """Count, sum, mean, min and max; min and max read 0.0 until a
+        value other than NaN has been observed."""
         with self._lock:
+            seen = self._min <= self._max
             return {
                 "count": self._count,
                 "sum": self._sum,
                 "mean": self._sum / self._count if self._count else 0.0,
-                "min": self._min if self._min is not None else 0.0,
-                "max": self._max if self._max is not None else 0.0,
+                "min": self._min if seen else 0.0,
+                "max": self._max if seen else 0.0,
             }
 
     def reset(self) -> None:
@@ -203,8 +208,8 @@ class Histogram:
             self._counts = [0] * len(self._counts)
             self._count = 0
             self._sum = 0.0
-            self._min = None
-            self._max = None
+            self._min = math.inf
+            self._max = -math.inf
 
 
 _INSTRUMENTS = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}

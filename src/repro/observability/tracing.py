@@ -11,10 +11,11 @@ That explicit-context model is what lets one remote API call produce
 boundary: client ``call_async`` → correlation table → reply delivery,
 and server read-loop → in-flight window queue → workerpool job.
 
-Spans started with :meth:`Tracer.span` nest on the thread stack (a
-context manager); spans started with :meth:`Tracer.start_span` are
-*detached* — never pushed on any stack, finished explicitly with
-:meth:`Tracer.finish_span` from whichever thread collects the result.
+Spans started with :meth:`Tracer.span` nest on the thread stack (the
+span is its own context manager); spans started with
+:meth:`Tracer.start_span` are *detached* — never pushed on any stack,
+finished explicitly with :meth:`Tracer.finish_span` from whichever
+thread collects the result.
 The RPC client uses detached spans so pipelined calls on one thread
 cannot accidentally nest under each other.
 
@@ -97,12 +98,38 @@ class SpanContext:
         return None
 
 
-class Span:
-    """One timed interval; finished when ``end`` is set."""
+class _SpanContextManager:
+    """The context-manager half of a span: ``with tracer.span(...) as
+    span`` enters the span :meth:`Tracer.span` returned and finishes it
+    on exit, recording the exception that unwound the block, if any."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        if exc is not None and self.error is None:
+            self.error = repr(exc)
+        self._tracer._finish(self)
+
+    @property
+    def span(self) -> "Span":
+        """The span itself: the manager and the span are one object."""
+        return self
+
+
+#: backward-compatible alias (the manager used to be ``_SpanContext``)
+_SpanContext = _SpanContextManager
+
+
+class Span(_SpanContextManager):
+    """One timed interval; finished when ``end`` is set.  Its own
+    context manager (see :class:`_SpanContextManager`)."""
 
     __slots__ = (
         "name", "span_id", "parent_id", "trace_id",
-        "start", "end", "attributes", "error",
+        "start", "end", "attributes", "error", "_tracer",
     )
 
     def __init__(
@@ -113,7 +140,11 @@ class Span:
         start: float,
         parent_id: "Optional[int]" = None,
         attributes: "Optional[Dict[str, Any]]" = None,
+        tracer: "Optional[Tracer]" = None,
     ) -> None:
+        #: the tracer that finishes this span when it is used as a
+        #: context manager; None for one built outside a tracer
+        self._tracer = tracer
         self.name = name
         self.span_id = span_id
         self.trace_id = trace_id
@@ -160,28 +191,6 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.duration:.6f}s" if self.finished else "open"
         return f"Span({self.name!r}, {state})"
-
-
-class _SpanContextManager:
-    """The context-manager half of ``Tracer.span``."""
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        if exc is not None and self.span.error is None:
-            self.span.error = repr(exc)
-        self._tracer._finish(self.span)
-
-
-#: backward-compatible alias (the manager used to be ``_SpanContext``)
-_SpanContext = _SpanContextManager
 
 
 class _ThreadState(threading.local):
@@ -235,9 +244,11 @@ class Tracer:
         self,
         name: str,
         parent: "Optional[SpanContext]" = None,
+        start: "Optional[float]" = None,
         **attributes: Any,
-    ) -> _SpanContextManager:
-        """Open a span on the calling thread's stack::
+    ) -> Span:
+        """Open a span on the calling thread's stack and return it; the
+        span is its own context manager::
 
             with tracer.span("rpc.dispatch", procedure="domain.create"):
                 ...
@@ -246,8 +257,11 @@ class Tracer:
         :class:`SpanContext` a frame carried to adopt a remote trace
         (counted in ``spans_propagated_total``).  Without it the parent
         is the thread's innermost open span, else the attached context.
+        ``start`` is the instant the caller already read from this
+        tracer's clock; without it the clock is read.  A span not used
+        in a ``with`` block is finished with :meth:`finish_span`.
         """
-        return _SpanContextManager(self, self._make_span(name, parent, attributes, True))
+        return self._make_span(name, parent, attributes, True, start)
 
     def start_span(
         self,
@@ -261,13 +275,18 @@ class Tracer:
         :meth:`finish_span` from any thread."""
         return self._make_span(name, parent, attributes, False)
 
-    def finish_span(self, span: Span, error: "Optional[str]" = None) -> None:
-        """Finish a span started with :meth:`start_span` (idempotent)."""
+    def finish_span(
+        self, span: Span, error: "Optional[str]" = None, end: "Optional[float]" = None
+    ) -> None:
+        """Finish a span started with :meth:`start_span`, or one from
+        :meth:`span` used outside a ``with`` block (idempotent).  ``end``
+        is the instant the caller already read; without it the clock is
+        read."""
         if span.end is not None:
             return
         if error is not None and span.error is None:
             span.error = error
-        self._finish(span)
+        self._finish(span, end=end)
 
     def _make_span(
         self,
@@ -275,19 +294,22 @@ class Tracer:
         parent: "Optional[SpanContext]",
         attributes: Dict[str, Any],
         stacked: bool,
+        start: "Optional[float]" = None,
     ) -> Span:
-        """One thread-state look-up, one id, one clock read, one ``Span``,
-        one lock; the ambient parent's ids are read where they are."""
+        """One thread-state look-up, one id, at most one clock read, one
+        ``Span``, one lock; the ambient parent's ids are read where they are."""
         state = self._local
         stack = state.stack
         propagated = parent is not None
         if parent is None:
             parent = stack[-1] if stack else state.context  # a Span or a SpanContext
         span_id = next(_IDS)
+        if start is None:
+            start = self._now()
         if parent is None:
-            span = Span(name, span_id, span_id, self._now(), None, attributes)
+            span = Span(name, span_id, span_id, start, None, attributes, self)
         else:
-            span = Span(name, span_id, parent.trace_id, self._now(), parent.span_id, attributes)
+            span = Span(name, span_id, parent.trace_id, start, parent.span_id, attributes, self)
         if stacked:
             stack.append(span)
         with self._lock:
@@ -297,7 +319,7 @@ class Tracer:
             self._m_propagated.inc()
         return span
 
-    def _finish(self, span: Span, orphaned: int = 0) -> None:
+    def _finish(self, span: Span, orphaned: int = 0, end: "Optional[float]" = None) -> None:
         if span.end is not None:
             return
         stack = self._local.stack
@@ -313,9 +335,11 @@ class Tracer:
                     orphan = stack[-1]
                     if orphan.error is None:
                         orphan.error = f"orphaned: enclosing span {span.name!r} exited first"
-                    self._finish(orphan, orphaned=1)
+                    self._finish(orphan, orphaned=1, end=end)
                 stack.pop()
-        end = span.end = self._now()
+        if end is None:
+            end = self._now()
+        span.end = end
         with self._lock:
             self._open.pop(span.span_id, None)
             if span.error is not None:
@@ -350,6 +374,7 @@ class Tracer:
             start=start,
             parent_id=parent_id,
             attributes=attributes,
+            tracer=self,
         )
         span.attributes["status"] = "interrupted"
         span.error = "interrupted: daemon died before the dispatch finished"

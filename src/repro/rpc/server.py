@@ -34,7 +34,6 @@ import itertools
 import threading
 import weakref
 from collections import deque
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import DaemonCrashError, InvalidArgumentError, RPCError, VirtError
@@ -247,19 +246,13 @@ class RPCServer:
         return procedure_number(name) in self._procedures
 
     def attach(self, conn: ServerConnection) -> None:
-        """Wire a freshly accepted connection into this dispatcher."""
+        """Wire a freshly accepted connection into this dispatcher, with
+        its in-flight window, which :meth:`dispatch` looks up unlocked."""
+        with self._lock:
+            self._windows[conn] = _InflightWindow()
         conn.set_handler(lambda data: self.dispatch(conn, data))
-        self._window(conn)
 
     # -- in-flight window --------------------------------------------------
-
-    def _window(self, conn: ServerConnection) -> _InflightWindow:
-        with self._lock:
-            window = self._windows.get(conn)
-            if window is None:
-                window = _InflightWindow()
-                self._windows[conn] = window
-            return window
 
     def set_max_client_requests(self, value: int) -> None:
         """Adjust the per-connection window at runtime (admin API);
@@ -336,7 +329,7 @@ class RPCServer:
         )
         if self._pool is None:
             return self._run_inline(conn, None, job)
-        window = self._window(conn)
+        window = self._windows[conn]
         with window.lock:
             if window.inflight >= self.max_client_requests:
                 if len(window.queue) >= self.max_queued_requests:
@@ -385,7 +378,7 @@ class RPCServer:
         attached = self.tracer is not None and job.trace_ctx is not None
         token = self.tracer.attach(job.trace_ctx) if attached else None
         try:
-            conn.send_reply(self._execute(conn, job), job.frame_index)
+            conn.send_reply(self._execute(conn, job, conn.channel.clock.now()), job.frame_index)
         finally:
             if attached:
                 self.tracer.detach(token)
@@ -395,7 +388,8 @@ class RPCServer:
         self, conn: ServerConnection, window: "Optional[_InflightWindow]", job: _DispatchJob
     ) -> Any:
         """Receiving-thread body of a non-blocking row and of a pool-less
-        server (``window`` None): the REPLY is the return value.
+        server (``window`` None): the REPLY is the return value.  The call
+        starts where it arrived, so the arrival's clock read stamps both.
 
         A crashed daemon has severed the link, which resolved the call as
         lost: under a pool the crash stops here, and the caller sees what a
@@ -403,7 +397,7 @@ class RPCServer:
         plan fired from the exception unwinding the caller, so it keeps it.
         """
         try:
-            return self._execute(conn, job)
+            return self._execute(conn, job, job.started)
         except DaemonCrashError:
             if window is None:
                 raise
@@ -426,38 +420,42 @@ class RPCServer:
             if not self._submit_job(conn, window, job):
                 return
 
-    def _execute(self, conn: ServerConnection, job: _DispatchJob) -> bytes:
+    def _execute(self, conn: ServerConnection, job: _DispatchJob, now: float) -> bytes:
         """Run the handler and pack the REPLY; records span, counters,
         and dispatch latency on both the OK and the error outcome.
 
         The dispatch span parents into the trace context the CALL frame
         carried (one trace across the wire); without one it roots a
         local trace, exactly as before.  ``queue_wait`` — modelled time
-        between unpack and a worker picking the job up — is recorded as
-        a span attribute.
+        between unpack and ``now``, when the call starts — is recorded
+        as a span attribute.  One more clock read, when the reply is
+        packed, stamps the latency, ``rpc.end`` and the span's end.
         """
         message = job.message
         label = job.label
         tracer = self.tracer
         recorder = self.recorder
-        clock = conn.channel.clock
-        scope = (
+        span = (
             tracer.span(
                 "rpc.dispatch",
                 parent=job.trace_ctx,
+                start=now,
                 procedure=label,
                 priority=job.priority,
                 serial=message.serial,
-                queue_wait=clock.now() - job.started,
+                queue_wait=now - job.started,
             )
             if tracer is not None
-            else nullcontext(None)
+            else None
         )
-        with scope as span:
+        # the span is finished on every exit: a raising handler or a
+        # failing flight record finishes it with the error
+        try:
             if recorder is not None:
                 call = next(self._calls)
                 recorder.record(
                     "rpc.begin",
+                    t=now,
                     server=self.name,
                     procedure=label,
                     serial=message.serial,
@@ -501,16 +499,24 @@ class RPCServer:
                     ReplyStatus.OK,
                     result,
                 ).pack()
-            self._m_latency[label].observe(clock.now() - job.started)
+            end = conn.channel.clock.now()
+            self._m_latency[label].observe(end - job.started)
             if recorder is not None:
                 recorder.record(
                     "rpc.end",
+                    t=end,
                     server=self.name,
                     procedure=label,
                     serial=message.serial,
                     call=call,
                     status=status,
                 )
+        except BaseException as exc:
+            if span is not None:
+                tracer.finish_span(span, error=repr(exc))
+            raise
+        if span is not None:
+            tracer.finish_span(span, end=end)
         return reply
 
     def _handle_keepalive(self, conn: ServerConnection, message: RPCMessage) -> Optional[bytes]:

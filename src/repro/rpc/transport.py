@@ -342,8 +342,9 @@ class Channel:
         A deferred or lost reply is correlated to its call by the
         caller-supplied opaque ``token``.
         """
+        spec = self.spec
         if self.closed:
-            raise ConnectionClosedError(f"{self.spec.name} channel is closed")
+            raise ConnectionClosedError(f"{spec.name} channel is closed")
         with self._lock:
             frame_index = self.frames_sent
             self.frames_sent += 1
@@ -352,14 +353,14 @@ class Channel:
             data, delay, duplicate, lost = self._fault("send", frame_index, data)
         if lost:
             return self._lose(token)
-        self._check_peer()
-        self.clock.sleep(self.spec.message_latency(len(data)) + delay)
-        reply = self._hand_over(frame_index, data, token, duplicate)
+        conn = self._check_peer()
+        self.clock.sleep(spec.message_latency(len(data)) + delay)
+        reply = self._hand_over(conn, frame_index, data, token, duplicate)
         if reply is ASYNC_REPLY:
             return "pending", None
         status, reply = self._receive(frame_index, reply, token)
         if reply is not None:
-            self.clock.sleep(self.spec.message_latency(len(reply)))
+            self.clock.sleep(spec.message_latency(len(reply)))
             with self._lock:
                 self.bytes_received += len(reply)
         return status, reply
@@ -387,11 +388,11 @@ class Channel:
         if lost:
             self._record_lost_frame()
             return False
-        self._check_peer()
+        conn = self._check_peer()
         self.clock.sleep(self.spec.message_latency(len(data)) + delay)
         with self._lock:
             self.bytes_sent += len(data)
-        self._server_conn.handle(data, frame_index=None)
+        conn.handle(data, frame_index=None)
         return True
 
     def send_batch(self, frames: "list[bytes]", tokens: "Optional[list]" = None) -> "list[Outcome]":
@@ -435,13 +436,13 @@ class Channel:
         """Hand ``deliverable`` to the server as one write, and empty it."""
         if not deliverable:
             return
-        self._check_peer()
+        conn = self._check_peer()
         # the whole batch crosses the wire as one write
         self.clock.sleep(self.spec.message_latency(sum(len(item[1]) for item in deliverable)))
         inline = []
         try:
             for i, data, token, duplicate in deliverable:
-                reply = self._hand_over(first + i, data, token, duplicate)
+                reply = self._hand_over(conn, first + i, data, token, duplicate)
                 if reply is ASYNC_REPLY:
                     outcomes[i] = ("pending", None)
                 else:
@@ -463,15 +464,20 @@ class Channel:
                 self.bytes_received += inline_total
         deliverable.clear()
 
-    def _check_peer(self) -> None:
-        """Detect a closed peer before charging latency or counting the
-        frame as delivered traffic — a dead link carries no bytes."""
-        if self._server_conn.closed:
+    def _check_peer(self) -> ServerConnection:
+        """The peer, once it is known open: a closed one is detected
+        before charging latency or counting the frame as delivered
+        traffic — a dead link carries no bytes."""
+        conn = self._server_conn_ref[0]
+        if conn.closed:
             self.closed = True
             raise ConnectionClosedError("server closed the connection")
+        return conn
 
-    def _hand_over(self, frame_index: int, data: bytes, token: Any, duplicate: bool) -> Any:
-        """Give one CALL frame to the server; its inline reply or
+    def _hand_over(
+        self, conn: ServerConnection, frame_index: int, data: bytes, token: Any, duplicate: bool
+    ) -> Any:
+        """Give one CALL frame to the server ``conn``; its inline reply or
         :data:`ASYNC_REPLY`.
 
         The frame is registered in flight first: a pooled server may
@@ -484,11 +490,11 @@ class Channel:
             self.bytes_sent += len(data)
             self._inflight[frame_index] = token
         try:
-            reply = self._server_conn.handle(data, frame_index=frame_index)
+            reply = conn.handle(data, frame_index=frame_index)
             if duplicate:
                 with self._lock:
                     self.bytes_sent += len(data)
-                self._server_conn.handle(data, frame_index=frame_index)
+                conn.handle(data, frame_index=frame_index)
         except BaseException:
             with self._lock:
                 self._inflight.pop(frame_index, None)

@@ -293,6 +293,35 @@ def replay_journal(state_root, copy):
     return StateJournal(StateDir(str(copy))).entries("domain")
 
 
+class TestDriverOpSpanOnACrash:
+    def test_a_failing_crash_record_still_finishes_the_driver_op_span(self, tmp_path):
+        """The ``crash`` flight record of a ``MID_JOURNAL`` kill can raise
+        (its state directory's append can): the ``driver.op`` span the
+        kill unwound is finished with that error all the same."""
+        harness = CrashHarness(str(tmp_path / "span"), hostname="span-crash")
+        plan = CrashPlan()
+        daemon = harness.start(plan)
+        actor = harness.connect()
+        recorder = daemon.flight_recorder
+        record = recorder.record
+
+        def failing(kind, **fields):
+            if kind == "crash":
+                raise OSError("state directory full")
+            return record(kind, **fields)
+
+        recorder.record = failing
+        plan.crash(CrashPoint.MID_JOURNAL, op="domain:g1")
+        # the handler's error crosses the wire as an internal error
+        with pytest.raises(VirtError, match="state directory full"):
+            actor.domain_define_xml(plain_xml("g1"))
+        (op,) = [s for s in daemon.tracer.find("driver.op") if s.attributes["procedure"] == "domain.define_xml"]
+        assert op.finished
+        assert "state directory full" in op.error
+        assert daemon.tracer.open_spans() == []
+        assert daemon.tracer.current is None
+
+
 class TestTornMutationIsNeverAnnounced:
     """A ``MID_JOURNAL`` kill on a domain record tears the mutation before
     anyone hears of it.  The backend may already have acted (a guest

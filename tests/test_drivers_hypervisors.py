@@ -126,6 +126,20 @@ class TestUniformSequence:
         dom.destroy()
         assert events == ["DEFINED", "STARTED", "STOPPED"]
 
+    def test_running_and_defined_lists_partition_the_guests(self, kind):
+        conn, _ = make_connection(kind)
+        driver = conn._driver
+        for name in ("stopped", "running"):
+            driver.domain_define_xml(config_for(kind, name=name).to_xml())
+        driver.domain_create("running")
+        driver.domain_create_xml(config_for(kind, name="transient").to_xml())
+        running, defined = driver.list_domains(), driver.list_defined_domains()
+        assert sorted(running) == ["running", "transient"]
+        assert defined == ["stopped"]
+        driver.domain_destroy("running")
+        assert sorted(driver.list_defined_domains()) == ["running", "stopped"]
+        assert driver.list_domains() == ["transient"]
+
 
 class TestQemuDriverNative:
     def test_lifecycle_goes_through_qmp(self):

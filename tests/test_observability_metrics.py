@@ -166,6 +166,17 @@ class TestHistogram:
         assert h.bucket_counts() == [(0.1, 0), (1.0, 1), (math.inf, 2)]
         assert h.summary()["min"] == h.summary()["max"] == 0.5
 
+    def test_nan_observed_first_moves_neither_min_nor_max(self):
+        h = Histogram(buckets=(0.1, 1.0))
+        h.observe(math.nan)
+        assert h.summary()["min"] == h.summary()["max"] == 0.0
+        h.observe(0.5)
+        h.observe(0.1)
+        assert h.count == 3
+        assert (h.summary()["min"], h.summary()["max"]) == (0.1, 0.5)
+        h.reset()
+        assert (h.summary()["min"], h.summary()["max"]) == (0.0, 0.0)
+
 
 class TestMetricFamily:
     def test_labelled_children_are_distinct(self):

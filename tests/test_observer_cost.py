@@ -196,3 +196,43 @@ def test_a_procedure_has_no_series_before_its_first_call():
         conn.close()
     finally:
         daemon.shutdown()
+
+
+def test_a_further_read_reads_the_clock_once_per_instant(monkeypatch):
+    """A further inline ``domain.get_info`` reads ``VirtualClock.now`` five
+    times: once as the client starts the call, once as the daemon unpacks
+    it, once as the driver op starts, once as it ends, and once as the
+    reply is packed.  The two ``advance`` calls are the request's and the
+    reply's transport latency.  The spans and flight records are the two
+    each the call always made.  The clock is patched before the daemon is
+    built: its tracer and recorder hold bound methods of it."""
+    counts = {"now": 0, "advance": 0}
+    now, advance = VirtualClock.now, VirtualClock.advance
+
+    def counted_now(clock):
+        counts["now"] += 1
+        return now(clock)
+
+    def counted_advance(clock, seconds):
+        counts["advance"] += 1
+        return advance(clock, seconds)
+
+    monkeypatch.setattr(VirtualClock, "now", counted_now)
+    monkeypatch.setattr(VirtualClock, "advance", counted_advance)
+    daemon = Libvirtd(hostname=HOSTNAME + "-clock", clock=VirtualClock())
+    try:
+        daemon.listen("unix")
+        conn = repro.open_connection(f"qemu+unix://{HOSTNAME}-clock/system")
+        conn.define_domain(DomainConfig(name="kept", domain_type="kvm", memory_kib=65536))
+        driver = conn._driver
+        driver.domain_get_info("kept")  # warm-up
+        spans, records = daemon.tracer.spans_started, daemon.flight_recorder.records_total
+        counts.update(now=0, advance=0)
+        for _ in range(READS):
+            driver.domain_get_info("kept")
+        assert counts == {"now": 5 * READS, "advance": 2 * READS}
+        assert daemon.tracer.spans_started - spans == 2 * READS
+        assert daemon.flight_recorder.records_total - records == 2 * READS
+        conn.close()
+    finally:
+        daemon.shutdown()

@@ -330,6 +330,30 @@ class TestRPCPropagation:
         assert "nope" in dispatch.error
         assert dispatch.parent_id == call.span_id
 
+    @pytest.mark.parametrize("failing", ["rpc.begin", "rpc.end"])
+    def test_a_failing_flight_record_still_finishes_the_dispatch_span(self, clock, tracer, failing):
+        """A flight record can raise (its state directory's append can):
+        the dispatch span is finished with that error all the same, so it
+        is neither left in flight nor left on the thread's stack."""
+
+        class FailingRecorder:
+            def record(self, event, **fields):
+                if event == failing:
+                    raise OSError("state directory full")
+
+        client, server, _ = make_pair(
+            clock, None, tracer, handlers={"connect.ping": lambda c, b: b}
+        )
+        server.recorder = FailingRecorder()
+        with pytest.raises(OSError):
+            client.call("connect.ping")
+        (dispatch,) = tracer.find("rpc.dispatch")
+        assert dispatch.finished
+        assert "state directory full" in dispatch.error
+        assert tracer.open_spans() == []
+        assert tracer.current is None
+        assert tracer.current_context() is None
+
     def test_poolless_server_propagates_inline(self, clock, tracer):
         client, _, _ = make_pair(
             clock, None, tracer,
