@@ -14,7 +14,8 @@ daemon halves of a trace.
 
 Wall-clock cost (the real CPU spent appending spans) is measured
 against a generous ceiling and gated as a pass/fail bit; the raw
-number is reported informationally since shared runners are noisy.
+number is printed, not written to the committed table, since shared
+runners are noisy.
 """
 
 import time
@@ -105,10 +106,11 @@ def test_o1_trace_overhead():
                     f"+{(modelled['prop'] - modelled['spans']) * 1e9:.1f} ns "
                     "(frame grew by the trace map)",
                 ],
-                ["wall overhead", f"{wall * 1e6:.1f} us", f"ceiling {WALL_CEILING_S * 1e6:.0f} us"],
             ],
         ),
     )
+    # the wall figure moves run to run, so it is printed, not recorded
+    print(f"O1 wall overhead: {wall * 1e6:.1f} us/call (ceiling {WALL_CEILING_S * 1e6:.0f} us)")
 
     # span recording is pure bookkeeping on the virtual clock: with no
     # context on the wire the modelled time must not move AT ALL

@@ -11,20 +11,28 @@ says otherwise.  The coherence rules are deliberately simple:
 * **flush-on-reconnect** — a severed link may have lost events, so the
   whole cache is discarded when the transport is re-dialled;
 * **bypass** — callers that need daemon truth pass ``cached=False``
-  and go straight to the wire.
+  and go straight to the wire;
+* **no crossed answers** — a reply whose key was invalidated or flushed
+  while its read was on the wire may predate the change, so it is
+  handed to the caller but not stored.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+import threading
+from typing import Any, Dict, List, Optional, Tuple
+
+#: invalidation stamps kept, one per bucket of domain names (``None``: the
+#: lists); two names sharing one only drop an answer too many
+_BUCKETS = 256
 
 
 class InvalidationCache:
     """A keyed read cache whose entries die by invalidation, not TTL.
 
-    Keys are ``(scope, name)`` tuples: ``("list", "active")`` for the
-    connection-level lists, ``("state", domain)`` / ``("xml", domain)``
-    for per-domain answers.  The cache never expires entries on its own
+    Keys are ``(scope, name)`` tuples: ``("list", procedure)`` for the
+    connection-level lists, ``("state"|"xml"|"lookup", domain)`` for
+    per-domain answers.  The cache never expires entries on its own
     — correctness comes entirely from the event stream driving
     :meth:`invalidate_domain` / :meth:`invalidate_lists` / :meth:`flush`.
     """
@@ -32,6 +40,12 @@ class InvalidationCache:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._entries: Dict[Tuple[str, str], Any] = {}
+        #: serialises stores against invalidations (hits take no lock)
+        self._lock = threading.Lock()
+        #: bumped by every invalidation and flush (see :meth:`put`)
+        self.generation = 0
+        #: generation of the last change covering each bucket
+        self._stamps = [0] * _BUCKETS
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -52,35 +66,50 @@ class InvalidationCache:
         self.misses += 1
         return False, None
 
-    def put(self, scope: str, name: str, value: Any) -> None:
+    def put(self, scope: str, name: str, value: Any, since: "Optional[int]" = None) -> None:
+        """Store an answer, unless a change covering its key came in after
+        ``since``, the :attr:`generation` noted before its read went out."""
         if self.enabled:
-            self._entries[(scope, name)] = value
+            with self._lock:
+                stamp = self._stamps[hash(None if scope == "list" else name) % _BUCKETS]
+                if since is None or since >= stamp:
+                    self._entries[(scope, name)] = value
+
+    def peek(self, scope: str, name: str = "") -> Any:
+        """The stored value or ``None``, counting neither hit nor miss."""
+        return self._entries.get((scope, name))
 
     # -- coherence ---------------------------------------------------------
 
-    def invalidate_domain(self, domain: str) -> int:
-        """Drop every per-domain entry for ``domain``."""
-        dead = [k for k in self._entries if k[1] == domain and k[0] != "list"]
+    def _drop(self, name: "Optional[str]", dead: "List[Tuple[str, str]]") -> int:
+        """Delete ``dead`` and stamp ``name``'s bucket (lock held)."""
+        self.generation += 1
+        self._stamps[hash(name) % _BUCKETS] = self.generation
         for key in dead:
             del self._entries[key]
         self.invalidations += len(dead)
         return len(dead)
+
+    def invalidate_domain(self, domain: str) -> int:
+        """Drop every per-domain entry for ``domain``."""
+        with self._lock:
+            return self._drop(domain, [k for k in self._entries if k[1] == domain and k[0] != "list"])
 
     def invalidate_lists(self) -> int:
         """Drop the connection-level list entries (membership changed)."""
-        dead = [k for k in self._entries if k[0] == "list"]
-        for key in dead:
-            del self._entries[key]
-        self.invalidations += len(dead)
-        return len(dead)
+        with self._lock:
+            return self._drop(None, [k for k in self._entries if k[0] == "list"])
 
     def flush(self, reason: str = "") -> int:
         """Drop everything (reconnect, explicit request)."""
-        count = len(self._entries)
-        self._entries.clear()
-        self.flushes += 1
-        if reason:
-            self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
+        with self._lock:
+            count = len(self._entries)
+            self._entries.clear()
+            self.generation += 1
+            self._stamps = [self.generation] * _BUCKETS
+            self.flushes += 1
+            if reason:
+                self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
         return count
 
     def on_event(self, record: Dict[str, Any]) -> None:

@@ -174,9 +174,8 @@ class RemoteDriver(Driver):
         self.remote_uri = ConnectionURI(
             driver=uri.driver, path=uri.path, params=forwarded
         ).format()
-        #: invalidation-driven read cache (?cache=1); it only serves
-        #: entries while the bus push keeps it coherent
-        cache_requested = uri.params.get("cache", "0") not in ("0", "no", "off")
+        #: invalidation-driven read cache (?cache=1, or :meth:`enable_cache`);
+        #: it only serves entries while the bus push keeps it coherent
         self.cache = InvalidationCache(enabled=False)
         #: armed frame id -> {handler id -> (kinds, bus handler)}: every
         #: local listener, a lifecycle callback being a view of the records
@@ -214,7 +213,12 @@ class RemoteDriver(Driver):
                 "remote_circuit_open_total", "Calls refused by an open circuit breaker"
             )
         self.client = self._dial()
-        if cache_requested:
+        if uri.params.get("cache", "0") not in ("0", "no", "off"):
+            self.enable_cache()
+
+    def enable_cache(self) -> None:
+        """Arm the bus push that keeps the cache coherent, then serve from it."""
+        if not self.cache.enabled:
             self._armed(EVENT_BUS_RECORD)
             self.cache.enabled = True
 
@@ -427,14 +431,16 @@ class RemoteDriver(Driver):
         """Serve from the invalidation cache, falling through to the wire.
 
         ``cached=False`` is the bypass flag: the caller needs daemon
-        truth regardless of coherence state."""
+        truth regardless of coherence state.  An answer whose key was
+        invalidated while it was on the wire is returned, not stored."""
         if cached:
             hit, value = self.cache.get(scope, key)
             if hit:
                 return value
+        since = self.cache.generation
         value = self._call(name, body)
         if cached:
-            self.cache.put(scope, key, value)
+            self.cache.put(scope, key, value, since)
         return value
 
     def domain_set_autostart(self, name: str, autostart: bool) -> None:

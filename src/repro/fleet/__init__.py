@@ -4,8 +4,8 @@ The package stacks three layers on the single-connection core:
 
 * :class:`~repro.fleet.manager.FleetManager` — pooled, health-checked,
   auto-reopened connections to every daemon URI;
-* :class:`~repro.fleet.registry.FleetRegistry` — a sharded fleet-wide
-  domain index kept coherent by event-bus invalidation, not polling;
+* :class:`~repro.fleet.registry.FleetRegistry` — fleet-wide domain
+  look-ups read through each host's event-invalidated client cache;
 * :class:`~repro.fleet.orchestrator.FleetOrchestrator` — placement-aware
   mass operations: drain, rebalance, rolling restart.
 """

@@ -9,7 +9,7 @@ driver's keepalive/reconnect machinery when the URI asks for it.
 
 The shape follows virtui-manager's ``ConnectionManager`` (open, close,
 health-check and pool many URIs behind one object), grown fleet-wide:
-the manager is the substrate the sharded registry
+the manager is the substrate the registry
 (:mod:`repro.fleet.registry`) and the orchestrator
 (:mod:`repro.fleet.orchestrator`) build on.
 """
@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.connection import Connection, open_connection
 from repro.errors import InvalidArgumentError, VirtError
+from repro.fleet.registry import FleetRegistry
 from repro.util.virtlog import LOG_ERROR, Logger
 
 
@@ -88,7 +89,7 @@ class FleetManager:
         self._lock = threading.RLock()
         self.auto_reopen = auto_reopen
         self.logger = Logger(level=log_level)
-        self._registry: "Optional[Any]" = None
+        self._registry = FleetRegistry(self)
         #: shared observability plumbed into every remote connection this
         #: manager dials: one registry/tracer sees the whole fleet's
         #: client-side RPC traffic (the substrate for trace stitching)
@@ -133,8 +134,6 @@ class FleetManager:
                     f"fleet already manages a daemon named {hostname!r}"
                 )
             self._hosts[hostname] = HostEntry(uri, hostname, connection)
-        if self._registry is not None:
-            self._registry.attach(hostname)
         return hostname
 
     def remove_host(self, hostname: str) -> None:
@@ -142,8 +141,6 @@ class FleetManager:
             entry = self._hosts.pop(hostname, None)
         if entry is None:
             raise FleetError(f"fleet does not manage a daemon named {hostname!r}")
-        if self._registry is not None:
-            self._registry.detach(hostname)
         try:
             entry.connection.close()
         except VirtError:
@@ -212,8 +209,6 @@ class FleetManager:
         entry.healthy = True
         entry.last_error = None
         entry.reopens += 1
-        if self._registry is not None:
-            self._registry.rearm(hostname)
         return connection
 
     # -- health ------------------------------------------------------------
@@ -298,16 +293,9 @@ class FleetManager:
 
     # -- registry ----------------------------------------------------------
 
-    def registry(self) -> "Any":
-        """The fleet-wide sharded domain registry (created on first use,
-        event subscriptions armed against every current host)."""
-        if self._registry is None:
-            from repro.fleet.registry import FleetRegistry
-
-            registry = FleetRegistry(self)
-            self._registry = registry
-            for hostname in self.hostnames():
-                registry.attach(hostname)
+    def registry(self) -> FleetRegistry:
+        """The fleet-wide domain registry; it turns a host's read cache on
+        at its first read of that host, so it costs nothing until used."""
         return self._registry
 
     # -- lifecycle ---------------------------------------------------------
@@ -321,7 +309,6 @@ class FleetManager:
                 entry.connection.close()
             except VirtError:
                 pass
-        self._registry = None
 
     def __enter__(self) -> "FleetManager":
         return self

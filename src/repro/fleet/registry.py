@@ -1,232 +1,109 @@
-"""The fleet-wide domain registry: name/uuid → home daemon, sharded.
+"""The fleet-wide domain registry: name/uuid → home daemon.
 
-Scanning every daemon on every "where does web-42 live?" question is
-O(hosts) per lookup and hammers the wire.  The registry instead keeps
-one *shard* per host — a name→record snapshot of that daemon's domain
-list — and keeps it honest with the event bus rather than with polling:
-each shard subscribes to lifecycle/config/migration records from its
-daemon and marks itself **stale** the moment anything changes.  A stale
-shard is only re-fetched when a lookup actually needs it (lazy,
-invalidation-driven coherence — the same discipline as the PR-7 client
-read cache, lifted to fleet scope).
+It keeps no index of its own: it reads each host's domain lists and
+look-ups through that host connection's invalidation cache
+(:mod:`repro.core.cache`), turned on at its first read of the host.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NoDomainError, VirtError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.cache import InvalidationCache
     from repro.core.domain import Domain
     from repro.fleet.manager import FleetManager
 
-#: event kinds that can move, create, or destroy a domain — anything
-#: else (device hotplug, snapshots, jobs) leaves *where it lives* alone
-INVALIDATING_KINDS = ("lifecycle", "config", "migration")
-
-
-class _Shard:
-    """One host's slice of the registry: its domain snapshot + staleness."""
-
-    __slots__ = ("hostname", "by_name", "by_uuid", "stale", "sub_id", "refreshes")
-
-    def __init__(self, hostname: str) -> None:
-        self.hostname = hostname
-        self.by_name: Dict[str, Dict[str, Any]] = {}
-        self.by_uuid: Dict[str, str] = {}
-        #: True until first refresh, and again after any invalidating event
-        self.stale = True
-        self.sub_id: "Optional[int]" = None
-        self.refreshes = 0
+#: the cache keys of the two list reads (a row without arguments is keyed by name)
+_LISTS = (("list", "connect.list_domains"), ("list", "connect.list_defined_domains"))
 
 
 class FleetRegistry:
-    """Sharded name/uuid → home-daemon index over a :class:`FleetManager`.
-
-    Lookups hit the in-memory shards; only shards invalidated by an
-    event since their last refresh go back to the wire, and only when a
-    lookup misses.  ``locate``/``locate_by_uuid`` answer the placement
-    question ("which host?"); ``lookup`` returns a live
-    :class:`~repro.core.domain.Domain` handle on the home connection.
-    """
+    """Name/uuid → home-daemon lookups over a :class:`FleetManager`."""
 
     def __init__(self, fleet: "FleetManager") -> None:
         self._fleet = fleet
-        self._shards: Dict[str, _Shard] = {}
-        self._lock = threading.RLock()
         self.lookups = 0
         self.hits = 0
         self.misses = 0
+        #: host reads that found the host's lists not cached
         self.refreshes = 0
-        self.invalidations = 0
 
-    # -- shard lifecycle ---------------------------------------------------
+    def _cache(self, hostname: str) -> "Optional[InvalidationCache]":
+        """The host connection's read cache (empty until turned on)."""
+        return getattr(self._fleet.entry(hostname).connection._driver, "cache", None)
 
-    def attach(self, hostname: str) -> None:
-        """Start tracking one host: create its shard and arm the event
-        subscription that keeps it honest."""
-        with self._lock:
-            if hostname in self._shards:
-                return
-            self._shards[hostname] = _Shard(hostname)
-        self.rearm(hostname)
+    def _fresh(self, hostname: str) -> bool:
+        cache = self._cache(hostname)
+        return cache is not None and all(cache.peek(*key) is not None for key in _LISTS)
 
-    def detach(self, hostname: str) -> None:
-        with self._lock:
-            self._shards.pop(hostname, None)
-
-    def rearm(self, hostname: str) -> None:
-        """(Re-)subscribe the shard's invalidation handler — needed after
-        the fleet re-dials a host, since subscriptions die with the
-        connection."""
-        with self._lock:
-            shard = self._shards.get(hostname)
-        if shard is None:
-            return
+    def _domains(self, hostname: str) -> "List[Tuple[Domain, bool]]":
+        """``(domain, active)`` for every domain on the host, read through
+        its cache (turned on here); empty while the host is unreachable."""
         try:
             connection = self._fleet.connection(hostname)
-            shard.sub_id = connection.subscribe_events(
-                lambda record, host=hostname: self._invalidate(host),
-                kinds=INVALIDATING_KINDS,
-            )
-        except VirtError:
-            # host unreachable right now: leave the shard stale; the next
-            # successful reopen rearms it
-            shard.sub_id = None
-        shard.stale = True
-
-    def _invalidate(self, hostname: str) -> None:
-        with self._lock:
-            shard = self._shards.get(hostname)
-            if shard is not None and not shard.stale:
-                shard.stale = True
-                self.invalidations += 1
-
-    def invalidate(self, hostname: "Optional[str]" = None) -> None:
-        """Manually mark one shard (or all) stale."""
-        with self._lock:
-            shards = (
-                [self._shards[hostname]]
-                if hostname is not None
-                else list(self._shards.values())
-            )
-        for shard in shards:
-            shard.stale = True
-
-    # -- refresh -----------------------------------------------------------
-
-    def _refresh(self, shard: _Shard) -> None:
-        try:
-            connection = self._fleet.connection(shard.hostname)
+            enable_cache = getattr(connection._driver, "enable_cache", None)
+            if enable_cache is not None:  # a local driver has no cache
+                enable_cache()
+            if not self._fresh(hostname):
+                self.refreshes += 1
             active = connection.list_domains(active=True)
             inactive = connection.list_domains(active=False)
         except VirtError:
-            # unreachable host: keep the last snapshot, stay stale
-            return
-        by_name: Dict[str, Dict[str, Any]] = {}
-        by_uuid: Dict[str, str] = {}
-        for dom, is_active in [(d, True) for d in active] + [(d, False) for d in inactive]:
-            record = {
-                "name": dom.name,
-                "uuid": dom.uuid,
-                "hostname": shard.hostname,
-                "active": is_active,
-            }
-            by_name[dom.name] = record
-            if record["uuid"]:
-                by_uuid[record["uuid"]] = dom.name
-        with self._lock:
-            shard.by_name = by_name
-            shard.by_uuid = by_uuid
-            shard.stale = False
-            shard.refreshes += 1
-            self.refreshes += 1
+            return []
+        return [(dom, True) for dom in active] + [(dom, False) for dom in inactive]
 
-    def _find(self, predicate) -> "Optional[Dict[str, Any]]":
-        """Two passes: fresh shards first (pure memory), then refresh the
-        stale ones one at a time until something matches.
-
-        A *running* instance always wins: after a migration the source
-        host still carries the guest's persistent config as an inactive
-        domain, and "where does it live" must answer with the host
-        actually running it.  An inactive-only match is remembered and
-        returned only when no shard reports the domain active.
-        """
-        with self._lock:
-            shards = list(self._shards.values())
-        inactive_match: "Optional[Dict[str, Any]]" = None
-        for shard in shards:
-            if not shard.stale:
-                record = predicate(shard)
-                if record is not None:
-                    if record.get("active"):
-                        return record
-                    inactive_match = inactive_match or record
-        for shard in shards:
-            if shard.stale:
-                self._refresh(shard)
-                record = predicate(shard)
-                if record is not None:
-                    if record.get("active"):
-                        return record
-                    inactive_match = inactive_match or record
-        return inactive_match
-
-    # -- lookups -----------------------------------------------------------
-
-    def locate(self, name: str) -> str:
-        """The hostname of the daemon where ``name`` lives."""
-        return self._locate_record(lambda shard: shard.by_name.get(name), name)[
-            "hostname"
-        ]
-
-    def locate_by_uuid(self, uuid: str) -> str:
-        def by_uuid(shard: _Shard) -> "Optional[Dict[str, Any]]":
-            name = shard.by_uuid.get(uuid)
-            return shard.by_name.get(name) if name is not None else None
-
-        return self._locate_record(by_uuid, uuid)["hostname"]
-
-    def lookup(self, name: str) -> "Domain":
-        """A live handle to ``name`` on its home connection."""
-        record = self._locate_record(lambda shard: shard.by_name.get(name), name)
-        return self._fleet.connection(record["hostname"]).lookup_domain(name)
-
-    def _locate_record(self, predicate, key: str) -> Dict[str, Any]:
+    def _locate(self, match: "Callable[[Domain], bool]", key: str) -> str:
+        """The host of a domain ``match`` accepts, fresh hosts read first.
+        A running match wins: after a migration the source still defines
+        the guest, and "where does it live" means where it runs."""
         self.lookups += 1
-        record = self._find(predicate)
-        if record is None:
+        defined_on: "Optional[str]" = None
+        for hostname in sorted(self._fleet.hostnames(), key=lambda h: not self._fresh(h)):
+            for dom, active in self._domains(hostname):
+                if match(dom):
+                    if active:
+                        self.hits += 1
+                        return hostname
+                    defined_on = defined_on or hostname
+        if defined_on is None:
             self.misses += 1
             raise NoDomainError(f"no domain {key!r} on any of the fleet's hosts")
         self.hits += 1
-        return record
+        return defined_on
 
-    # -- views -------------------------------------------------------------
+    def locate(self, name: str) -> str:
+        """The hostname of the daemon where ``name`` lives."""
+        return self._locate(lambda dom: dom.name == name, name)
+
+    def locate_by_uuid(self, uuid: str) -> str:
+        return self._locate(lambda dom: dom.uuid == uuid, uuid)
+
+    def lookup(self, name: str) -> "Domain":
+        """A live handle to ``name`` on its home connection."""
+        return self._fleet.connection(self.locate(name)).lookup_domain(name)
 
     def domains(self) -> List[Dict[str, Any]]:
-        """Every known domain record fleet-wide (refreshing stale shards)."""
-        with self._lock:
-            shards = list(self._shards.values())
-        for shard in shards:
-            if shard.stale:
-                self._refresh(shard)
-        records: List[Dict[str, Any]] = []
-        for shard in shards:
-            records.extend(shard.by_name.values())
-        return sorted(records, key=lambda r: (r["hostname"], r["name"]))
+        """Every domain record fleet-wide, hostname then name order."""
+        return [
+            {"name": dom.name, "uuid": dom.uuid, "hostname": hostname, "active": active}
+            for hostname in self._fleet.hostnames()
+            for dom, active in sorted(self._domains(hostname), key=lambda pair: pair[0].name)
+        ]
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            shards = list(self._shards.values())
+        """Counts read off the hosts' caches, without a wire call."""
+        hostnames = self._fleet.hostnames()
+        caches = [cache for cache in map(self._cache, hostnames) if cache is not None]
         return {
-            "shards": len(shards),
-            "stale_shards": sum(1 for s in shards if s.stale),
-            "entries": sum(len(s.by_name) for s in shards),
+            "shards": len(hostnames),
+            "stale_shards": sum(1 for hostname in hostnames if not self._fresh(hostname)),
+            "entries": sum(len(cache.peek(*key) or ()) for cache in caches for key in _LISTS),
             "lookups": self.lookups,
             "hits": self.hits,
             "misses": self.misses,
             "refreshes": self.refreshes,
-            "invalidations": self.invalidations,
+            "invalidations": sum(cache.invalidations for cache in caches),
         }

@@ -75,7 +75,7 @@ REMOTE_PROCEDURES: Tuple[Procedure, ...] = (
     _P(7, "connect.list_defined_domains", "list_defined_domains", priority=True, idempotent=True, blocking=False, cache="list"),
     _P(8, "connect.num_of_domains", "num_of_domains", priority=True, idempotent=True, blocking=False, cache="list"),
     _P(9, "connect.get_version", "get_version", priority=True, idempotent=True, blocking=False),
-    _P(10, "domain.lookup_by_name", "domain_lookup_by_name", ("name",), priority=True, idempotent=True, blocking=False),
+    _P(10, "domain.lookup_by_name", "domain_lookup_by_name", ("name",), priority=True, idempotent=True, blocking=False, cache="lookup"),
     _P(11, "domain.lookup_by_uuid", "domain_lookup_by_uuid", ("uuid",), priority=True, idempotent=True, blocking=False),
     _P(12, "domain.lookup_by_id", "domain_lookup_by_id", ("id",), priority=True, idempotent=True, blocking=False),
     _P(13, "domain.define_xml", "domain_define_xml", ("xml",), feature="lifecycle"),

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.cache import _BUCKETS, InvalidationCache
 from repro.core.events import LIFECYCLE, EventBus, lifecycle_fields, lifecycle_view
 from repro.core.states import DomainEvent, DomainState
 from repro.core.uri import ConnectionURI
@@ -482,6 +483,90 @@ class TestClientCache:
         assert not any(feeder.is_alive() for feeder in feeders)
         assert errors == []
         assert sorted(seen) == list(range(1, 12001))
+
+    def test_a_read_that_crossed_its_invalidation_is_not_stored(self, daemon):
+        """Another client destroys the guest after the daemon answered a
+        cached read and before the reply is stored: the record reaches
+        the cache first, so the old answer is returned but never kept."""
+        driver = make_driver("evt1", cache=True)
+        other = make_driver("evt1")
+        other.domain_define_xml(plain_xml("crossed1"))
+        other.domain_create("crossed1")
+        wire = driver._call
+
+        def destroyed_behind_the_reply(name, body=None):
+            driver._call = wire
+            reply = wire(name, body)
+            other.domain_destroy("crossed1")
+            return reply
+
+        driver._call = destroyed_behind_the_reply
+        assert driver.domain_get_state("crossed1") == DomainState.RUNNING
+        assert ("state", "crossed1") not in driver.cache.keys()
+        assert driver.domain_get_state("crossed1") == DomainState.SHUTOFF
+        assert driver.domain_get_state("crossed1") == DomainState.SHUTOFF
+        assert driver.cache.hits == 1
+
+    @pytest.mark.stress
+    def test_reads_racing_another_clients_mutations_leave_nothing_stale(self, daemon):
+        """Four threads read a guest through the cache while another client
+        starts and destroys it: a read after each change returns, whether
+        it hits or not, sees that change."""
+        driver = make_driver("evt1", cache=True)
+        other = make_driver("evt1")
+        other.domain_define_xml(plain_xml("race1"))
+        stop, errors, states = threading.Event(), [], []
+
+        def read():
+            try:
+                while not stop.is_set():
+                    driver.domain_get_state("race1")
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for _ in range(200):
+                other.domain_create("race1")
+                states.append(driver.domain_get_state("race1"))
+                other.domain_destroy("race1")
+                states.append(driver.domain_get_state("race1"))
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert states == [DomainState.RUNNING, DomainState.SHUTOFF] * 200
+
+    def test_only_a_change_covering_the_key_drops_a_crossed_answer(self):
+        # two domains stamped in buckets of their own, apart from the lists'
+        buckets, names = {hash(None) % _BUCKETS}, []
+        for name in (f"g{index}" for index in range(4 * _BUCKETS)):
+            if len(names) < 2 and hash(name) % _BUCKETS not in buckets:
+                buckets.add(hash(name) % _BUCKETS)
+                names.append(name)
+        g1, elsewhere = names
+        cache = InvalidationCache()
+        since = cache.generation
+        cache.invalidate_domain(elsewhere)
+        cache.put("state", g1, 1, since)
+        cache.invalidate_lists()
+        cache.put("xml", g1, "<domain/>", since)
+        cache.put("list", "connect.list_domains", [g1], since)
+        assert cache.keys() == [("state", g1), ("xml", g1)]
+        since = cache.generation
+        cache.invalidate_domain(g1)
+        cache.put("lookup", g1, {"name": g1}, since)
+        since = cache.generation
+        cache.flush("reconnect")
+        cache.put("state", elsewhere, 1, since)
+        assert cache.keys() == []
 
     def test_connection_surface_exposes_cache_stats(self, daemon):
         conn = repro.open_connection("qemu+tcp://evt1/system?cache=1")

@@ -484,7 +484,7 @@ class TestGeneratedStubs:
 
     def test_the_cached_reads(self):
         assert sorted(row.method for row in REMOTE_PROCEDURES if row.cache) == [
-            "domain_get_state", "domain_get_xml_desc",
+            "domain_get_state", "domain_get_xml_desc", "domain_lookup_by_name",
             "list_defined_domains", "list_domains", "num_of_domains",
         ]
 
